@@ -32,7 +32,6 @@ from .grid import (
     invert_monotone_map,
     partial_u,
     partial_v,
-    rk4_step,
     second_u,
     second_v,
 )

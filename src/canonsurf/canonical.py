@@ -26,34 +26,12 @@ from .errors import (
     DiscriminantError,
     MonotonicityError,
     RangeError,
-    UmbilicError,
 )
-from .grid import (
-    BaseIndex,
-    Grid2,
-    cumulative_integral_u,
-    cumulative_integral_v,
-    cumtrapz_1d,
-    invert_monotone_map,
-    partial_u,
-    partial_v,
-    same_geometry,
-)
-from .invariants import UMBILIC_RTOL
+from .grid import BaseIndex, Grid2, invert_monotone_map, path_exponent, same_geometry
+from .invariants import require_umbilic_free
 from .reports import make_report
 
 DISCRIMINANT_RTOL = 1e-12
-
-
-def require_umbilic_free(nu1: np.ndarray, nu2: np.ndarray, rtol: float = UMBILIC_RTOL,
-                         length_scale: float = 1.0) -> None:
-    gap = np.abs(nu1 - nu2)
-    threshold = rtol * np.maximum(1.0 / length_scale, np.maximum(np.abs(nu1), np.abs(nu2)))
-    if np.any(gap < threshold):
-        worst = np.unravel_index(int(np.argmin(gap / threshold)), gap.shape)
-        raise UmbilicError(
-            f"principal curvatures coincide near node {tuple(int(w) for w in worst)}: "
-            f"|nu1 - nu2| = {gap[worst]:.3e}")
 
 
 def require_positive_discriminant(K: np.ndarray, H: np.ndarray,
@@ -89,8 +67,12 @@ class InvariantGrid:
             raise DimensionError(f"mode must be 'nu' or 'kh', got {self.mode!r}")
         same_geometry(self.field1, self.field2)
         self.base.validate(self.field1)
-        if not (self.a > 0 and self.b > 0):
-            raise DimensionError(f"constants a, b must be positive, got a={self.a}, b={self.b}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a > 0 and self.b > 0):
+            raise DimensionError(f"constants a, b must be finite and positive, "
+                                 f"got a={self.a}, b={self.b}")
+        for name, f in (("field1", self.field1), ("field2", self.field2)):
+            if not np.all(np.isfinite(f.values)):
+                raise RangeError(f"{name} has non-finite values")
         if self.mode == "nu":
             require_umbilic_free(self.field1.values, self.field2.values)
         else:
@@ -109,6 +91,16 @@ class InvariantGrid:
             return self.field1.values, self.field2.values
         n1, n2 = self.field1.values, self.field2.values
         return n1 * n2, 0.5 * (n1 + n2)
+
+    def to_kh(self) -> "InvariantGrid":
+        """The same data in kh mode; a, b gain the sqrt(H^2 - K) weight of the base node."""
+        if self.mode == "kh":
+            return self
+        i0, j0 = self.base.i0, self.base.j0
+        s0 = 0.5 * abs(float(self.field1.values[i0, j0] - self.field2.values[i0, j0]))
+        K, H = self.kh_arrays()
+        like = self.geometry.like
+        return InvariantGrid("kh", like(K), like(H), self.a * s0, self.b * s0, self.base)
 
     @property
     def geometry(self) -> Grid2:
@@ -188,21 +180,18 @@ def build_canonical_maps(E: Grid2, G: Grid2, nu1: Grid2, nu2: Grid2, base: BaseI
     base.validate(E)
     require_umbilic_free(nu1.values, nu2.values)
     gap = nu1.values - nu2.values
-    du, dv = E.du, E.dv
     i0, j0 = base.i0, base.j0
     a = float(E.values[i0, j0])
     b = float(G.values[i0, j0])
 
     # ubar: exponent = int_v (nu1)_v/gap + int_u (nu1)_u/gap on the base row
-    expo_u = _cumint4(_deriv4(nu1.values, dv, 1) / gap, dv, j0, axis=1)
-    expo_u += _cumint4((_deriv4(nu1.values, du, 0) / gap)[:, j0], du, i0, axis=0)[:, None]
-    ubar, var_u = _map_1d(np.sqrt(E.values) * np.exp(expo_u), math.sqrt(a), du, i0,
+    expo_u = path_exponent(nu1.values, gap, E, base, 1, _deriv4, _cumint4)
+    ubar, var_u = _map_1d(np.sqrt(E.values) * np.exp(expo_u), math.sqrt(a), E.du, i0,
                           reduce_axis=1, offset=ubar0, what="ubar")
 
     # vbar: exponent = -int_u (nu2)_u/gap - int_v (nu2)_v/gap on the base column
-    expo_v = -_cumint4(_deriv4(nu2.values, du, 0) / gap, du, i0, axis=0)
-    expo_v -= _cumint4((_deriv4(nu2.values, dv, 1) / gap)[i0, :], dv, j0, axis=0)[None, :]
-    vbar, var_v = _map_1d(np.sqrt(G.values) * np.exp(expo_v), math.sqrt(b), dv, j0,
+    expo_v = -path_exponent(nu2.values, gap, E, base, 0, _deriv4, _cumint4)
+    vbar, var_v = _map_1d(np.sqrt(G.values) * np.exp(expo_v), math.sqrt(b), E.dv, j0,
                           reduce_axis=0, offset=vbar0, what="vbar")
 
     if codazzi_tol is not None and max(var_u, var_v) > codazzi_tol:
@@ -283,16 +272,8 @@ def verify_canonical(inv: InvariantGrid, E: Grid2, G: Grid2):
     nu1, nu2 = inv.nu_arrays()
     gap = nu1 - nu2
     geo = inv.geometry
-    base = inv.base
-    expo1 = (cumulative_integral_v(geo.like(partial_v(geo.like(nu1)).values / gap), base).values
-             + cumtrapz_1d((partial_u(geo.like(nu1)).values / gap)[:, base.j0],
-                           geo.du, base.i0)[:, None])
-    r1 = np.sqrt(E.values / inv.a) * np.exp(expo1) - 1.0
-
-    expo2 = (-cumulative_integral_u(geo.like(partial_u(geo.like(nu2)).values / gap), base).values
-             - cumtrapz_1d((partial_v(geo.like(nu2)).values / gap)[base.i0, :],
-                           geo.dv, base.j0)[None, :])
-    r2 = np.sqrt(G.values / inv.b) * np.exp(expo2) - 1.0
+    r1 = np.sqrt(E.values / inv.a) * np.exp(path_exponent(nu1, gap, geo, inv.base, 1)) - 1.0
+    r2 = np.sqrt(G.values / inv.b) * np.exp(-path_exponent(nu2, gap, geo, inv.base, 0)) - 1.0
     return make_report("canonical-E", geo.like(r1)), make_report("canonical-G", geo.like(r2))
 
 

@@ -18,12 +18,7 @@ import numpy as np
 
 from . import canonical, compatibility, formats, invariants, reconstruction, special_surfaces
 from .catalog import CATALOG_NAMES, make_entry, make_revolution_entry, sample_surface
-from .errors import (
-    CanonsurfError,
-    IncompatibleInvariantsError,
-    NotPrincipalError,
-    UmbilicError,
-)
+from .errors import CanonsurfError, IncompatibleInvariantsError, UmbilicError
 from .grid import BaseIndex, Grid2
 from .reports import interior
 
@@ -103,21 +98,15 @@ def _emit(report: dict, path: str | None) -> None:
         print(formats.dumps(report))
 
 
-def _base_index(args, nu, nv) -> BaseIndex:
-    if args.base_index:
-        i0, j0 = (int(p) for p in args.base_index.split(","))
+def _base_index(text: str | None, nu: int, nv: int) -> BaseIndex:
+    if text:
+        i0, j0 = (int(p) for p in text.split(","))
         return BaseIndex(i0, j0)
     return BaseIndex(nu // 2, nv // 2)
 
 
 def _grid_block(g):
     return {"counts": [g.nu, g.nv], "origin": [g.u0, g.v0], "spacing": [g.du, g.dv]}
-
-
-def _sample(entry, args):
-    u0, du, nu = _parse_range(args.u)
-    v0, dv, nv = _parse_range(args.v)
-    return sample_surface(entry, u0, du, nu, v0, dv, nv)
 
 
 def _analysis(entry, jets, base):
@@ -158,8 +147,8 @@ def _analysis(entry, jets, base):
 
 def cmd_analyze(args) -> int:
     entry = _entry_from_args(args)
-    jets = _sample(entry, args)
-    base = _base_index(args, jets.geometry.nu, jets.geometry.nv)
+    jets = sample_surface(entry, *_parse_range(args.u), *_parse_range(args.v))
+    base = _base_index(args.base_index, jets.geometry.nu, jets.geometry.nv)
     report, forms, curv, umb = _analysis(entry, jets, base)
     if umb.any:
         report["umbilic"]["flagged"] = True
@@ -183,33 +172,22 @@ def _invariant_grid_from_chart(forms, curv, base, mode):
     return canonical.InvariantGrid("kh", curv.K, curv.H, a * s0, b * s0, base)
 
 
-def _canonicalize(entry, args):
-    jets = _sample(entry, args)
+def _canonicalize(entry, u_range, v_range, base_text: str | None, mode: str):
+    """Sample a principal chart on the parsed (origin, spacing, count) ranges and
+    bring it to canonical parameters; non-principal charts and umbilics raise."""
+    jets = sample_surface(entry, *u_range, *v_range)
     forms = invariants.fundamental_forms_grid(jets)
-    if not invariants.is_principal(forms.E.values, forms.F.values,
-                                   forms.G.values, forms.M.values):
-        raise NotPrincipalError(f"chart '{entry.name}' is not principal; "
-                                "canonicalization needs F = M = 0")
     curv = invariants.curvatures_grid(forms, principal_chart=True)
-    _, umb = invariants.detect_umbilics(curv)
-    if umb.any:
-        raise UmbilicError(f"{umb.count} umbilic nodes detected; "
-                           "canonical parameters are undefined")
-    base = _base_index(args, jets.geometry.nu, jets.geometry.nv)
+    base = _base_index(base_text, jets.geometry.nu, jets.geometry.nv)
     maps = canonical.build_canonical_maps(forms.E, forms.G, curv.nu1, curv.nu2, base)
     inv = canonical.resample_to_canonical(maps, curv.nu1, curv.nu2)
-    if args.mode == "kh":
-        n1, n2 = inv.field1.values, inv.field2.values
-        s0 = 0.5 * abs(float((n1 - n2)[inv.base.i0, inv.base.j0]))
-        geo = inv.geometry
-        inv = canonical.InvariantGrid("kh", geo.like(n1 * n2), geo.like(0.5 * (n1 + n2)),
-                                      inv.a * s0, inv.b * s0, inv.base)
-    return jets, forms, curv, maps, inv
+    return jets, forms, curv, maps, inv.to_kh() if mode == "kh" else inv
 
 
 def cmd_canonicalize(args) -> int:
     entry = _entry_from_args(args)
-    jets, forms, curv, maps, inv = _canonicalize(entry, args)
+    jets, forms, curv, maps, inv = _canonicalize(
+        entry, _parse_range(args.u), _parse_range(args.v), args.base_index, args.mode)
     formats.write_invariant_grid(inv, _out_path(args.output))
     info = {
         "format": "canonicalize-report/1",
@@ -238,7 +216,7 @@ def _check_report(inv):
         "residuals": [rep.to_dict()],
     }
     compatible = True
-    if min(inv.geometry.nu, inv.geometry.nv) >= 9:
+    if min(inv.geometry.nu, inv.geometry.nv) >= compatibility.FLOOR_MIN_NODES:
         floor = compatibility.compatibility_floor(inv)
         result["floor_check"] = {
             "fine_max_abs": floor.fine_max_abs,
@@ -290,22 +268,24 @@ def _reconstruction_diagnostics(mesh, inv):
     }
 
 
+def _refine(axis_range, factor: int):
+    """(origin, spacing, count) with factor times as many intervals over the same span."""
+    lo, step, count = axis_range
+    hi = lo + step * (count - 1)
+    count = factor * (count - 1) + 1
+    return lo, (hi - lo) / (count - 1), count
+
+
 def cmd_roundtrip(args) -> int:
     entry = _entry_from_args(args)
     if args.refine < 0:
         raise ValueError("--refine must be >= 0")
-    u0, du, nu = _parse_range(args.u)
-    v0, dv, nv = _parse_range(args.v)
+    u_range, v_range = _parse_range(args.u), _parse_range(args.v)
     levels = []
     for level in range(args.refine + 1):
-        factor = 2 ** level
-        lvl_args = argparse.Namespace(
-            surface=args.surface, param=args.param, profile=args.profile,
-            base_index=args.base_index,
-            u=f"{u0}:{u0 + du * (nu - 1)}:{factor * (nu - 1) + 1}",
-            v=f"{v0}:{v0 + dv * (nv - 1)}:{factor * (nv - 1) + 1}",
-            mode="nu")
-        jets, forms, curv, maps, inv = _canonicalize(entry, lvl_args)
+        jets, forms, curv, maps, inv = _canonicalize(
+            entry, _refine(u_range, 2 ** level), _refine(v_range, 2 ** level),
+            args.base_index, "nu")
         rep = compatibility.gauss_residual_canonical(inv)
         rep_e, rep_g = canonical.verify_canonical(
             inv,
@@ -362,11 +342,13 @@ def cmd_special(args) -> int:
             h_const = args.mean_curvature
             if h_const is None:
                 h_const = float(np.mean(H.values))
-            reports.append(special_surfaces.cmc_residual(K, h_const, inv.a, inv.b))
+            kh = inv.to_kh()
+            reports.append(special_surfaces.cmc_residual(K, h_const, kh.a, kh.b))
         if args.case in ("minimal", "all"):
             n1, n2 = inv.nu_arrays()
             pos = inv.geometry.like(0.5 * np.abs(n1 - n2))
-            reports.append(special_surfaces.minimal_natural_residual(pos, inv.a, inv.b))
+            kh = inv.to_kh()
+            reports.append(special_surfaces.minimal_natural_residual(pos, kh.a, kh.b))
         if args.case in ("flat", "all"):
             flat = special_surfaces.flat_characterization(H)
             reports.append(flat.report)

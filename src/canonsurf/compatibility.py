@@ -13,20 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import InvariantGrid, require_umbilic_free
+from .canonical import InvariantGrid
 from .errors import NotPrincipalError, RegularityError
-from .grid import (
-    BaseIndex,
-    Grid2,
-    cumulative_integral_u,
-    cumulative_integral_v,
-    cumtrapz_1d,
-    partial_u,
-    partial_v,
-    same_geometry,
-)
-from .invariants import FormGrid, is_principal
+from .grid import BaseIndex, Grid2, d_u, d_v, partial_u, partial_v, path_exponent, same_geometry
+from .invariants import FormGrid, is_principal, require_umbilic_free
 from .reports import DEFAULT_MARGIN, ResidualReport, make_report
+
+# Smallest grid side, in nodes, on which the floor test runs: the halved grid
+# then keeps at least four nodes a side.
+FLOOR_MIN_NODES = 9
 
 
 def _det3(r0, r1, r2):
@@ -45,13 +40,11 @@ def gauss_residual_general(forms: FormGrid, margin: int = DEFAULT_MARGIN) -> Res
     if np.any(W < 1e-14):
         raise RegularityError("W = sqrt(EG - F^2) vanishes somewhere on the grid")
     geo = forms.geometry
-    d_u = lambda vals: partial_u(geo.like(vals)).values
-    d_v = lambda vals: partial_v(geo.like(vals)).values
-    E_u, E_v = d_u(E), d_v(E)
-    F_u, F_v = d_u(F), d_v(F)
-    G_u, G_v = d_u(G), d_v(G)
+    E_u, E_v = d_u(E, geo), d_v(E, geo)
+    F_u, F_v = d_u(F, geo), d_v(F, geo)
+    G_u, G_v = d_u(G, geo), d_v(G, geo)
     K = (L * N - M * M) / (W * W)
-    rhs = -(d_v((E_v - F_u) / W) + d_u((G_u - F_v) / W)) / (2.0 * W)
+    rhs = -(d_v((E_v - F_u) / W, geo) + d_u((G_u - F_v) / W, geo)) / (2.0 * W)
     rhs -= _det3((E, F, G), (E_u, F_u, G_u), (E_v, F_v, G_v)) / (4.0 * W**4)
     return make_report("gauss-general", geo.like(K - rhs), margin)
 
@@ -64,15 +57,13 @@ def codazzi_residual_general(forms: FormGrid, margin: int = DEFAULT_MARGIN):
     if np.any(W < 1e-14):
         raise RegularityError("W = sqrt(EG - F^2) vanishes somewhere on the grid")
     geo = forms.geometry
-    d_u = lambda vals: partial_u(geo.like(vals)).values
-    d_v = lambda vals: partial_v(geo.like(vals)).values
     mean_term = E * N - 2.0 * F * M + G * L
-    r1 = (2.0 * W * W * (d_v(L) - d_u(M))
-          - mean_term * (d_v(E) - d_u(F))
-          - _det3((E, F, G), (L, M, N), (d_u(E), d_u(F), d_u(G))))
-    r2 = (2.0 * W * W * (d_v(M) - d_u(N))
-          - mean_term * (d_v(F) - d_u(G))
-          - _det3((E, F, G), (L, M, N), (d_v(E), d_v(F), d_v(G))))
+    r1 = (2.0 * W * W * (d_v(L, geo) - d_u(M, geo))
+          - mean_term * (d_v(E, geo) - d_u(F, geo))
+          - _det3((E, F, G), (L, M, N), (d_u(E, geo), d_u(F, geo), d_u(G, geo))))
+    r2 = (2.0 * W * W * (d_v(M, geo) - d_u(N, geo))
+          - mean_term * (d_v(F, geo) - d_u(G, geo))
+          - _det3((E, F, G), (L, M, N), (d_v(E, geo), d_v(F, geo), d_v(G, geo))))
     return (make_report("codazzi-general-1", geo.like(r1), margin),
             make_report("codazzi-general-2", geo.like(r2), margin))
 
@@ -95,11 +86,9 @@ def gauss_residual_principal(forms: FormGrid, margin: int = DEFAULT_MARGIN) -> R
     if not is_principal(E, forms.F.values, G, forms.M.values):
         raise NotPrincipalError("the principal-chart Gauss equation needs F = M = 0")
     geo = forms.geometry
-    d_u = lambda vals: partial_u(geo.like(vals)).values
-    d_v = lambda vals: partial_v(geo.like(vals)).values
     root = np.sqrt(E * G)
     lhs = forms.L.values * forms.N.values / (E * G)
-    rhs = -(d_v(d_v(E) / root) + d_u(d_u(G) / root)) / (2.0 * root)
+    rhs = -(d_v(d_v(E, geo) / root, geo) + d_u(d_u(G, geo) / root, geo)) / (2.0 * root)
     return make_report("gauss-principal", geo.like(lhs - rhs), margin)
 
 
@@ -118,24 +107,6 @@ class CanonicalFactors:
     base: BaseIndex
 
 
-def _mixed_path_exponent(field_over_gap_u: np.ndarray, field_over_gap_v: np.ndarray,
-                         geo: Grid2, base: BaseIndex, u_integral_full: bool):
-    """Path exponent with one full cumulative integral and one base-line integral.
-
-    With u_integral_full, integrate the u-integrand over every row and the
-    v-integrand along the base column only (the Psi2/Phi2 pattern); otherwise
-    integrate the v-integrand over every column and the u-integrand along the
-    base row (the Psi1/Phi1 pattern).
-    """
-    if u_integral_full:
-        full = cumulative_integral_u(geo.like(field_over_gap_u), base).values
-        line = cumtrapz_1d(field_over_gap_v[base.i0, :], geo.dv, base.j0)[None, :]
-    else:
-        full = cumulative_integral_v(geo.like(field_over_gap_v), base).values
-        line = cumtrapz_1d(field_over_gap_u[:, base.j0], geo.du, base.i0)[:, None]
-    return full + line
-
-
 def canonical_factors(inv: InvariantGrid) -> CanonicalFactors:
     """All four canonical factors of an invariant grid (either mode)."""
     nu1, nu2 = inv.nu_arrays()
@@ -143,14 +114,11 @@ def canonical_factors(inv: InvariantGrid) -> CanonicalFactors:
     gap = nu1 - nu2
     geo = inv.geometry
     base = inv.base
-    d_u = lambda vals: partial_u(geo.like(vals)).values
-    d_v = lambda vals: partial_v(geo.like(vals)).values
-
-    psi1 = np.exp(-_mixed_path_exponent(d_u(nu1) / gap, d_v(nu1) / gap, geo, base, False))
-    psi2 = np.exp(_mixed_path_exponent(d_u(nu2) / gap, d_v(nu2) / gap, geo, base, True))
     half = 2.0 * np.sqrt(H * H - K)  # |nu1 - nu2|, valid in both modes
-    phi1 = np.exp(-_mixed_path_exponent(d_u(H) / half, d_v(H) / half, geo, base, False))
-    phi2 = np.exp(_mixed_path_exponent(d_u(H) / half, d_v(H) / half, geo, base, True))
+    psi1 = np.exp(-path_exponent(nu1, gap, geo, base, 1))
+    psi2 = np.exp(path_exponent(nu2, gap, geo, base, 0))
+    phi1 = np.exp(-path_exponent(H, half, geo, base, 1))
+    phi2 = np.exp(path_exponent(H, half, geo, base, 0))
     like = geo.like
     return CanonicalFactors(like(psi1), like(psi2), like(phi1), like(phi2), base)
 
@@ -163,12 +131,11 @@ def gauss_residual_canonical(inv: InvariantGrid, margin: int = DEFAULT_MARGIN) -
     nu1, nu2 = inv.nu_arrays()
     gap = nu1 - nu2
     geo = inv.geometry
-    d_u = lambda vals: partial_u(geo.like(vals)).values
-    d_v = lambda vals: partial_v(geo.like(vals)).values
     fac = canonical_factors(inv)
     p1, p2 = fac.Psi1.values, fac.Psi2.values
     lhs = nu1 * nu2 * p1 * p2
-    rhs = d_v(d_v(nu1) / gap * p1 / p2) / inv.b - d_u(d_u(nu2) / gap * p2 / p1) / inv.a
+    rhs = (d_v(d_v(nu1, geo) / gap * p1 / p2, geo) / inv.b
+           - d_u(d_u(nu2, geo) / gap * p2 / p1, geo) / inv.a)
     return make_report("gauss-canonical", geo.like(lhs - rhs), margin)
 
 
@@ -177,13 +144,11 @@ def gauss_residual_canonical_kh(inv: InvariantGrid, margin: int = DEFAULT_MARGIN
     K, H = inv.kh_arrays()
     root = np.sqrt(H * H - K)
     geo = inv.geometry
-    d_u = lambda vals: partial_u(geo.like(vals)).values
-    d_v = lambda vals: partial_v(geo.like(vals)).values
     fac = canonical_factors(inv)
     q1, q2 = fac.Phi1.values, fac.Phi2.values
     lhs = 2.0 * K / root * q1 * q2
-    rhs = (d_v(q1 / q2 * d_v(H + root) / root) / inv.b
-           - d_u(q2 / q1 * d_u(H - root) / root) / inv.a)
+    rhs = (d_v(q1 / q2 * d_v(H + root, geo) / root, geo) / inv.b
+           - d_u(q2 / q1 * d_u(H - root, geo) / root, geo) / inv.a)
     return make_report("gauss-canonical-kh", geo.like(lhs - rhs), margin)
 
 

@@ -1,4 +1,4 @@
-"""Shared numerical substrate: rectangular grids, stencils, quadrature, map inversion.
+"""Shared numerical substrate: grids, stencils, quadrature, path exponents, map inversion.
 
 All discretizations are second order (central differences inside, one-sided
 second-order stencils on the two boundary layers, composite trapezoid
@@ -45,6 +45,9 @@ class Grid2:
             raise DimensionError(f"vector grids must have 3 components, got {self.values.shape[2]}")
         if self.nu < 3 or self.nv < 3:
             raise DimensionError(f"grid needs at least 3x3 samples, got {self.nu}x{self.nv}")
+        if not np.all(np.isfinite([self.u0, self.v0, self.du, self.dv])):
+            raise DimensionError(f"origin and spacings must be finite, got origin "
+                                 f"({self.u0}, {self.v0}), spacings ({self.du}, {self.dv})")
         if not (self.du > 0 and self.dv > 0):
             raise DimensionError(f"spacings must be positive, got du={self.du}, dv={self.dv}")
 
@@ -107,14 +110,25 @@ def _diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.gradient(values, h, axis=axis, edge_order=2)
 
 
+def d_u(values: np.ndarray, g: Grid2) -> np.ndarray:
+    """d/du of an array sampled on g's nodes: central differences inside,
+    one-sided second order at the two boundary columns."""
+    return _diff(values, g.du, axis=0)
+
+
+def d_v(values: np.ndarray, g: Grid2) -> np.ndarray:
+    """d/dv of an array sampled on g's nodes, symmetric to d_u."""
+    return _diff(values, g.dv, axis=1)
+
+
 def partial_u(g: Grid2) -> Grid2:
-    """d/du by central differences, one-sided second order at the two boundary columns."""
-    return g.like(_diff(g.values, g.du, axis=0))
+    """d/du of a grid (see d_u)."""
+    return g.like(d_u(g.values, g))
 
 
 def partial_v(g: Grid2) -> Grid2:
-    """d/dv, symmetric to partial_u."""
-    return g.like(_diff(g.values, g.dv, axis=1))
+    """d/dv of a grid (see d_v)."""
+    return g.like(d_v(g.values, g))
 
 
 def _second_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -161,12 +175,21 @@ def cumulative_integral_v(g: Grid2, base: BaseIndex) -> Grid2:
     return g.like(_signed_cumtrapz(g.values, g.dv, base.j0, axis=1))
 
 
-def cumtrapz_1d(values: np.ndarray, h: float, i0: int) -> np.ndarray:
-    """1-D variant of the signed cumulative trapezoid, anchored at index i0."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise DimensionError("cumtrapz_1d expects a 1-D array")
-    return _signed_cumtrapz(values, h, i0, axis=0)
+def path_exponent(f: np.ndarray, gap: np.ndarray, g: Grid2, base: BaseIndex, axis: int,
+                  diff=_diff, cumint=_signed_cumtrapz) -> np.ndarray:
+    """Path integral of df / gap from the base node to every node of g.
+
+    The `axis` component of df / gap is integrated over the whole grid, the
+    other component along the base line through the base node only, so the
+    result is exactly 0 at the base node. diff(values, h, axis) and
+    cumint(values, h, k0, axis) are the stencils; the defaults are second order.
+    """
+    h = (g.du, g.dv)
+    k0 = (base.i0, base.j0)
+    other = 1 - axis
+    full = cumint(diff(f, h[axis], axis) / gap, h[axis], k0[axis], axis)
+    line = np.take(diff(f, h[other], other) / gap, [k0[axis]], axis=axis)
+    return full + cumint(line, h[other], k0[other], other)
 
 
 def _check_strictly_increasing(a: np.ndarray, what: str) -> None:
@@ -213,12 +236,3 @@ def invert_monotone_map(x_samples, y_samples, y, rtol: float = 1e-12):
         hi = np.where(go_right, hi, mid)
     out = 0.5 * (lo + hi)
     return float(out[0]) if np.isscalar(y) or np.asarray(y).ndim == 0 else out
-
-
-def rk4_step(f, t: float, y, h: float):
-    """One classical fourth-order Runge-Kutta step for y' = f(t, y)."""
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -18,6 +18,7 @@ from .errors import (
     DiscriminantError,
     NotPrincipalError,
     RegularityError,
+    UmbilicError,
 )
 from .catalog import Jet2, JetGrid
 from .grid import Grid2, partial_u, partial_v, same_geometry
@@ -195,6 +196,22 @@ def geodesic_curvatures_of_parametric_lines(forms: FormGrid,
     return E.like(gamma1), E.like(gamma2)
 
 
+def _umbilic_scan(nu1: np.ndarray, nu2: np.ndarray, rtol: float, length_scale: float):
+    # a node is umbilic when |nu1 - nu2| < rtol * max(1/length_scale, |nu1|, |nu2|)
+    gap = np.abs(nu1 - nu2)
+    threshold = rtol * np.maximum(1.0 / length_scale, np.maximum(np.abs(nu1), np.abs(nu2)))
+    mask = gap < threshold
+    worst = np.unravel_index(int(np.argmin(gap / threshold)), gap.shape)
+    report = UmbilicReport(
+        count=int(mask.sum()),
+        total=int(mask.size),
+        worst_index=(int(worst[0]), int(worst[1])),
+        min_separation=float(gap[worst]),
+        threshold_at_worst=float(threshold[worst]),
+    )
+    return mask, report
+
+
 def detect_umbilics(curv: CurvatureGrid, rtol: float = UMBILIC_RTOL,
                     length_scale: float = 1.0):
     """Mask of nodes where nu1 and nu2 coincide up to a relative tolerance.
@@ -203,19 +220,14 @@ def detect_umbilics(curv: CurvatureGrid, rtol: float = UMBILIC_RTOL,
     Returns (mask Grid2, UmbilicReport).
     """
     same_geometry(curv.nu1, curv.nu2)
-    n1 = curv.nu1.values
-    n2 = curv.nu2.values
-    gap = np.abs(n1 - n2)
-    scale = np.maximum(1.0 / length_scale, np.maximum(np.abs(n1), np.abs(n2)))
-    threshold = rtol * scale
-    mask = gap < threshold
-    margin = gap / threshold
-    worst = np.unravel_index(int(np.argmin(margin)), margin.shape)
-    report = UmbilicReport(
-        count=int(mask.sum()),
-        total=int(mask.size),
-        worst_index=(int(worst[0]), int(worst[1])),
-        min_separation=float(gap[worst]),
-        threshold_at_worst=float(threshold[worst]),
-    )
+    mask, report = _umbilic_scan(curv.nu1.values, curv.nu2.values, rtol, length_scale)
     return curv.nu1.like(mask.astype(float)), report
+
+
+def require_umbilic_free(nu1: np.ndarray, nu2: np.ndarray, rtol: float = UMBILIC_RTOL,
+                         length_scale: float = 1.0) -> None:
+    """Raise UmbilicError if detect_umbilics would flag any node."""
+    _, report = _umbilic_scan(nu1, nu2, rtol, length_scale)
+    if report.any:
+        raise UmbilicError(f"principal curvatures coincide near node {report.worst_index}: "
+                           f"|nu1 - nu2| = {report.min_separation:.3e}")

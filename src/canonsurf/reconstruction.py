@@ -19,7 +19,7 @@ from scipy.interpolate import CubicSpline
 
 from .canonical import InvariantGrid
 from .catalog import JetGrid
-from .compatibility import canonical_factors, compatibility_floor
+from .compatibility import FLOOR_MIN_NODES, canonical_factors, compatibility_floor
 from .errors import (
     CompatibilityWarning,
     IncompatibleInvariantsError,
@@ -237,7 +237,7 @@ def reconstruct(inv: InvariantGrid, initial_frame: FrameState | None = None,
     failure); with strict=True an IncompatibleInvariantsError is raised
     instead.
     """
-    if check_compatibility and min(inv.geometry.nu, inv.geometry.nv) >= 7:
+    if check_compatibility and min(inv.geometry.nu, inv.geometry.nv) >= FLOOR_MIN_NODES:
         floor = compatibility_floor(inv)
         if not floor.compatible:
             msg = (f"invariant data looks incompatible: residual only improves by "

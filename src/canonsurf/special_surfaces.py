@@ -7,7 +7,10 @@ stalls at a nonzero level otherwise, so the residuals double as detectors.
 
 The Laplacian of the CMC and minimal equations assumes canonical parameters
 with a = b = 1; other constants are absorbed by the affine parameter freedom,
-which turns the Laplacian into (1/a) d^2/du^2 + (1/b) d^2/dv^2.
+which turns the Laplacian into (1/a) d^2/du^2 + (1/b) d^2/dv^2. Here a, b
+are the kh-mode constants (InvariantGrid.to_kh().a, .b), which carry the
+sqrt(H^2 - K) weight of the base node; the metric constants a = E, b = G of
+a nu-mode grid do not fit these equations unless that weight is 1.
 """
 
 from __future__ import annotations

@@ -79,13 +79,3 @@ def cone_invariants(n, alpha=0.6, u_range=(0.0, 2.0), v_range=(0.5, 2.5)):
     a = float(forms.E.values[base.i0, base.j0])
     b = float(forms.G.values[base.i0, base.j0])
     return cs.InvariantGrid("nu", curv.nu1, curv.nu2, a, b, base), jets, forms
-
-
-def to_kh(inv):
-    """Convert a nu-mode grid to KH mode with the weighted constants."""
-    n1, n2 = inv.field1.values, inv.field2.values
-    s = 0.5 * np.abs(n1 - n2)
-    s0 = float(s[inv.base.i0, inv.base.j0])
-    geo = inv.geometry
-    return cs.InvariantGrid("kh", geo.like(n1 * n2), geo.like(0.5 * (n1 + n2)),
-                            inv.a * s0, inv.b * s0, inv.base)

@@ -5,7 +5,7 @@ import pytest
 
 import canonsurf as cs
 from canonsurf.errors import CodazziViolation, MonotonicityError, UmbilicError
-from canonsurf.errors import DiscriminantError
+from canonsurf.errors import DimensionError, DiscriminantError, RangeError
 
 from helpers import catenoid_invariants
 
@@ -217,3 +217,39 @@ def test_invariant_grid_validation():
         cs.InvariantGrid("kh", g, g.like(np.zeros((9, 9))), 1.0, 1.0, cs.BaseIndex(4, 4))
     with pytest.raises(Exception):
         cs.InvariantGrid("nu", g, g.like(np.zeros((9, 9))), -1.0, 1.0, cs.BaseIndex(4, 4))
+
+
+@pytest.mark.parametrize("mode", ["nu", "kh"])
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_invariant_grid_rejects_non_finite_fields(mode, which, bad):
+    # one bad node used to slip through: the floor test then read ratio=inf,
+    # compatible=True and reconstruct failed inside scipy
+    g = cs.Grid2(0, 0, 0.1, 0.1, np.zeros((9, 9)))
+    fields = [np.ones((9, 9)), np.zeros((9, 9))]  # nu: (1, 0); kh: K = 0, H = 1
+    if mode == "kh":
+        fields.reverse()
+    fields[which][3, 5] = bad
+    with pytest.raises(RangeError, match=f"field{which + 1} has non-finite"):
+        cs.InvariantGrid(mode, g.like(fields[0]), g.like(fields[1]), 1.0, 1.0,
+                         cs.BaseIndex(4, 4))
+
+
+@pytest.mark.parametrize("a, b", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+def test_invariant_grid_rejects_non_finite_constants(a, b):
+    g = cs.Grid2(0, 0, 0.1, 0.1, np.ones((9, 9)))
+    with pytest.raises(DimensionError, match="finite"):
+        cs.InvariantGrid("nu", g, g.like(np.zeros((9, 9))), a, b, cs.BaseIndex(4, 4))
+
+
+def test_to_kh_weights_constants_at_base():
+    inv, _, _ = catenoid_invariants(17)
+    inv = cs.InvariantGrid("nu", inv.field1, inv.field2, inv.a, inv.b, cs.BaseIndex(3, 11))
+    kh = inv.to_kh()
+    n1, n2 = inv.field1.values, inv.field2.values
+    s0 = 0.5 * abs(n1[3, 11] - n2[3, 11])
+    assert kh.mode == "kh" and kh.base == inv.base
+    assert np.array_equal(kh.field1.values, n1 * n2)
+    assert np.array_equal(kh.field2.values, 0.5 * (n1 + n2))
+    assert (kh.a, kh.b) == (inv.a * s0, inv.b * s0)
+    assert kh.to_kh() is kh

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 import canonsurf as cs
 from canonsurf import formats
@@ -92,6 +93,42 @@ def test_check_incompatible_exits_4(tmp_path):
     assert res.returncode == 4
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_check_floor_test_minimum_grid(tmp_path, n):
+    g = cs.Grid2(0.0, 0.0, 0.1, 0.1, np.full((n, n), 1.0))
+    inv = cs.InvariantGrid("nu", g, g.like(np.zeros((n, n))), 1.0, 1.0,
+                           cs.BaseIndex(n // 2, n // 2))
+    path = tmp_path / "grid.json"
+    formats.write_invariant_grid(inv, str(path))
+    res = run_cli("check", "--input", str(path))
+    assert res.returncode == 0, res.stderr
+    floor = json.loads(res.stdout)["floor_check"]
+    assert (floor is not None) == (n >= 9)
+
+
+def test_check_non_finite_field_exits_3_from_reader(tmp_path):
+    n = 9
+    field1 = [1.0] * (n * n)
+    field1[40] = float("nan")
+    payload = {
+        "format": "invariant-grid/1", "mode": "nu", "nu": [n, n],
+        "origin": [0.0, 0.0], "spacing": [0.1, 0.1], "base_index": [4, 4],
+        "a": 1.0, "b": 1.0, "field1": field1, "field2": [0.0] * (n * n),
+    }
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(payload))
+    res = run_cli("check", "--input", str(path))
+    assert res.returncode == 3
+    assert "field1 has non-finite values" in res.stderr
+
+
+def test_canonicalize_umbilic_chart_exits_2(tmp_path):
+    res = run_cli("canonicalize", "--surface", "sphere", "--u", "-1:1:17",
+                  "--v", "0:2:17", "--output", str(tmp_path / "s.json"))
+    assert res.returncode == 2
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_canonicalize_then_reconstruct(tmp_path):
     grid_path = tmp_path / "cat_nu.json"
     res = run_cli("canonicalize", "--surface", "catenoid",
@@ -180,6 +217,18 @@ def test_special_minimal_and_flat(tmp_path):
     by_name = {r["name"]: r for r in report["residuals"]}
     assert by_name["cmc"]["max_abs"] < 1e-10
     assert by_name["flat-1overH-vv"]["max_abs"] < 1e-10
+
+
+def test_special_minimal_off_centre_base_uses_kh_constants(tmp_path):
+    # about an off-centre base the nu-mode a = E(base) = cosh^2(u_base) != 1;
+    # with those constants the residual stalled at 0.297 on every grid
+    res = run_cli("canonicalize", "--surface", "catenoid", "--u", "-1:1:65",
+                  "--v", "0:3.1416:65", "--base-index", "19,32",
+                  "--output", str(tmp_path / "cat.json"))
+    assert res.returncode == 0, res.stderr
+    res = run_cli("special", "--case", "minimal", "--input", str(tmp_path / "cat.json"))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["residuals"][0]["max_abs"] < 1e-3
 
 
 def test_special_weingarten(tmp_path):

@@ -11,7 +11,6 @@ from helpers import (
     cone_invariants,
     observed_orders,
     sample_chart,
-    to_kh,
     torus_invariants,
 )
 
@@ -228,7 +227,7 @@ class TestGaussCanonical:
         assert maxes[0] / maxes[1] < 1.5  # stalls instead of converging
 
     def test_mode_mismatch_rejected(self):
-        inv = to_kh(catenoid_invariants(17)[0])
+        inv = catenoid_invariants(17)[0].to_kh()
         with pytest.raises(ValueError):
             cs.gauss_residual_canonical(inv)
 
@@ -247,7 +246,7 @@ class TestGaussCanonicalKH:
         errs = []
         for n in (65, 129, 257):
             inv, _, _ = catenoid_invariants(n)
-            errs.append(cs.gauss_residual_canonical_kh(to_kh(inv)).max_abs)
+            errs.append(cs.gauss_residual_canonical_kh(inv.to_kh()).max_abs)
         for order in observed_orders(errs):
             assert order >= 1.9
 
@@ -261,7 +260,7 @@ class TestGaussCanonicalKH:
         errs = []
         for n in (65, 129):
             inv, _, _ = torus_invariants(n)
-            errs.append(cs.gauss_residual_canonical_kh(to_kh(inv)).max_abs)
+            errs.append(cs.gauss_residual_canonical_kh(inv.to_kh()).max_abs)
         assert errs[0] / errs[1] > 3.0
 
     def test_equivalence_of_forms(self):
@@ -270,7 +269,7 @@ class TestGaussCanonicalKH:
             for n in (65, 129, 257):
                 inv, _, _ = build(n)
                 errs_nu.append(cs.gauss_residual_canonical(inv).max_abs)
-                errs_kh.append(cs.gauss_residual_canonical_kh(to_kh(inv)).max_abs)
+                errs_kh.append(cs.gauss_residual_canonical_kh(inv.to_kh()).max_abs)
             for a, b in zip(errs_nu, errs_kh):
                 assert max(a / b, b / a) < 10.0
             assert all(o >= 1.9 for o in observed_orders(errs_nu))

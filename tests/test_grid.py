@@ -5,9 +5,10 @@ import pytest
 
 import canonsurf as cs
 from canonsurf.errors import DimensionError, MonotonicityError, RangeError
-from canonsurf.grid import cumtrapz_1d
+from canonsurf.canonical import _cumint4, _deriv4
+from canonsurf.grid import path_exponent
 
-from helpers import grid_from_fn
+from helpers import grid_from_fn, observed_orders
 
 
 def test_grid_invariants():
@@ -15,6 +16,10 @@ def test_grid_invariants():
         cs.Grid2(0, 0, 0.1, 0.1, np.zeros((2, 5)))
     with pytest.raises(DimensionError):
         cs.Grid2(0, 0, -0.1, 0.1, np.zeros((5, 5)))
+    for bad in ((0, 0, math.inf, 0.1), (0, 0, 0.1, math.nan), (math.nan, 0, 0.1, 0.1),
+                (0, -math.inf, 0.1, 0.1)):
+        with pytest.raises(DimensionError, match="finite"):
+            cs.Grid2(*bad, np.zeros((5, 5)))
     g = cs.Grid2(1.0, 2.0, 0.5, 0.25, np.zeros((4, 5)))
     assert np.allclose(g.u_axis, [1.0, 1.5, 2.0, 2.5])
     assert np.allclose(g.v_axis, 2.0 + 0.25 * np.arange(5))
@@ -115,14 +120,41 @@ def test_small_grid_rejected():
         cs.Grid2(0, 0, 1, 1, np.zeros((2, 3)))
 
 
-def test_cumtrapz_1d_matches_grid_version():
-    n = 41
-    u = np.linspace(0, 2, n)
-    vals = np.exp(-u)
-    g = cs.Grid2(0, 0, u[1] - u[0], 1.0, vals[:, None] * np.ones((n, 4)))
-    grid_out = cs.cumulative_integral_u(g, cs.BaseIndex(5, 0)).values[:, 2]
-    line_out = cumtrapz_1d(vals, u[1] - u[0], 5)
-    assert np.array_equal(grid_out, line_out)
+def _path_exponent_errors(axis, stencils):
+    # df / gap with gap = exp(f) is the exact differential of -exp(-f), so the
+    # path integral from the base node is exp(-f(base)) - exp(-f) on any path
+    errs = []
+    for n in (17, 33, 65):
+        u = np.linspace(0.0, 1.5, n)
+        v = np.linspace(-1.0, 1.0, n)
+        f = np.sin(u)[:, None] * np.cos(v)[None, :] + 0.5 * u[:, None]
+        g = cs.Grid2.from_axes(u, v, f)
+        base = cs.BaseIndex((n - 1) // 4, 3 * (n - 1) // 4)
+        got = path_exponent(f, np.exp(f), g, base, axis, *stencils)
+        assert got[base.i0, base.j0] == 0.0
+        errs.append(np.max(np.abs(got - (np.exp(-f[base.i0, base.j0]) - np.exp(-f)))))
+    return errs
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_path_exponent_second_order_default(axis):
+    assert min(observed_orders(_path_exponent_errors(axis, ()))) >= 1.8
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_path_exponent_fourth_order_stencils(axis):
+    assert min(observed_orders(_path_exponent_errors(axis, (_deriv4, _cumint4)))) >= 3.5
+
+
+def test_path_exponent_matches_cumulative_integrals():
+    # exponent along u over every row plus the v-line through the base column
+    g = grid_from_fn(lambda u, v: np.sin(2 * u) + u * v * v, (0, 1), (0, 2), 21, 17)
+    gap = 1.0 + 0.1 * g.values
+    base = cs.BaseIndex(6, 11)
+    line = cs.cumulative_integral_v(g.like(cs.partial_v(g).values / gap), base).values
+    want = (cs.cumulative_integral_u(g.like(cs.partial_u(g).values / gap), base).values
+            + line[base.i0][None, :])
+    assert np.array_equal(path_exponent(g.values, gap, g, base, 0), want)
 
 
 class TestInvertMonotoneMap:
@@ -155,12 +187,3 @@ class TestInvertMonotoneMap:
         y = np.sin(4 * x)
         with pytest.raises(MonotonicityError):
             cs.invert_monotone_map(x, y, 0.2)
-
-
-def test_rk4_step_fourth_order():
-    # y' = y, exact e^h; local error should scale like h^5
-    errs = []
-    for h in (0.1, 0.05):
-        y1 = cs.rk4_step(lambda t, y: y, 0.0, np.array([1.0]), h)
-        errs.append(abs(y1[0] - math.exp(h)))
-    assert 20.0 < errs[0] / errs[1] < 45.0

@@ -86,9 +86,8 @@ class TestCoefficients:
 
     def test_kh_mode_matches_nu_mode(self):
         inv, _, _ = catenoid_invariants(65)
-        from helpers import to_kh
         E1, G1, L1, N1 = cs.coefficients_from_invariants(inv)
-        E2, G2, L2, N2 = cs.coefficients_from_invariants(to_kh(inv))
+        E2, G2, L2, N2 = cs.coefficients_from_invariants(inv.to_kh())
         # KH mode swaps the roles of nu1 and nu2 for the catenoid (magnitude
         # convention), which swaps the u- and v-lines: E <-> G, L <-> N
         assert np.max(np.abs(E2.values - G1.values)) < 1e-10
@@ -265,6 +264,18 @@ class TestReconstruct:
             cs.reconstruct(bad)
         with pytest.raises(IncompatibleInvariantsError):
             cs.reconstruct(bad, strict=True)
+
+    @pytest.mark.parametrize("n, floor_runs", [(8, False), (9, True)])
+    def test_floor_test_minimum_grid(self, n, floor_runs):
+        inv, _, _ = catenoid_invariants(n, u_range=(-0.3, 0.3), v_range=(0.0, 0.6))
+        noise = np.random.default_rng(0).standard_normal((n, n))
+        bad1 = inv.geometry.like(inv.field1.values * (1 + 1e-3 * noise))
+        bad = cs.InvariantGrid("nu", bad1, inv.field2, inv.a, inv.b, inv.base)
+        if floor_runs:
+            with pytest.raises(IncompatibleInvariantsError):
+                cs.reconstruct(bad, strict=True)
+        else:
+            assert cs.reconstruct(bad, strict=True).positions.nu == n
 
     def test_two_random_frames_give_same_shape(self):
         inv, _, _ = torus_invariants(65)
