@@ -220,6 +220,8 @@ def make_revolution_entry(t_samples, rho_samples, z_samples) -> CatalogEntry:
     zz = np.asarray(z_samples, dtype=float)
     if t.ndim != 1 or t.size < 4 or rho.shape != t.shape or zz.shape != t.shape:
         raise DomainError("profile needs >= 4 samples of equal length for t, rho, z")
+    if not all(np.all(np.isfinite(x)) for x in (t, rho, zz)):
+        raise DomainError("profile samples of t, rho, z must be finite")
     if np.any(np.diff(t) <= 0):
         raise DomainError("profile parameter samples must be strictly increasing")
     if np.any(rho <= 0):

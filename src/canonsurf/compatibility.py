@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import InvariantGrid
-from .errors import NotPrincipalError, RegularityError
+from .errors import NotPrincipalError, RangeError, RegularityError
 from .grid import BaseIndex, Grid2, d_u, d_v, partial_u, partial_v, path_exponent, same_geometry
 from .invariants import FormGrid, is_principal, require_umbilic_free
 from .reports import DEFAULT_MARGIN, ResidualReport, make_report
@@ -179,11 +179,15 @@ def compatibility_floor(inv: InvariantGrid, margin: int = DEFAULT_MARGIN,
 
     Discretization error drops by about 4 when the grid is refined, so data
     whose residual shrinks by less than min_ratio from the subsampled grid to
-    the full grid is declared incompatible.
+    the full grid is declared incompatible. Finite fields can still overflow
+    the residual; a non-finite residual gives no verdict and raises RangeError.
     """
     residual = gauss_residual_canonical if inv.mode == "nu" else gauss_residual_canonical_kh
     fine = residual(inv, margin).max_abs
     coarse = residual(_subsample(inv), margin).max_abs
+    if not (np.isfinite(fine) and np.isfinite(coarse)):
+        raise RangeError(f"floor test residuals are not finite (fine {fine}, coarse {coarse}); "
+                         "the invariant fields overflow the Gauss residual")
     if fine == 0.0 and coarse == 0.0:
         return FloorCheck(fine, coarse, float("inf"), True)
     ratio = coarse / fine if fine > 0 else float("inf")

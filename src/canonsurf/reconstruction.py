@@ -3,10 +3,11 @@
 From an InvariantGrid the first- and second-form coefficients E, G, L, N are
 rebuilt (F = M = 0 by construction), and the orthonormal frame
 (xu/sqrt(E), xv/sqrt(G), n) is integrated over the grid: first along the base
-row in u, then along every column in v, with a classical fourth-order stepper
-whose off-node coefficient values come from cubic interpolation of the
-coefficient grids. The frame is projected back to the nearest orthonormal
-triple after every step.
+row in u, then along every column in v, with a classical fourth-order stepper.
+Its node coefficients are the grid values; its midpoint coefficients come from
+one cubic-spline evaluation per axis at all interval midpoints. After every
+step the frame is pulled back to its polar factor, the nearest orthonormal
+triple, by two Newton-Schulz steps.
 """
 
 from __future__ import annotations
@@ -105,13 +106,22 @@ def _renormalize(y):
     frames = y[..., 1:4, :]
     gram = frames @ np.swapaxes(frames, -1, -2)
     drift = float(np.max(np.abs(gram - np.eye(3))))
-    if drift > FRAME_DRIFT_LIMIT:
+    if not drift <= FRAME_DRIFT_LIMIT:  # also a NaN drift from overflowing coefficients
         raise IntegrationError(
             f"frame drift {drift:.3e} exceeds {FRAME_DRIFT_LIMIT}; grid is too coarse "
             "for the stepper")
-    U, _, Vt = np.linalg.svd(frames)
-    y[..., 1:4, :] = U @ Vt
+    # Newton-Schulz F <- 1.5 F - 0.5 F F^T F converges quadratically to the
+    # polar factor for drift < 1: from drift 1e-6, two steps reach roundoff.
+    frames = 1.5 * frames - 0.5 * gram @ frames
+    gram = frames @ np.swapaxes(frames, -1, -2)
+    y[..., 1:4, :] = 1.5 * frames - 0.5 * gram @ frames
     return y
+
+
+def _midpoint_coefficients(coef_values: np.ndarray, axis_coords: np.ndarray) -> np.ndarray:
+    """Cubic-spline coefficients at the n - 1 interval midpoints t_k + h/2."""
+    h = axis_coords[1] - axis_coords[0]
+    return CubicSpline(axis_coords, coef_values, axis=0)(axis_coords[:-1] + 0.5 * h)
 
 
 def _march(y0: np.ndarray, coef_values: np.ndarray, axis_coords: np.ndarray,
@@ -122,22 +132,20 @@ def _march(y0: np.ndarray, coef_values: np.ndarray, axis_coords: np.ndarray,
     axis comes first. Returns states of shape (n,) + y0.shape.
     """
     n = axis_coords.size
-    spline = CubicSpline(axis_coords, coef_values, axis=0)
+    mid = _midpoint_coefficients(coef_values, axis_coords)
     out = np.empty((n,) + y0.shape, dtype=float)
     out[k0] = y0
     for direction in (1, -1):
         y = y0.copy()
         rng = range(k0, n - 1) if direction == 1 else range(k0, 0, -1)
+        h = direction * (axis_coords[1] - axis_coords[0])
         for k in rng:
-            t = axis_coords[k]
-            h = direction * (axis_coords[1] - axis_coords[0])
-            c0 = spline(t)
-            cm = spline(t + 0.5 * h)
-            c1 = spline(t + h)
-            k1 = _frame_rate(y, c0, tangent)
+            # the step from k to k + direction crosses interval min(k, k + direction)
+            cm = mid[min(k, k + direction)]
+            k1 = _frame_rate(y, coef_values[k], tangent)
             k2 = _frame_rate(y + 0.5 * h * k1, cm, tangent)
             k3 = _frame_rate(y + 0.5 * h * k2, cm, tangent)
-            k4 = _frame_rate(y + h * k3, c1, tangent)
+            k4 = _frame_rate(y + h * k3, coef_values[k + direction], tangent)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             y = _renormalize(y)
             out[k + direction] = y
@@ -156,17 +164,21 @@ def _v_coefficients(E, G, N):
                      N.values / sqrtG], axis=-1)
 
 
-def _integrate_states(E: Grid2, G: Grid2, L: Grid2, N: Grid2, init: FrameState,
-                      base: BaseIndex, u_first: bool) -> np.ndarray:
+def _frame_coefficients(E: Grid2, G: Grid2, L: Grid2, N: Grid2, init: FrameState,
+                        base: BaseIndex):
+    """Validate the march inputs; return the u- and v-line coefficient grids."""
     same_geometry(E, G, L, N)
     base.validate(E)
     if init.orthonormality_defect() > 1e-10:
         raise IntegrationError("initial frame is not orthonormal")
     if np.linalg.det(np.array([init.e1, init.e2, init.n])) <= 0:
         raise IntegrationError("initial frame must be right-handed")
-    cu = _u_coefficients(E, G, L)  # (nu, nv, 3)
-    cv = _v_coefficients(E, G, N)
-    u_axis, v_axis = E.u_axis, E.v_axis
+    return _u_coefficients(E, G, L), _v_coefficients(E, G, N)  # each (nu, nv, 3)
+
+
+def _integrate_states(cu: np.ndarray, cv: np.ndarray, geometry: Grid2, init: FrameState,
+                      base: BaseIndex, u_first: bool) -> np.ndarray:
+    u_axis, v_axis = geometry.u_axis, geometry.v_axis
     y0 = init.as_matrix()
     if u_first:
         row = _march(y0, cu[:, base.j0, :], u_axis, base.i0, tangent=1)  # (nu, 4, 3)
@@ -180,7 +192,8 @@ def _integrate_states(E: Grid2, G: Grid2, L: Grid2, N: Grid2, init: FrameState,
 def integrate_frame(E: Grid2, G: Grid2, L: Grid2, N: Grid2, init: FrameState,
                     base: BaseIndex) -> SurfaceMesh:
     """Integrate the frame system over the grid (base row first, then columns)."""
-    states = _integrate_states(E, G, L, N, init, base, u_first=True)
+    cu, cv = _frame_coefficients(E, G, L, N, init, base)
+    states = _integrate_states(cu, cv, E, init, base, u_first=True)
     return SurfaceMesh(E.like(states[..., 0, :]), E.like(states[..., 3, :]))
 
 
@@ -192,8 +205,9 @@ def path_consistency_diagnostic(E: Grid2, G: Grid2, L: Grid2, N: Grid2,
     the compatibility equations, so a refinement-independent gap flags
     incompatible data.
     """
-    a = _integrate_states(E, G, L, N, init, base, u_first=True)[..., 0, :]
-    b = _integrate_states(E, G, L, N, init, base, u_first=False)[..., 0, :]
+    cu, cv = _frame_coefficients(E, G, L, N, init, base)
+    a = _integrate_states(cu, cv, E, init, base, u_first=True)[..., 0, :]
+    b = _integrate_states(cu, cv, E, init, base, u_first=False)[..., 0, :]
     return float(np.max(np.linalg.norm(a - b, axis=-1)))
 
 

@@ -51,6 +51,8 @@ class WeingartenData:
         g = np.asarray(self.g_samples, dtype=float)
         if t.ndim != 1 or t.size < 5 or f.shape != t.shape or g.shape != t.shape:
             raise RangeError("need >= 5 equal-length samples of t, f, g")
+        if not all(np.all(np.isfinite(x)) for x in (t, f, g, self.nu.values)):
+            raise RangeError("samples of t, f, g and the nu field must be finite")
         if np.any(np.diff(t) <= 0):
             raise RangeError("t samples must be strictly increasing")
         if np.any(f - g <= 0):
@@ -65,8 +67,9 @@ class WeingartenData:
         if nu_vals.min() < t[0] or nu_vals.max() > t[-1]:
             raise RangeError("nu field leaves the sampled interval I")
         self.base.validate(self.nu)
-        if not (self.A > 0 and self.B > 0):
-            raise RangeError("constants A, B must be positive")
+        if not (np.isfinite(self.A) and np.isfinite(self.B) and self.A > 0 and self.B > 0):
+            raise RangeError(f"constants A, B must be finite and positive, "
+                             f"got A={self.A}, B={self.B}")
         object.__setattr__(self, "t_samples", t)
         object.__setattr__(self, "f_samples", f)
         object.__setattr__(self, "g_samples", g)

@@ -79,3 +79,10 @@ def cone_invariants(n, alpha=0.6, u_range=(0.0, 2.0), v_range=(0.5, 2.5)):
     a = float(forms.E.values[base.i0, base.j0])
     b = float(forms.G.values[base.i0, base.j0])
     return cs.InvariantGrid("nu", curv.nu1, curv.nu2, a, b, base), jets, forms
+
+
+def overflowing_invariants(n=33, scale=1e160):
+    """Finite nu-mode fields +-scale whose canonical Gauss residual overflows to inf."""
+    g = cs.Grid2(0.0, 0.0, 0.1, 0.1, np.full((n, n), scale))
+    return cs.InvariantGrid("nu", g, g.like(np.full((n, n), -scale)), 1.0, 1.0,
+                            cs.BaseIndex(n // 2, n // 2))

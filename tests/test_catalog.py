@@ -154,6 +154,17 @@ class TestRevolution:
         with pytest.raises(DomainError):
             cs.make_revolution_entry(t[::-1], np.ones_like(t), t)
 
+    @pytest.mark.parametrize("bad", ["rho", "z"])
+    def test_non_finite_profile(self, bad):
+        t = np.linspace(0, 1, 10)
+        rho, z = np.ones_like(t), t.copy()
+        if bad == "rho":
+            rho[3] = np.nan
+        else:
+            z[5] = np.inf
+        with pytest.raises(DomainError, match="must be finite"):
+            cs.make_revolution_entry(t, rho, z)
+
 
 def test_domain_error_on_grid_leaving_domain():
     e = cs.make_entry("cone", alpha=0.5)

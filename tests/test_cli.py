@@ -7,7 +7,7 @@ import pytest
 import canonsurf as cs
 from canonsurf import formats
 
-from helpers import run_cli
+from helpers import overflowing_invariants, run_cli
 
 
 def test_analyze_torus_identity(tmp_path):
@@ -120,6 +120,14 @@ def test_check_non_finite_field_exits_3_from_reader(tmp_path):
     res = run_cli("check", "--input", str(path))
     assert res.returncode == 3
     assert "field1 has non-finite values" in res.stderr
+
+
+def test_check_overflowing_residual_exits_3(tmp_path):
+    path = tmp_path / "huge.json"
+    formats.write_invariant_grid(overflowing_invariants(), str(path))
+    res = run_cli("check", "--input", str(path))
+    assert res.returncode == 3
+    assert "floor test residuals are not finite" in res.stderr
 
 
 def test_canonicalize_umbilic_chart_exits_2(tmp_path):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import canonsurf as cs
-from canonsurf.errors import NotPrincipalError, UmbilicError
+from canonsurf.errors import NotPrincipalError, RangeError, UmbilicError
 
 from helpers import (
     catenoid_invariants,
     cone_invariants,
     observed_orders,
+    overflowing_invariants,
     sample_chart,
     torus_invariants,
 )
@@ -298,6 +299,12 @@ class TestFloor:
         inv = cs.InvariantGrid("nu", g, g.like(np.zeros((17, 17))), 1.0, 1.0,
                                cs.BaseIndex(8, 8))
         assert cs.compatibility_floor(inv).compatible
+
+    def test_overflowing_residual_gives_no_verdict(self):
+        # finite fields whose residual overflows: fine = coarse = inf, ratio nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RangeError, match="not finite"):
+                cs.compatibility_floor(overflowing_invariants())
 
 
 def test_report_serialization_schema():

@@ -2,16 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import canonsurf as cs
+from canonsurf import reconstruction
 from canonsurf.errors import (
     CompatibilityWarning,
     IncompatibleInvariantsError,
     IntegrationError,
+    RangeError,
     ShapeMismatchError,
 )
 
-from helpers import catenoid_invariants, observed_orders, random_rotation, torus_invariants
+from helpers import (
+    catenoid_invariants,
+    observed_orders,
+    overflowing_invariants,
+    random_rotation,
+    torus_invariants,
+)
 
 
 def constant_invariants(nu1, nu2, n, du, dv, a=1.0, b=1.0):
@@ -124,6 +133,88 @@ class TestIntegrateFrame:
                             np.array([0.1, 1.0, 0]), np.array([0.0, 0, 1.0]))
         with pytest.raises(IntegrationError):
             cs.integrate_frame(E, G, L, N, bad, inv.base)
+
+
+def svd_polar_factor(frames):
+    """Reference: the nearest orthonormal triple U Vt from a batched SVD."""
+    U, _, Vt = np.linalg.svd(frames)
+    return U @ Vt
+
+
+def reference_march(y0, coef_values, axis_coords, k0, tangent):
+    """The frame march with a spline call per RK4 stage and an SVD polar step."""
+    n = axis_coords.size
+    spline = CubicSpline(axis_coords, coef_values, axis=0)
+    out = np.empty((n,) + y0.shape)
+    out[k0] = y0
+    for direction in (1, -1):
+        y = y0.copy()
+        for k in (range(k0, n - 1) if direction == 1 else range(k0, 0, -1)):
+            t = axis_coords[k]
+            h = direction * (axis_coords[1] - axis_coords[0])
+            cm = spline(t + 0.5 * h)
+            k1 = reconstruction._frame_rate(y, spline(t), tangent)
+            k2 = reconstruction._frame_rate(y + 0.5 * h * k1, cm, tangent)
+            k3 = reconstruction._frame_rate(y + 0.5 * h * k2, cm, tangent)
+            k4 = reconstruction._frame_rate(y + h * k3, spline(t + h), tangent)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y[..., 1:4, :] = svd_polar_factor(y[..., 1:4, :])
+            out[k + direction] = y
+    return out
+
+
+class TestFrameMarch:
+    @pytest.mark.parametrize("drift", [1e-12, 1e-9, 1e-6])
+    def test_renormalize_matches_svd_polar_factor(self, drift):
+        rng = np.random.default_rng(int(-math.log10(drift)))
+        q, _ = np.linalg.qr(rng.standard_normal((200, 3, 3)))
+        q[np.linalg.det(q) < 0, 0, :] *= -1.0
+        noise = rng.standard_normal(q.shape)
+        # first-order drift of q + eps * noise is eps * max|q noise^T + noise q^T|
+        first_order = q @ np.swapaxes(noise, -1, -2)
+        frames = q + 0.9 * drift / np.max(np.abs(first_order + np.swapaxes(first_order, -1, -2))) * noise
+        gram = frames @ np.swapaxes(frames, -1, -2)
+        assert 0.5 * drift < np.max(np.abs(gram - np.eye(3))) <= drift
+        y = np.concatenate([rng.standard_normal((200, 1, 3)), frames], axis=1)
+        x = y[:, 0, :].copy()
+        out = reconstruction._renormalize(y)[:, 1:4, :]
+        assert np.max(np.abs(out - svd_polar_factor(frames))) < 1e-13
+        assert np.max(np.abs(out @ np.swapaxes(out, -1, -2) - np.eye(3))) < 1e-14
+        assert np.all(np.abs(np.linalg.det(out) - 1.0) < 1e-14)
+        assert np.array_equal(y[:, 0, :], x)
+
+    def test_midpoint_table_matches_spline(self):
+        inv, _, _ = torus_invariants(33)
+        E, G, L, N = cs.coefficients_from_invariants(inv)
+        cu, _ = reconstruction._frame_coefficients(E, G, L, N, cs.identity_frame(), inv.base)
+        ax = E.u_axis
+        h = ax[1] - ax[0]
+        spline = CubicSpline(ax, cu, axis=0)
+        mid = reconstruction._midpoint_coefficients(cu, ax)
+        scale = np.max(np.abs(cu))
+        # a step from k to k + 1 uses mid[k]; a step from k to k - 1 uses mid[k - 1]
+        assert np.max(np.abs(mid - spline(ax[:-1] + 0.5 * h))) <= 1e-14 * scale
+        assert np.max(np.abs(mid - spline(ax[1:] - 0.5 * h))) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("build, kh", [(catenoid_invariants, False),
+                                           (catenoid_invariants, True),
+                                           (torus_invariants, False)])
+    def test_march_matches_reference(self, build, kh, monkeypatch):
+        inv, _, _ = build(65)
+        inv = inv.to_kh() if kh else inv
+        E, G, L, N = cs.coefficients_from_invariants(inv)
+        init = random_frame(7)
+        mesh = cs.integrate_frame(E, G, L, N, init, inv.base)
+        monkeypatch.setattr(reconstruction, "_march", reference_march)
+        ref = cs.integrate_frame(E, G, L, N, init, inv.base)
+        assert np.max(np.abs(mesh.positions.values - ref.positions.values)) < 1e-12
+        assert np.max(np.abs(mesh.normals.values - ref.normals.values)) < 1e-12
+
+    def test_overflowing_coefficients_hit_drift_guard(self):
+        # 8 nodes a side skips the floor test; the frame rates overflow to NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError, match="frame drift nan"):
+                cs.reconstruct(overflowing_invariants(8))
 
 
 class TestPathConsistency:
@@ -276,6 +367,12 @@ class TestReconstruct:
                 cs.reconstruct(bad, strict=True)
         else:
             assert cs.reconstruct(bad, strict=True).positions.nu == n
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_overflowing_residual_raises(self, strict):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RangeError, match="not finite"):
+                cs.reconstruct(overflowing_invariants(), strict=strict)
 
     def test_two_random_frames_give_same_shape(self):
         inv, _, _ = torus_invariants(65)

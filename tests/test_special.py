@@ -87,6 +87,20 @@ class TestWeingarten:
             cs.WeingartenData(np.linspace(0.6, 1.0, 11), np.linspace(0.6, 1.0, 11),
                               -np.linspace(0.6, 1.0, 11), g, 1.0, 1.0, cs.BaseIndex(4, 4))
 
+    def test_non_finite_samples(self):
+        g = cs.Grid2(0, 0, 0.1, 0.1, np.full((9, 9), 0.5))
+        t = np.linspace(0.0, 1.0, 11)
+        f = t + 1.0
+        f[4] = np.nan
+        with pytest.raises(RangeError, match="must be finite"):
+            cs.WeingartenData(t, f, -t, g, 1.0, 1.0, cs.BaseIndex(4, 4))
+
+    def test_non_finite_constant(self):
+        g = cs.Grid2(0, 0, 0.1, 0.1, np.full((9, 9), 0.5))
+        t = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(RangeError, match="finite and positive"):
+            cs.WeingartenData(t, t + 1.0, -t, g, math.inf, 1.0, cs.BaseIndex(4, 4))
+
 
 class TestCMC:
     def test_cylinder_constants_zero(self):
