@@ -32,12 +32,12 @@ from .invariants import require_umbilic_free
 from .reports import make_report
 
 DISCRIMINANT_RTOL = 1e-12
+AFFINE_MAX_SAMPLES = 33  # the affine fit keeps every (n // 33)-th node of an n-node axis
 
 
-def require_positive_discriminant(K: np.ndarray, H: np.ndarray,
-                                  rtol: float = DISCRIMINANT_RTOL) -> np.ndarray:
+def require_positive_discriminant(K: np.ndarray, H: np.ndarray) -> np.ndarray:
     disc = H * H - K
-    floor = rtol * np.maximum(1.0, np.maximum(H * H, np.abs(K)))
+    floor = DISCRIMINANT_RTOL * np.maximum(1.0, np.maximum(H * H, np.abs(K)))
     if np.any(disc <= floor):
         worst = np.unravel_index(int(np.argmin(disc)), disc.shape)
         raise DiscriminantError(
@@ -137,7 +137,7 @@ def _cumint4(values: np.ndarray, h: float, i0: int, axis: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CanonicalMaps:
-    """Sampled monotone maps u -> ubar, v -> vbar with their normalization data."""
+    """Sampled monotone maps u -> ubar, v -> vbar (base node to 0), with normalization data."""
 
     u_samples: np.ndarray
     ubar_samples: np.ndarray
@@ -146,27 +146,24 @@ class CanonicalMaps:
     a: float
     b: float
     base: BaseIndex
-    ubar0: float
-    vbar0: float
     ubar_integrand_variation: float
     vbar_integrand_variation: float
 
 
 def _map_1d(integrand_2d: np.ndarray, sqrt_base: float, h: float, k0: int,
-            reduce_axis: int, offset: float, what: str):
+            reduce_axis: int, what: str):
     if not np.all(integrand_2d > 0.0):
         raise MonotonicityError(f"{what} integrand is not strictly positive")
     mean_line = integrand_2d.mean(axis=reduce_axis)
     span = integrand_2d.max(axis=reduce_axis) - integrand_2d.min(axis=reduce_axis)
     variation = float(np.max(span / np.abs(mean_line)))
-    samples = _cumint4(mean_line, h, k0, axis=0) / sqrt_base + offset
+    samples = _cumint4(mean_line, h, k0, axis=0) / sqrt_base
     if np.any(np.diff(samples) <= 0.0):
         raise MonotonicityError(f"{what} map is not strictly increasing")
     return samples, variation
 
 
 def build_canonical_maps(E: Grid2, G: Grid2, nu1: Grid2, nu2: Grid2, base: BaseIndex,
-                         ubar0: float = 0.0, vbar0: float = 0.0,
                          codazzi_tol: float | None = 0.1) -> CanonicalMaps:
     """Monotone maps to canonical principal parameters from a principal chart.
 
@@ -187,30 +184,29 @@ def build_canonical_maps(E: Grid2, G: Grid2, nu1: Grid2, nu2: Grid2, base: BaseI
     # ubar: exponent = int_v (nu1)_v/gap + int_u (nu1)_u/gap on the base row
     expo_u = path_exponent(nu1.values, gap, E, base, 1, _deriv4, _cumint4)
     ubar, var_u = _map_1d(np.sqrt(E.values) * np.exp(expo_u), math.sqrt(a), E.du, i0,
-                          reduce_axis=1, offset=ubar0, what="ubar")
+                          reduce_axis=1, what="ubar")
 
     # vbar: exponent = -int_u (nu2)_u/gap - int_v (nu2)_v/gap on the base column
     expo_v = -path_exponent(nu2.values, gap, E, base, 0, _deriv4, _cumint4)
     vbar, var_v = _map_1d(np.sqrt(G.values) * np.exp(expo_v), math.sqrt(b), E.dv, j0,
-                          reduce_axis=0, offset=vbar0, what="vbar")
+                          reduce_axis=0, what="vbar")
 
     if codazzi_tol is not None and max(var_u, var_v) > codazzi_tol:
         raise CodazziViolation(
             f"map integrand varies by {max(var_u, var_v):.3e} along the direction it "
             "must be constant in; the input violates the Codazzi equations")
-    return CanonicalMaps(E.u_axis, ubar, E.v_axis, vbar, a, b, base, ubar0, vbar0,
-                         var_u, var_v)
+    return CanonicalMaps(E.u_axis, ubar, E.v_axis, vbar, a, b, base, var_u, var_v)
 
 
-def _canonical_axis(bar_samples: np.ndarray, bar0: float, n: int):
+def _canonical_axis(bar_samples: np.ndarray, n: int):
+    # (origin, spacing, count, base index) of an axis with the base image 0 on a node
     lo, hi = float(bar_samples[0]), float(bar_samples[-1])
     d = (hi - lo) / (n - 1)
-    k = (bar0 - lo) / d
+    k = -lo / d
     if abs(k - round(k)) < 1e-9:
         return lo, d, n, int(round(k))
-    shift = (bar0 - lo) % d
-    origin = lo + shift
-    return origin, d, n - 1, int(round((bar0 - origin) / d))
+    origin = lo + (-lo) % d
+    return origin, d, n - 1, int(round(-origin / d))
 
 
 def _resample_2d(maps: CanonicalMaps, values: np.ndarray, u_src: np.ndarray,
@@ -241,8 +237,8 @@ def resample_to_canonical(maps: CanonicalMaps, nu1: Grid2, nu2: Grid2) -> Invari
     same_geometry(nu1, nu2)
     if maps.ubar_samples.size != nu1.nu or maps.vbar_samples.size != nu1.nv:
         raise DimensionError("maps and fields disagree on grid shape")
-    uo, du, n_u, i0 = _canonical_axis(maps.ubar_samples, maps.ubar0, nu1.nu)
-    vo, dv, n_v, j0 = _canonical_axis(maps.vbar_samples, maps.vbar0, nu1.nv)
+    uo, du, n_u, i0 = _canonical_axis(maps.ubar_samples, nu1.nu)
+    vo, dv, n_v, j0 = _canonical_axis(maps.vbar_samples, nu1.nv)
     if n_u < 3 or n_v < 3:
         raise RangeError("canonical image too small to carry a grid")
     u_axis = uo + du * np.arange(n_u)
@@ -295,15 +291,14 @@ def _field_interpolators(inv: InvariantGrid):
             RectBivariateSpline(g.u_axis, g.v_axis, inv.field2.values))
 
 
-def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid,
-                             max_samples: int = 33) -> AffineMatch:
+def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> AffineMatch:
     """Fit ubar = lam*u + c1, vbar = mu*v + c2 (optionally with u and v swapped)
     mapping grid A onto grid B so the curvature fields agree; misfit is the
     RMS field discrepancy after the best fit.
     """
     ga, gb = inv_a.geometry, inv_b.geometry
-    step_u = max(1, ga.nu // max_samples)
-    step_v = max(1, ga.nv // max_samples)
+    step_u = max(1, ga.nu // AFFINE_MAX_SAMPLES)
+    step_v = max(1, ga.nv // AFFINE_MAX_SAMPLES)
     su = ga.u_axis[::step_u]
     sv = ga.v_axis[::step_v]
     U, V = np.meshgrid(su, sv, indexing="ij")

@@ -166,10 +166,12 @@ def _invariant_grid_from_chart(forms, curv, base, mode):
     """Invariant grid on the chart's own parameter grid (assumed canonical)."""
     a = float(forms.E.values[base.i0, base.j0])
     b = float(forms.G.values[base.i0, base.j0])
+    inv = canonical.InvariantGrid("nu", curv.nu1, curv.nu2, a, b, base)
     if mode == "nu":
-        return canonical.InvariantGrid("nu", curv.nu1, curv.nu2, a, b, base)
-    s0 = 0.5 * abs(float(curv.nu1.values[base.i0, base.j0] - curv.nu2.values[base.i0, base.j0]))
-    return canonical.InvariantGrid("kh", curv.K, curv.H, a * s0, b * s0, base)
+        return inv
+    # the chart's own K and H: nu1 * nu2 and (nu1 + nu2) / 2 differ from them at roundoff
+    kh = inv.to_kh()
+    return canonical.InvariantGrid("kh", curv.K, curv.H, kh.a, kh.b, base)
 
 
 def _canonicalize(entry, u_range, v_range, base_text: str | None, mode: str):

@@ -14,14 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import InvariantGrid
-from .errors import NotPrincipalError, RangeError, RegularityError
+from .errors import NotPrincipalError, RegularityError
 from .grid import BaseIndex, Grid2, d_u, d_v, partial_u, partial_v, path_exponent, same_geometry
 from .invariants import FormGrid, is_principal, require_umbilic_free
-from .reports import DEFAULT_MARGIN, ResidualReport, make_report
+from .reports import ResidualReport, make_report
 
 # Smallest grid side, in nodes, on which the floor test runs: the halved grid
 # then keeps at least four nodes a side.
 FLOOR_MIN_NODES = 9
+FLOOR_MIN_RATIO = 1.5  # least coarse/fine residual ratio of compatible data
 
 
 def _det3(r0, r1, r2):
@@ -32,7 +33,7 @@ def _det3(r0, r1, r2):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def gauss_residual_general(forms: FormGrid, margin: int = DEFAULT_MARGIN) -> ResidualReport:
+def gauss_residual_general(forms: FormGrid) -> ResidualReport:
     """K - (Gauss equation right-hand side) for an arbitrary chart."""
     E, F, G = forms.E.values, forms.F.values, forms.G.values
     L, M, N = forms.L.values, forms.M.values, forms.N.values
@@ -46,10 +47,10 @@ def gauss_residual_general(forms: FormGrid, margin: int = DEFAULT_MARGIN) -> Res
     K = (L * N - M * M) / (W * W)
     rhs = -(d_v((E_v - F_u) / W, geo) + d_u((G_u - F_v) / W, geo)) / (2.0 * W)
     rhs -= _det3((E, F, G), (E_u, F_u, G_u), (E_v, F_v, G_v)) / (4.0 * W**4)
-    return make_report("gauss-general", geo.like(K - rhs), margin)
+    return make_report("gauss-general", geo.like(K - rhs))
 
 
-def codazzi_residual_general(forms: FormGrid, margin: int = DEFAULT_MARGIN):
+def codazzi_residual_general(forms: FormGrid):
     """Residuals of the two general Codazzi equations."""
     E, F, G = forms.E.values, forms.F.values, forms.G.values
     L, M, N = forms.L.values, forms.M.values, forms.N.values
@@ -64,23 +65,22 @@ def codazzi_residual_general(forms: FormGrid, margin: int = DEFAULT_MARGIN):
     r2 = (2.0 * W * W * (d_v(M, geo) - d_u(N, geo))
           - mean_term * (d_v(F, geo) - d_u(G, geo))
           - _det3((E, F, G), (L, M, N), (d_v(E, geo), d_v(F, geo), d_v(G, geo))))
-    return (make_report("codazzi-general-1", geo.like(r1), margin),
-            make_report("codazzi-general-2", geo.like(r2), margin))
+    return (make_report("codazzi-general-1", geo.like(r1)),
+            make_report("codazzi-general-2", geo.like(r2)))
 
 
-def codazzi_residual_principal(nu1: Grid2, nu2: Grid2, E: Grid2, G: Grid2,
-                               margin: int = DEFAULT_MARGIN):
+def codazzi_residual_principal(nu1: Grid2, nu2: Grid2, E: Grid2, G: Grid2):
     """Residuals of E_v/2E = -(nu1)_v/(nu1-nu2) and G_u/2G = (nu2)_u/(nu1-nu2)."""
     same_geometry(nu1, nu2, E, G)
     require_umbilic_free(nu1.values, nu2.values)
     gap = nu1.values - nu2.values
     r1 = partial_v(E).values / (2.0 * E.values) + partial_v(nu1).values / gap
     r2 = partial_u(G).values / (2.0 * G.values) - partial_u(nu2).values / gap
-    return (make_report("codazzi-principal-1", nu1.like(r1), margin),
-            make_report("codazzi-principal-2", nu1.like(r2), margin))
+    return (make_report("codazzi-principal-1", nu1.like(r1)),
+            make_report("codazzi-principal-2", nu1.like(r2)))
 
 
-def gauss_residual_principal(forms: FormGrid, margin: int = DEFAULT_MARGIN) -> ResidualReport:
+def gauss_residual_principal(forms: FormGrid) -> ResidualReport:
     """Gauss equation residual in a principal chart (F = M = 0)."""
     E, G = forms.E.values, forms.G.values
     if not is_principal(E, forms.F.values, G, forms.M.values):
@@ -89,7 +89,7 @@ def gauss_residual_principal(forms: FormGrid, margin: int = DEFAULT_MARGIN) -> R
     root = np.sqrt(E * G)
     lhs = forms.L.values * forms.N.values / (E * G)
     rhs = -(d_v(d_v(E, geo) / root, geo) + d_u(d_u(G, geo) / root, geo)) / (2.0 * root)
-    return make_report("gauss-principal", geo.like(lhs - rhs), margin)
+    return make_report("gauss-principal", geo.like(lhs - rhs))
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def canonical_factors(inv: InvariantGrid) -> CanonicalFactors:
     return CanonicalFactors(like(psi1), like(psi2), like(phi1), like(phi2), base)
 
 
-def gauss_residual_canonical(inv: InvariantGrid, margin: int = DEFAULT_MARGIN) -> ResidualReport:
+def gauss_residual_canonical(inv: InvariantGrid) -> ResidualReport:
     """Residual of the canonical-parameter Gauss equation in the nu route."""
     if inv.mode != "nu":
         raise ValueError("gauss_residual_canonical expects a nu-mode grid; "
@@ -136,10 +136,10 @@ def gauss_residual_canonical(inv: InvariantGrid, margin: int = DEFAULT_MARGIN) -
     lhs = nu1 * nu2 * p1 * p2
     rhs = (d_v(d_v(nu1, geo) / gap * p1 / p2, geo) / inv.b
            - d_u(d_u(nu2, geo) / gap * p2 / p1, geo) / inv.a)
-    return make_report("gauss-canonical", geo.like(lhs - rhs), margin)
+    return make_report("gauss-canonical", geo.like(lhs - rhs))
 
 
-def gauss_residual_canonical_kh(inv: InvariantGrid, margin: int = DEFAULT_MARGIN) -> ResidualReport:
+def gauss_residual_canonical_kh(inv: InvariantGrid) -> ResidualReport:
     """Residual of the canonical-parameter Gauss equation in the (K, H) route."""
     K, H = inv.kh_arrays()
     root = np.sqrt(H * H - K)
@@ -149,7 +149,7 @@ def gauss_residual_canonical_kh(inv: InvariantGrid, margin: int = DEFAULT_MARGIN
     lhs = 2.0 * K / root * q1 * q2
     rhs = (d_v(q1 / q2 * d_v(H + root, geo) / root, geo) / inv.b
            - d_u(q2 / q1 * d_u(H - root, geo) / root, geo) / inv.a)
-    return make_report("gauss-canonical-kh", geo.like(lhs - rhs), margin)
+    return make_report("gauss-canonical-kh", geo.like(lhs - rhs))
 
 
 @dataclass(frozen=True)
@@ -173,22 +173,18 @@ def _subsample(inv: InvariantGrid) -> InvariantGrid:
                          BaseIndex(inv.base.i0 // 2, inv.base.j0 // 2))
 
 
-def compatibility_floor(inv: InvariantGrid, margin: int = DEFAULT_MARGIN,
-                        min_ratio: float = 1.5) -> FloorCheck:
+def compatibility_floor(inv: InvariantGrid) -> FloorCheck:
     """Compare the canonical Gauss residual at full and halved resolution.
 
     Discretization error drops by about 4 when the grid is refined, so data
-    whose residual shrinks by less than min_ratio from the subsampled grid to
-    the full grid is declared incompatible. Finite fields can still overflow
-    the residual; a non-finite residual gives no verdict and raises RangeError.
+    whose residual shrinks by less than FLOOR_MIN_RATIO from the subsampled
+    grid to the full grid is declared incompatible. An overflowing residual
+    gives no verdict: make_report raises RangeError.
     """
     residual = gauss_residual_canonical if inv.mode == "nu" else gauss_residual_canonical_kh
-    fine = residual(inv, margin).max_abs
-    coarse = residual(_subsample(inv), margin).max_abs
-    if not (np.isfinite(fine) and np.isfinite(coarse)):
-        raise RangeError(f"floor test residuals are not finite (fine {fine}, coarse {coarse}); "
-                         "the invariant fields overflow the Gauss residual")
+    fine = residual(inv).max_abs
+    coarse = residual(_subsample(inv)).max_abs
     if fine == 0.0 and coarse == 0.0:
         return FloorCheck(fine, coarse, float("inf"), True)
     ratio = coarse / fine if fine > 0 else float("inf")
-    return FloorCheck(fine, coarse, ratio, bool(ratio >= min_ratio))
+    return FloorCheck(fine, coarse, ratio, bool(ratio >= FLOOR_MIN_RATIO))

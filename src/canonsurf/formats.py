@@ -61,8 +61,10 @@ def _scalar(v) -> str:
 
 
 def write_json(obj, path: str) -> None:
+    """Write dumps(obj); a value that cannot be serialized raises before the file is opened."""
+    text = dumps(obj) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj) + "\n")
+        fh.write(text)
 
 
 def invariant_grid_to_dict(inv: InvariantGrid) -> dict:

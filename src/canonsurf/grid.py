@@ -15,6 +15,9 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import DimensionError, MonotonicityError, RangeError, ShapeMismatchError
 
+GEOMETRY_RTOL = 1e-12  # same_geometry's tolerance on origins and spacings
+INVERSION_RTOL = 1e-12  # invert_monotone_map's bisection tolerance
+
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
     arr = np.array(a, dtype=dtype)
@@ -93,14 +96,15 @@ class BaseIndex:
             raise DimensionError(f"base index {(self.i0, self.j0)} outside {g.nu}x{g.nv} grid")
 
 
-def same_geometry(*grids: Grid2, tol: float = 1e-12) -> None:
+def same_geometry(*grids: Grid2) -> None:
     """Raise ShapeMismatchError unless all grids share shape and parameter geometry."""
     g0 = grids[0]
     for g in grids[1:]:
         if (g.nu, g.nv) != (g0.nu, g0.nv):
             raise ShapeMismatchError(f"grid shapes differ: {(g0.nu, g0.nv)} vs {(g.nu, g.nv)}")
         scale = max(abs(g0.du), abs(g0.dv), 1.0)
-        if max(abs(g.u0 - g0.u0), abs(g.v0 - g0.v0), abs(g.du - g0.du), abs(g.dv - g0.dv)) > tol * scale:
+        gap = max(abs(g.u0 - g0.u0), abs(g.v0 - g0.v0), abs(g.du - g0.du), abs(g.dv - g0.dv))
+        if gap > GEOMETRY_RTOL * scale:
             raise ShapeMismatchError("grid parameter geometry differs")
 
 
@@ -197,12 +201,12 @@ def _check_strictly_increasing(a: np.ndarray, what: str) -> None:
         raise MonotonicityError(f"{what} samples are not strictly increasing")
 
 
-def invert_monotone_map(x_samples, y_samples, y, rtol: float = 1e-12):
+def invert_monotone_map(x_samples, y_samples, y):
     """Solve map(x) = y for a map given by strictly increasing samples.
 
     The sampled map is interpolated with a monotone piecewise cubic (PCHIP)
-    and inverted by bisection to relative tolerance rtol. Accepts a scalar or
-    an array of target values y.
+    and inverted by bisection to relative tolerance INVERSION_RTOL. Accepts a
+    scalar or an array of target values y.
     """
     xs = np.asarray(x_samples, dtype=float)
     ys = np.asarray(y_samples, dtype=float)
@@ -224,11 +228,11 @@ def invert_monotone_map(x_samples, y_samples, y, rtol: float = 1e-12):
     lo[exact] = xs[hi_idx][exact]
     hi[exact] = xs[hi_idx][exact]
     span = xs[-1] - xs[0]
-    max_iter = max(1, int(np.ceil(np.log2(max(span, 1.0) / rtol))) + 60)
+    max_iter = max(1, int(np.ceil(np.log2(max(span, 1.0) / INVERSION_RTOL))) + 60)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         width = hi - lo
-        if np.all(width <= rtol * np.maximum(1.0, np.abs(mid))):
+        if np.all(width <= INVERSION_RTOL * np.maximum(1.0, np.abs(mid))):
             break
         f_mid = interp(mid)
         go_right = f_mid < y_arr

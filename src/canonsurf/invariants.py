@@ -121,17 +121,17 @@ def fundamental_forms_grid(jets: JetGrid) -> FormGrid:
     return FormGrid(*(g.like(q) for q in vals))
 
 
-def is_principal(E, F, G, M, rtol: float = PRINCIPALITY_RTOL) -> bool:
-    scale = np.sqrt(np.asarray(E) * np.asarray(G))
-    return bool(np.all(np.abs(F) <= rtol * scale) and np.all(np.abs(M) <= rtol * scale))
+def is_principal(E, F, G, M) -> bool:
+    tol = PRINCIPALITY_RTOL * np.sqrt(np.asarray(E) * np.asarray(G))
+    return bool(np.all(np.abs(F) <= tol) and np.all(np.abs(M) <= tol))
 
 
-def _curvature_arrays(E, F, G, L, M, N, principal_chart: bool, rtol: float):
+def _curvature_arrays(E, F, G, L, M, N, principal_chart: bool):
     W2 = E * G - F * F
     K = (L * N - M * M) / W2
     H = (E * N - 2.0 * F * M + G * L) / (2.0 * W2)
     if principal_chart:
-        if not is_principal(E, F, G, M, rtol):
+        if not is_principal(E, F, G, M):
             raise NotPrincipalError("F or M exceeds the principality tolerance")
         nu1 = L / E
         nu2 = N / G
@@ -148,8 +148,7 @@ def _curvature_arrays(E, F, G, L, M, N, principal_chart: bool, rtol: float):
     return K, H, nu1, nu2
 
 
-def curvatures(forms: FormCoefficients, principal_chart: bool = False,
-               rtol: float = PRINCIPALITY_RTOL) -> CurvaturePoint:
+def curvatures(forms: FormCoefficients, principal_chart: bool = False) -> CurvaturePoint:
     """Gauss, mean and principal curvatures from form coefficients.
 
     With principal_chart set, nu1 = L/E and nu2 = N/G (direction labeling);
@@ -157,15 +156,13 @@ def curvatures(forms: FormCoefficients, principal_chart: bool = False,
     clamped to zero.
     """
     vals = _curvature_arrays(forms.E, forms.F, forms.G, forms.L, forms.M, forms.N,
-                             principal_chart, rtol)
+                             principal_chart)
     return CurvaturePoint(*(float(q) for q in vals))
 
 
-def curvatures_grid(forms: FormGrid, principal_chart: bool = False,
-                    rtol: float = PRINCIPALITY_RTOL) -> CurvatureGrid:
+def curvatures_grid(forms: FormGrid, principal_chart: bool = False) -> CurvatureGrid:
     vals = _curvature_arrays(forms.E.values, forms.F.values, forms.G.values,
-                             forms.L.values, forms.M.values, forms.N.values,
-                             principal_chart, rtol)
+                             forms.L.values, forms.M.values, forms.N.values, principal_chart)
     g = forms.geometry
     return CurvatureGrid(*(g.like(q) for q in vals))
 
@@ -179,15 +176,14 @@ def normal_curvature(forms: FormCoefficients, direction) -> float:
     return (forms.L * a * a + 2.0 * forms.M * a * b + forms.N * b * b) / denom
 
 
-def geodesic_curvatures_of_parametric_lines(forms: FormGrid,
-                                            rtol: float = PRINCIPALITY_RTOL):
+def geodesic_curvatures_of_parametric_lines(forms: FormGrid):
     """Geodesic curvature grids (gamma1, gamma2) of the u- and v-parameter lines.
 
     Requires a principal chart; gamma1 = -E_v/(2 E sqrt(G)) and
     gamma2 = G_u/(2 G sqrt(E)), with the shared second-order stencils.
     """
     E, G = forms.E, forms.G
-    if not is_principal(E.values, forms.F.values, G.values, forms.M.values, rtol):
+    if not is_principal(E.values, forms.F.values, G.values, forms.M.values):
         raise NotPrincipalError("geodesic curvatures of parametric lines need F = M = 0")
     E_v = partial_v(E).values
     G_u = partial_u(G).values
@@ -196,10 +192,10 @@ def geodesic_curvatures_of_parametric_lines(forms: FormGrid,
     return E.like(gamma1), E.like(gamma2)
 
 
-def _umbilic_scan(nu1: np.ndarray, nu2: np.ndarray, rtol: float, length_scale: float):
-    # a node is umbilic when |nu1 - nu2| < rtol * max(1/length_scale, |nu1|, |nu2|)
+def _umbilic_scan(nu1: np.ndarray, nu2: np.ndarray):
+    # a node is umbilic when |nu1 - nu2| < UMBILIC_RTOL * max(1, |nu1|, |nu2|)
     gap = np.abs(nu1 - nu2)
-    threshold = rtol * np.maximum(1.0 / length_scale, np.maximum(np.abs(nu1), np.abs(nu2)))
+    threshold = UMBILIC_RTOL * np.maximum(1.0, np.maximum(np.abs(nu1), np.abs(nu2)))
     mask = gap < threshold
     worst = np.unravel_index(int(np.argmin(gap / threshold)), gap.shape)
     report = UmbilicReport(
@@ -212,22 +208,20 @@ def _umbilic_scan(nu1: np.ndarray, nu2: np.ndarray, rtol: float, length_scale: f
     return mask, report
 
 
-def detect_umbilics(curv: CurvatureGrid, rtol: float = UMBILIC_RTOL,
-                    length_scale: float = 1.0):
+def detect_umbilics(curv: CurvatureGrid):
     """Mask of nodes where nu1 and nu2 coincide up to a relative tolerance.
 
-    A node is flagged when |nu1 - nu2| < rtol * max(1/length_scale, |nu1|, |nu2|).
+    A node is flagged when |nu1 - nu2| < UMBILIC_RTOL * max(1, |nu1|, |nu2|).
     Returns (mask Grid2, UmbilicReport).
     """
     same_geometry(curv.nu1, curv.nu2)
-    mask, report = _umbilic_scan(curv.nu1.values, curv.nu2.values, rtol, length_scale)
+    mask, report = _umbilic_scan(curv.nu1.values, curv.nu2.values)
     return curv.nu1.like(mask.astype(float)), report
 
 
-def require_umbilic_free(nu1: np.ndarray, nu2: np.ndarray, rtol: float = UMBILIC_RTOL,
-                         length_scale: float = 1.0) -> None:
+def require_umbilic_free(nu1: np.ndarray, nu2: np.ndarray) -> None:
     """Raise UmbilicError if detect_umbilics would flag any node."""
-    _, report = _umbilic_scan(nu1, nu2, rtol, length_scale)
+    _, report = _umbilic_scan(nu1, nu2)
     if report.any:
         raise UmbilicError(f"principal curvatures coincide near node {report.worst_index}: "
                            f"|nu1 - nu2| = {report.min_separation:.3e}")

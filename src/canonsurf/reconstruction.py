@@ -50,10 +50,9 @@ class FrameState:
         return float(np.max(np.abs(F @ F.T - np.eye(3))))
 
 
-def identity_frame(origin=(0.0, 0.0, 0.0)) -> FrameState:
-    return FrameState(np.asarray(origin, dtype=float),
-                      np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
-                      np.array([0.0, 0.0, 1.0]))
+def identity_frame() -> FrameState:
+    """The frame (e1, e2, n) = (x, y, z) axes at the origin."""
+    return FrameState(np.zeros(3), *np.eye(3))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RangeError
 from .grid import Grid2
 
 DEFAULT_MARGIN = 2
@@ -41,12 +42,14 @@ def interior(values: np.ndarray, margin: int) -> np.ndarray:
     return values[m_u:values.shape[0] - m_u, m_v:values.shape[1] - m_v]
 
 
-def make_report(name: str, residual: Grid2, margin: int = DEFAULT_MARGIN) -> ResidualReport:
-    inner = interior(residual.values, margin)
-    return ResidualReport(
-        name=name,
-        residual=residual,
-        max_abs=float(np.max(np.abs(inner))),
-        rms=float(np.sqrt(np.mean(inner * inner))),
-        margin=margin,
-    )
+def make_report(name: str, residual: Grid2) -> ResidualReport:
+    """Report of a residual grid over its interior. Finite inputs can still
+    overflow a residual; a non-finite statistic raises RangeError."""
+    inner = interior(residual.values, DEFAULT_MARGIN)
+    max_abs = float(np.max(np.abs(inner)))
+    rms = float(np.sqrt(np.mean(inner * inner)))
+    if not (np.isfinite(max_abs) and np.isfinite(rms)):
+        raise RangeError(f"{name} residual is not finite (interior max abs {max_abs}, "
+                         f"rms {rms})")
+    return ResidualReport(name=name, residual=residual, max_abs=max_abs, rms=rms,
+                          margin=DEFAULT_MARGIN)

@@ -24,7 +24,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import DiscriminantError, PositivityError, RangeError, ZeroMeanCurvatureError
 from .grid import BaseIndex, Grid2, partial_u, partial_v, second_u, second_v
-from .reports import DEFAULT_MARGIN, ResidualReport, make_report
+from .reports import ResidualReport, make_report
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class WeingartenData:
         return float(self.nu.values[self.base.i0, self.base.j0])
 
 
-def weingarten_residual(data: WeingartenData, margin: int = DEFAULT_MARGIN) -> ResidualReport:
+def weingarten_residual(data: WeingartenData) -> ResidualReport:
     """Residual of the Weingarten form of the Gauss equation.
 
     f, g and their derivatives come from the shared stencils on the samples;
@@ -116,31 +116,29 @@ def weingarten_residual(data: WeingartenData, margin: int = DEFAULT_MARGIN) -> R
     lhs = data.A * (fp_n * nu_vv + (fpp_n - 2.0 * fp_n**2 / w_n) * nu_v**2) * exp_minus
     lhs -= data.B * (gp_n * nu_uu + (gpp_n + 2.0 * gp_n**2 / w_n) * nu_u**2) * exp_plus
     rhs = f_n * g_n * w_n
-    return make_report("weingarten", data.nu.like(lhs - rhs), margin)
+    return make_report("weingarten", data.nu.like(lhs - rhs))
 
 
 def _weighted_laplacian(g: Grid2, a: float, b: float) -> np.ndarray:
     return second_u(g).values / a + second_v(g).values / b
 
 
-def cmc_residual(K: Grid2, H: float, a: float = 1.0, b: float = 1.0,
-                 margin: int = DEFAULT_MARGIN) -> ResidualReport:
+def cmc_residual(K: Grid2, H: float, a: float = 1.0, b: float = 1.0) -> ResidualReport:
     """Residual of the constant-mean-curvature equation for the K field."""
     disc = H * H - K.values
     if np.any(disc <= 1e-12 * max(1.0, H * H, float(np.max(np.abs(K.values))))):
         raise DiscriminantError("CMC equation needs K < H^2 strictly")
     root = np.sqrt(disc)
     res = _weighted_laplacian(K.like(np.log(disc)), a, b) - 4.0 * K.values / root
-    return make_report("cmc", K.like(res), margin)
+    return make_report("cmc", K.like(res))
 
 
-def minimal_natural_residual(nu: Grid2, a: float = 1.0, b: float = 1.0,
-                             margin: int = DEFAULT_MARGIN) -> ResidualReport:
+def minimal_natural_residual(nu: Grid2, a: float = 1.0, b: float = 1.0) -> ResidualReport:
     """Residual of the natural minimal-surface equation for the positive curvature."""
     if np.any(nu.values <= 0.0):
         raise PositivityError("the minimal-surface equation needs nu > 0 everywhere")
     res = _weighted_laplacian(nu.like(np.log(nu.values)), a, b) + 2.0 * nu.values
-    return make_report("minimal-natural", nu.like(res), margin)
+    return make_report("minimal-natural", nu.like(res))
 
 
 @dataclass(frozen=True)
@@ -153,7 +151,7 @@ class FlatCharacterization:
     fit_rms: np.ndarray
 
 
-def flat_characterization(H: Grid2, margin: int = DEFAULT_MARGIN) -> FlatCharacterization:
+def flat_characterization(H: Grid2) -> FlatCharacterization:
     """Check the flat-surface characterization of the mean curvature field.
 
     Returns the (1/H)_vv residual and, per u-row, the least-squares line fit
@@ -169,5 +167,5 @@ def flat_characterization(H: Grid2, margin: int = DEFAULT_MARGIN) -> FlatCharact
     coef, *_ = np.linalg.lstsq(design, inv_h.T, rcond=None)
     fitted = design @ coef
     rms = np.sqrt(np.mean((fitted - inv_h.T) ** 2, axis=0))
-    return FlatCharacterization(make_report("flat-1overH-vv", res, margin),
+    return FlatCharacterization(make_report("flat-1overH-vv", res),
                                 coef[0].copy(), coef[1].copy(), rms)

@@ -98,7 +98,7 @@ class TestResample:
         field = np.sin(u)[:, None] * np.cos(v)[None, :]
         g = cs.Grid2.from_axes(u, v, field)
         maps = cs.CanonicalMaps(u, 2 * u + 1 - (2 * u[n // 2] + 1), v, v - v[n // 2],
-                                1.0, 1.0, cs.BaseIndex(n // 2, n // 2), 0.0, 0.0, 0.0, 0.0)
+                                1.0, 1.0, cs.BaseIndex(n // 2, n // 2), 0.0, 0.0)
         inv = cs.resample_to_canonical(maps, g, g.like(field - 2.0))
         ubar = inv.geometry.u_axis
         vbar = inv.geometry.v_axis

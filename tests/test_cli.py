@@ -34,6 +34,28 @@ def test_analyze_sphere_exits_2(tmp_path):
     assert report["umbilic"]["count"] == 33 * 33
 
 
+def test_analyze_save_invariants_kh_uses_to_kh_constants(tmp_path):
+    path = tmp_path / "torus_kh.json"
+    res = run_cli("analyze", "--surface", "torus", "--param", "R=2", "--param", "r=1",
+                  "--u", "0:6.2832:17", "--v", "0:6.2832:17", "--base-index", "5,11",
+                  "--save-invariants", str(path), "--mode", "kh",
+                  "--output", str(tmp_path / "report.json"))
+    assert res.returncode == 0, res.stderr
+    saved = formats.read_invariant_grid(str(path))
+    entry = cs.make_entry("torus", R=2.0, r=1.0)
+    jets = cs.sample_surface(entry, 0.0, 6.2832 / 16, 17, 0.0, 6.2832 / 16, 17)
+    forms = cs.fundamental_forms_grid(jets)
+    curv = cs.curvatures_grid(forms, principal_chart=True)
+    base = cs.BaseIndex(5, 11)
+    kh = cs.InvariantGrid("nu", curv.nu1, curv.nu2, float(forms.E.values[5, 11]),
+                          float(forms.G.values[5, 11]), base).to_kh()
+    assert saved.mode == "kh" and saved.base == base
+    assert (saved.a, saved.b) == (kh.a, kh.b)
+    # the fields are the chart's own K and H
+    assert np.array_equal(saved.field1.values, curv.K.values)
+    assert np.array_equal(saved.field2.values, curv.H.values)
+
+
 def test_analyze_catenoid_minimal(tmp_path):
     out = tmp_path / "cat.json"
     res = run_cli("analyze", "--surface", "catenoid",
@@ -123,11 +145,13 @@ def test_check_non_finite_field_exits_3_from_reader(tmp_path):
 
 
 def test_check_overflowing_residual_exits_3(tmp_path):
-    path = tmp_path / "huge.json"
-    formats.write_invariant_grid(overflowing_invariants(), str(path))
-    res = run_cli("check", "--input", str(path))
-    assert res.returncode == 3
-    assert "floor test residuals are not finite" in res.stderr
+    # 8 nodes a side skips the floor test, 33 runs it: both reject the residual
+    for n in (8, 33):
+        path = tmp_path / f"huge{n}.json"
+        formats.write_invariant_grid(overflowing_invariants(n), str(path))
+        res = run_cli("check", "--input", str(path))
+        assert res.returncode == 3
+        assert "gauss-canonical residual is not finite" in res.stderr
 
 
 def test_canonicalize_umbilic_chart_exits_2(tmp_path):

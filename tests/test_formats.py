@@ -61,6 +61,13 @@ def test_invariant_grid_row_major_u_fastest(tmp_path):
             assert flat[j * nu + i] == g.values[i, j]
 
 
+def test_write_json_leaves_no_file_when_a_value_cannot_be_serialized(tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        formats.write_json({"x": float("inf")}, str(path))
+    assert not path.exists()
+
+
 def test_rejects_wrong_format_tag(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "something-else/9"}')

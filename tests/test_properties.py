@@ -1,0 +1,64 @@
+"""Property tests: curvature invariants under a u<->v swap and a homothety of the chart."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import canonsurf as cs
+
+N = 17
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def charts(draw):
+    """Jets of a torus, catenoid or cone chart on an N x N grid inside its domain."""
+    name = draw(st.sampled_from(["torus", "catenoid", "cone"]))
+    if name == "torus":
+        entry = cs.make_entry("torus", R=draw(st.floats(1.5, 3.0)), r=1.0)
+        u0, v0 = draw(st.floats(0.0, 2.0 * math.pi)), draw(st.floats(0.0, 2.0 * math.pi))
+        du, dv = draw(st.floats(0.05, 0.4)), draw(st.floats(0.05, 0.4))
+    elif name == "catenoid":
+        entry = cs.make_entry("catenoid")
+        u0, v0 = draw(st.floats(-1.5, 1.0)), draw(st.floats(0.0, 2.0 * math.pi))
+        du, dv = draw(st.floats(0.01, 0.1)), draw(st.floats(0.01, 0.1))
+    else:
+        entry = cs.make_entry("cone", alpha=draw(st.floats(0.2, 1.3)))
+        u0, v0 = draw(st.floats(0.0, 2.0 * math.pi)), draw(st.floats(0.2, 2.0))
+        du, dv = draw(st.floats(0.01, 0.2)), draw(st.floats(0.01, 0.2))
+    return cs.sample_surface(entry, u0, du, N, v0, dv, N)
+
+
+def _curvatures(jets):
+    return cs.curvatures_grid(cs.fundamental_forms_grid(jets), principal_chart=True)
+
+
+@PROPERTY_SETTINGS
+@given(charts())
+def test_swapping_u_and_v_transposes_and_negates_curvatures(jets):
+    # y(s, t) = x(t, s): the normal flips, so H and the labeled curvatures
+    # change sign and nu1, nu2 trade places; K keeps its sign
+    t = lambda g: cs.Grid2(g.v0, g.u0, g.dv, g.du, np.swapaxes(g.values, 0, 1))
+    swapped = cs.JetGrid(t(jets.x), t(jets.xv), t(jets.xu), t(jets.xvv), t(jets.xuv), t(jets.xuu))
+    c, s = _curvatures(jets), _curvatures(swapped)
+    assert np.array_equal(s.K.values, c.K.values.T)
+    assert np.array_equal(s.H.values, -c.H.values.T)
+    assert np.array_equal(s.nu1.values, -c.nu2.values.T)
+    assert np.array_equal(s.nu2.values, -c.nu1.values.T)
+
+
+@PROPERTY_SETTINGS
+@given(charts(), st.floats(0.1, 10.0))
+def test_homothety_scales_curvatures(jets, lam):
+    scaled = cs.JetGrid(*(g.like(lam * g.values)
+                          for g in (jets.x, jets.xu, jets.xv, jets.xuu, jets.xuv, jets.xvv)))
+    c, s = _curvatures(jets), _curvatures(scaled)
+    # one scale for every field: the catenoid's H and the cone's K vanish
+    scale = max(np.max(np.abs(c.nu1.values)), np.max(np.abs(c.nu2.values)))
+    tol = 1e-12 * scale
+    assert np.max(np.abs(lam**2 * s.K.values - c.K.values)) <= tol * scale
+    assert np.max(np.abs(lam * s.H.values - c.H.values)) <= tol
+    assert np.max(np.abs(lam * s.nu1.values - c.nu1.values)) <= tol
+    assert np.max(np.abs(lam * s.nu2.values - c.nu2.values)) <= tol
