@@ -13,7 +13,6 @@ from .canonical import (
     verify_canonical,
 )
 from .compatibility import (
-    CanonicalFactors,
     FloorCheck,
     canonical_factors,
     codazzi_residual_general,

@@ -217,19 +217,14 @@ def _check_report(inv):
         "grid": _grid_block(inv.geometry),
         "residuals": [rep.to_dict()],
     }
-    compatible = True
-    if min(inv.geometry.nu, inv.geometry.nv) >= compatibility.FLOOR_MIN_NODES:
-        floor = compatibility.compatibility_floor(inv)
-        result["floor_check"] = {
-            "fine_max_abs": floor.fine_max_abs,
-            "coarse_max_abs": floor.coarse_max_abs,
-            "ratio": None if math.isinf(floor.ratio) else floor.ratio,
-            "compatible": floor.compatible,
-        }
-        compatible = floor.compatible
-    else:
-        result["floor_check"] = None
-    return result, compatible
+    floor = compatibility.compatibility_floor(inv)
+    result["floor_check"] = None if floor is None else {
+        "fine_max_abs": floor.fine_max_abs,
+        "coarse_max_abs": floor.coarse_max_abs,
+        "ratio": None if math.isinf(floor.ratio) else floor.ratio,
+        "compatible": floor.compatible,
+    }
+    return result, floor is None or floor.compatible
 
 
 def cmd_check(args) -> int:
@@ -335,29 +330,43 @@ def cmd_special(args) -> int:
             Grid2(*(float(q) for q in data["origin"]), *(float(q) for q in data["spacing"]), field),
             float(data["A"]), float(data["B"]),
             BaseIndex(*(int(n) for n in data["base_index"])))
-        reports = [special_surfaces.weingarten_residual(wd)]
+        reports, skipped = [special_surfaces.weingarten_residual(wd)], []
     else:
         inv = formats.read_invariant_grid(args.input)
         K, H = (inv.geometry.like(f) for f in inv.kh_arrays())
-        reports = []
-        if args.case in ("cmc", "all"):
-            h_const = args.mean_curvature
-            if h_const is None:
-                h_const = float(np.mean(H.values))
-            kh = inv.to_kh()
-            reports.append(special_surfaces.cmc_residual(K, h_const, kh.a, kh.b))
-        if args.case in ("minimal", "all"):
-            n1, n2 = inv.nu_arrays()
-            pos = inv.geometry.like(0.5 * np.abs(n1 - n2))
-            kh = inv.to_kh()
-            reports.append(special_surfaces.minimal_natural_residual(pos, kh.a, kh.b))
-        if args.case in ("flat", "all"):
-            flat = special_surfaces.flat_characterization(H)
-            reports.append(flat.report)
+        h_const = args.mean_curvature
+        if h_const is None:
+            h_const = float(np.mean(H.values))
+        classes = {
+            "cmc": lambda: special_surfaces.cmc_residual(K, h_const, *_kh_constants(inv)),
+            "minimal": lambda: special_surfaces.minimal_natural_residual(
+                inv.geometry.like(0.5 * np.abs(np.subtract(*inv.nu_arrays()))),
+                *_kh_constants(inv)),
+            "flat": lambda: special_surfaces.flat_characterization(H).report,
+        }
+        # with "all", a class the data leaves undefined is listed, not fatal
+        reports, skipped = [], []
+        for name in (classes if args.case == "all" else [args.case]):
+            try:
+                reports.append(classes[name]())
+            except CanonsurfError as exc:
+                if args.case != "all":
+                    raise
+                skipped.append({"case": name, "error": str(exc)})
+        if not reports:
+            raise CanonsurfError("no special class can be evaluated: " + "; ".join(
+                f"{s['case']}: {s['error']}" for s in skipped))
     result = {"format": "special-report/1", "case": args.case,
               "residuals": [r.to_dict() for r in reports]}
+    if skipped:
+        result["skipped"] = skipped
     _emit(result, args.output)
     return EXIT_OK
+
+
+def _kh_constants(inv):
+    kh = inv.to_kh()
+    return kh.a, kh.b
 
 
 def _add_surface_flags(p):
@@ -418,8 +427,11 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a non-finite result ends in a CanonsurfError or a writer's ValueError
+    # below, so numpy's floating-point warnings would only repeat it
     try:
-        return args.func(args)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"canonsurf: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -92,35 +92,20 @@ def gauss_residual_principal(forms: FormGrid) -> ResidualReport:
     return make_report("gauss-principal", geo.like(lhs - rhs))
 
 
-@dataclass(frozen=True)
-class CanonicalFactors:
-    """Exponential path-integral factors of the canonical-parameter equations.
-
-    Psi1/Psi2 belong to the (nu1, nu2) route, Phi1/Phi2 to the (K, H) route;
-    all four are strictly positive and exactly 1 at the base node.
-    """
-
-    Psi1: Grid2
-    Psi2: Grid2
-    Phi1: Grid2
-    Phi2: Grid2
-    base: BaseIndex
+def _path_factors(f1: np.ndarray, f2: np.ndarray, gap: np.ndarray,
+                  inv: InvariantGrid) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-P(f1, axis 1)), exp(P(f2, axis 0)) with P the path exponent of df / gap:
+    the canonical factor pair of either route, exactly 1 at the base node."""
+    geo, base = inv.geometry, inv.base
+    return (np.exp(-path_exponent(f1, gap, geo, base, 1)),
+            np.exp(path_exponent(f2, gap, geo, base, 0)))
 
 
-def canonical_factors(inv: InvariantGrid) -> CanonicalFactors:
-    """All four canonical factors of an invariant grid (either mode)."""
+def canonical_factors(inv: InvariantGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(Psi1, Psi2) arrays of the (nu1, nu2) route, for a grid of either mode:
+    strictly positive and exactly 1 at the base node."""
     nu1, nu2 = inv.nu_arrays()
-    K, H = inv.kh_arrays()
-    gap = nu1 - nu2
-    geo = inv.geometry
-    base = inv.base
-    half = 2.0 * np.sqrt(H * H - K)  # |nu1 - nu2|, valid in both modes
-    psi1 = np.exp(-path_exponent(nu1, gap, geo, base, 1))
-    psi2 = np.exp(path_exponent(nu2, gap, geo, base, 0))
-    phi1 = np.exp(-path_exponent(H, half, geo, base, 1))
-    phi2 = np.exp(path_exponent(H, half, geo, base, 0))
-    like = geo.like
-    return CanonicalFactors(like(psi1), like(psi2), like(phi1), like(phi2), base)
+    return _path_factors(nu1, nu2, nu1 - nu2, inv)
 
 
 def gauss_residual_canonical(inv: InvariantGrid) -> ResidualReport:
@@ -131,8 +116,7 @@ def gauss_residual_canonical(inv: InvariantGrid) -> ResidualReport:
     nu1, nu2 = inv.nu_arrays()
     gap = nu1 - nu2
     geo = inv.geometry
-    fac = canonical_factors(inv)
-    p1, p2 = fac.Psi1.values, fac.Psi2.values
+    p1, p2 = canonical_factors(inv)
     lhs = nu1 * nu2 * p1 * p2
     rhs = (d_v(d_v(nu1, geo) / gap * p1 / p2, geo) / inv.b
            - d_u(d_u(nu2, geo) / gap * p2 / p1, geo) / inv.a)
@@ -144,8 +128,7 @@ def gauss_residual_canonical_kh(inv: InvariantGrid) -> ResidualReport:
     K, H = inv.kh_arrays()
     root = np.sqrt(H * H - K)
     geo = inv.geometry
-    fac = canonical_factors(inv)
-    q1, q2 = fac.Phi1.values, fac.Phi2.values
+    q1, q2 = _path_factors(H, H, 2.0 * root, inv)  # 2 root = |nu1 - nu2|
     lhs = 2.0 * K / root * q1 * q2
     rhs = (d_v(q1 / q2 * d_v(H + root, geo) / root, geo) / inv.b
            - d_u(q2 / q1 * d_u(H - root, geo) / root, geo) / inv.a)
@@ -173,18 +156,19 @@ def _subsample(inv: InvariantGrid) -> InvariantGrid:
                          BaseIndex(inv.base.i0 // 2, inv.base.j0 // 2))
 
 
-def compatibility_floor(inv: InvariantGrid) -> FloorCheck:
+def compatibility_floor(inv: InvariantGrid) -> FloorCheck | None:
     """Compare the canonical Gauss residual at full and halved resolution.
 
     Discretization error drops by about 4 when the grid is refined, so data
     whose residual shrinks by less than FLOOR_MIN_RATIO from the subsampled
-    grid to the full grid is declared incompatible. An overflowing residual
-    gives no verdict: make_report raises RangeError.
+    grid to the full grid is declared incompatible. A grid with fewer than
+    FLOOR_MIN_NODES nodes a side gives None: no test is run. An overflowing
+    residual gives no verdict: make_report raises RangeError.
     """
+    if min(inv.geometry.nu, inv.geometry.nv) < FLOOR_MIN_NODES:
+        return None
     residual = gauss_residual_canonical if inv.mode == "nu" else gauss_residual_canonical_kh
     fine = residual(inv).max_abs
     coarse = residual(_subsample(inv)).max_abs
-    if fine == 0.0 and coarse == 0.0:
-        return FloorCheck(fine, coarse, float("inf"), True)
     ratio = coarse / fine if fine > 0 else float("inf")
     return FloorCheck(fine, coarse, ratio, bool(ratio >= FLOOR_MIN_RATIO))

@@ -20,7 +20,7 @@ from scipy.interpolate import CubicSpline
 
 from .canonical import InvariantGrid
 from .catalog import JetGrid
-from .compatibility import FLOOR_MIN_NODES, canonical_factors, compatibility_floor
+from .compatibility import canonical_factors, compatibility_floor
 from .errors import (
     CompatibilityWarning,
     IncompatibleInvariantsError,
@@ -70,7 +70,7 @@ def coefficients_from_invariants(inv: InvariantGrid):
     mode the stored constants carry the sqrt(H^2 - K) weight, so E0 = a / s0
     with s0 the discriminant root at the base node. Then L = nu1 E, N = nu2 G.
     """
-    fac = canonical_factors(inv)
+    psi1, psi2 = canonical_factors(inv)
     nu1, nu2 = inv.nu_arrays()
     if inv.mode == "nu":
         E0, G0 = inv.a, inv.b
@@ -78,8 +78,8 @@ def coefficients_from_invariants(inv: InvariantGrid):
         K, H = inv.kh_arrays()
         s0 = float(np.sqrt(H * H - K)[inv.base.i0, inv.base.j0])
         E0, G0 = inv.a / s0, inv.b / s0
-    E = E0 * fac.Psi1.values**2
-    G = G0 * fac.Psi2.values**2
+    E = E0 * psi1**2
+    G = G0 * psi2**2
     if np.any(E <= 0) or np.any(G <= 0):
         raise PositivityError("reconstructed metric coefficients must stay positive")
     like = inv.geometry.like
@@ -250,14 +250,13 @@ def reconstruct(inv: InvariantGrid, initial_frame: FrameState | None = None,
     failure); with strict=True an IncompatibleInvariantsError is raised
     instead.
     """
-    if check_compatibility and min(inv.geometry.nu, inv.geometry.nv) >= FLOOR_MIN_NODES:
-        floor = compatibility_floor(inv)
-        if not floor.compatible:
-            msg = (f"invariant data looks incompatible: residual only improves by "
-                   f"{floor.ratio:.2f}x under refinement")
-            if strict:
-                raise IncompatibleInvariantsError(msg)
-            warnings.warn(msg, CompatibilityWarning)
+    floor = compatibility_floor(inv) if check_compatibility else None
+    if floor is not None and not floor.compatible:
+        msg = (f"invariant data looks incompatible: residual only improves by "
+               f"{floor.ratio:.2f}x under refinement")
+        if strict:
+            raise IncompatibleInvariantsError(msg)
+        warnings.warn(msg, CompatibilityWarning)
     E, G, L, N = coefficients_from_invariants(inv)
     init = initial_frame if initial_frame is not None else identity_frame()
     return integrate_frame(E, G, L, N, init, inv.base)

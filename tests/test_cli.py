@@ -151,7 +151,9 @@ def test_check_overflowing_residual_exits_3(tmp_path):
         formats.write_invariant_grid(overflowing_invariants(n), str(path))
         res = run_cli("check", "--input", str(path))
         assert res.returncode == 3
-        assert "gauss-canonical residual is not finite" in res.stderr
+        # no numpy RuntimeWarning lines ahead of the error
+        assert res.stderr.splitlines() == ["canonsurf: error: gauss-canonical residual is "
+                                           "not finite (interior max abs inf, rms inf)"]
 
 
 def test_canonicalize_umbilic_chart_exits_2(tmp_path):
@@ -249,6 +251,47 @@ def test_special_minimal_and_flat(tmp_path):
     by_name = {r["name"]: r for r in report["residuals"]}
     assert by_name["cmc"]["max_abs"] < 1e-10
     assert by_name["flat-1overH-vv"]["max_abs"] < 1e-10
+
+
+@pytest.mark.parametrize("surface, flags, undefined, error", [
+    ("catenoid", ["--mode", "nu", "--base-index", "9,20", "--u", "-1:1:33",
+                  "--v", "0:3.1416:33"],
+     "flat", "mean curvature vanishes; 1/H undefined"),
+    ("torus", ["--mode", "kh", "--base-index", "10,20", "--param", "R=2", "--param", "r=1",
+               "--u", "0:6.2832:33", "--v", "0:6.2832:33"],
+     "cmc", "CMC equation needs K < H^2 strictly"),
+], ids=["catenoid-nu", "torus-kh"])
+def test_special_all_skips_undefined_class(tmp_path, surface, flags, undefined, error):
+    path = str(tmp_path / "inv.json")
+    res = run_cli("canonicalize", "--surface", surface, *flags, "--output", path)
+    assert res.returncode == 0, res.stderr
+    res = run_cli("special", "--case", "all", "--input", path)
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)
+    assert report["skipped"] == [{"case": undefined, "error": error}]
+    names = {"cmc": "cmc", "minimal": "minimal-natural", "flat": "flat-1overH-vv"}
+    assert [r["name"] for r in report["residuals"]] == [
+        v for k, v in names.items() if k != undefined]
+    # the class on its own still fails
+    res = run_cli("special", "--case", undefined, "--input", path)
+    assert res.returncode == 3
+    assert res.stderr.splitlines() == [f"canonsurf: error: {error}"]
+
+
+def test_special_all_exits_3_when_no_class_evaluates(tmp_path):
+    # H = 0 leaves the flat test undefined; a = b = 1e-310 overflows the
+    # weighted Laplacians of the CMC and minimal residuals
+    n = 17
+    u = np.linspace(0.0, 1.0, n)[:, None] * np.ones((n, n))
+    g = cs.Grid2(0.0, 0.0, 0.1, 0.1, 1.0 + 0.5 * np.sin(3.0 * u))
+    inv = cs.InvariantGrid("nu", g, g.like(-g.values), 1e-310, 1e-310, cs.BaseIndex(8, 8))
+    path = tmp_path / "inv.json"
+    formats.write_invariant_grid(inv, str(path))
+    res = run_cli("special", "--case", "all", "--input", str(path))
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr.startswith("canonsurf: error: no special class can be evaluated: cmc: ")
+    assert "flat: mean curvature vanishes" in res.stderr
 
 
 def test_special_minimal_off_centre_base_uses_kh_constants(tmp_path):

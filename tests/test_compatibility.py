@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import canonsurf as cs
+from canonsurf import compatibility
 from canonsurf.errors import NotPrincipalError, RangeError, UmbilicError
 
 from helpers import (
@@ -142,48 +143,70 @@ class TestGaussPrincipal:
             cs.gauss_residual_principal(cs.fundamental_forms_grid(_skew_jets(9)))
 
 
+def _phi_factors(inv):
+    """(Phi1, Phi2) of the (K, H) route, as gauss_residual_canonical_kh builds them."""
+    K, H = inv.kh_arrays()
+    return compatibility._path_factors(H, H, 2.0 * np.sqrt(H * H - K), inv)
+
+
 class TestCanonicalFactors:
     def test_constant_fields_give_unit_factors(self):
         g = cs.Grid2(0, 0, 0.1, 0.1, np.full((9, 9), 1.0))
         inv = cs.InvariantGrid("nu", g, g.like(np.zeros((9, 9))), 1.0, 1.0, cs.BaseIndex(4, 4))
-        fac = cs.canonical_factors(inv)
-        for f in (fac.Psi1, fac.Psi2, fac.Phi1, fac.Phi2):
-            assert np.max(np.abs(f.values - 1.0)) == 0.0
+        for f in (*cs.canonical_factors(inv), *_phi_factors(inv)):
+            assert np.max(np.abs(f - 1.0)) == 0.0
 
     def test_catenoid_psi1_closed_form(self):
         inv, _, _ = catenoid_invariants(129)
-        fac = cs.canonical_factors(inv)
+        psi1, psi2 = cs.canonical_factors(inv)
         u = inv.geometry.u_axis[:, None]
-        expected = np.cosh(u) * np.ones_like(fac.Psi1.values)
-        assert np.max(np.abs(fac.Psi1.values - expected)) < 5e-4
-        assert np.max(np.abs(fac.Psi2.values - expected)) < 5e-4
+        expected = np.cosh(u) * np.ones_like(psi1)
+        assert np.max(np.abs(psi1 - expected)) < 5e-4
+        assert np.max(np.abs(psi2 - expected)) < 5e-4
 
     def test_torus_psi2_closed_form(self):
         inv, _, _ = torus_invariants(129)
-        fac = cs.canonical_factors(inv)
+        psi1, psi2 = cs.canonical_factors(inv)
         u = inv.geometry.u_axis[:, None]
         u0 = inv.geometry.u_axis[inv.base.i0]
-        expected = (2.0 + np.cos(u)) / (2.0 + math.cos(u0)) * np.ones_like(fac.Psi2.values)
-        assert np.max(np.abs(fac.Psi2.values - expected)) < 5e-3
-        assert np.max(np.abs(fac.Psi1.values - 1.0)) < 1e-12  # nu1 constant
+        expected = (2.0 + np.cos(u)) / (2.0 + math.cos(u0)) * np.ones_like(psi2)
+        assert np.max(np.abs(psi2 - expected)) < 5e-3
+        assert np.max(np.abs(psi1 - 1.0)) < 1e-12  # nu1 constant
 
     def test_factors_positive_and_one_at_base(self):
         for inv in (catenoid_invariants(33)[0], torus_invariants(33)[0]):
-            fac = cs.canonical_factors(inv)
-            for f in (fac.Psi1, fac.Psi2, fac.Phi1, fac.Phi2):
-                assert np.all(f.values > 0)
-                assert f.values[inv.base.i0, inv.base.j0] == 1.0
+            for f in (*cs.canonical_factors(inv), *_phi_factors(inv)):
+                assert np.all(f > 0)
+                assert f[inv.base.i0, inv.base.j0] == 1.0
 
     def test_metric_reproduction_property(self):
         # a Psi1^2 = E and b Psi2^2 = G to O(h^2) on canonical charts
         errs = []
         for n in (65, 129):
             inv, _, forms = catenoid_invariants(n)
-            fac = cs.canonical_factors(inv)
-            e_err = np.max(np.abs(inv.a * fac.Psi1.values**2 - forms.E.values))
-            g_err = np.max(np.abs(inv.b * fac.Psi2.values**2 - forms.G.values))
+            psi1, psi2 = cs.canonical_factors(inv)
+            e_err = np.max(np.abs(inv.a * psi1**2 - forms.E.values))
+            g_err = np.max(np.abs(inv.b * psi2**2 - forms.G.values))
             errs.append(max(e_err, g_err))
         assert 3.0 < errs[0] / errs[1] < 5.0
+
+    def test_each_route_integrates_only_its_own_factors(self, monkeypatch):
+        calls = []
+        path_exponent = compatibility.path_exponent
+        monkeypatch.setattr(compatibility, "path_exponent",
+                            lambda *args: calls.append(1) or path_exponent(*args))
+
+        def count(fn, inv):
+            calls.clear()
+            fn(inv)
+            return len(calls)
+
+        inv = catenoid_invariants(33)[0]
+        assert count(cs.gauss_residual_canonical, inv) == 2
+        assert count(cs.gauss_residual_canonical_kh, inv.to_kh()) == 2
+        assert count(cs.compatibility_floor, inv) == 4
+        assert count(cs.compatibility_floor, inv.to_kh()) == 4
+        assert count(cs.reconstruct, inv) == 6
 
 
 class TestGaussCanonical:
@@ -299,6 +322,17 @@ class TestFloor:
         inv = cs.InvariantGrid("nu", g, g.like(np.zeros((17, 17))), 1.0, 1.0,
                                cs.BaseIndex(8, 8))
         assert cs.compatibility_floor(inv).compatible
+
+    @pytest.mark.parametrize("shape", [(8, 8), (33, 8), (9, 9)])
+    def test_runs_only_from_floor_min_nodes_a_side(self, shape):
+        g = cs.Grid2(0, 0, 0.1, 0.1, np.full(shape, 1.0))
+        inv = cs.InvariantGrid("nu", g, g.like(np.zeros(shape)), 1.0, 1.0,
+                               cs.BaseIndex(shape[0] // 2, shape[1] // 2))
+        fc = cs.compatibility_floor(inv)
+        if min(shape) < compatibility.FLOOR_MIN_NODES:
+            assert fc is None
+        else:
+            assert isinstance(fc, cs.FloorCheck) and fc.compatible
 
     def test_overflowing_residual_gives_no_verdict(self):
         # finite fields whose residual overflows: fine = coarse = inf, ratio nan
