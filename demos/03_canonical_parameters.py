@@ -49,4 +49,16 @@ match = cs.check_affine_equivalence(inv_a, inv_b)
 print(f"fitted map: ubar = {match.lam:+.6f} u {match.c1:+.6f}, "
       f"vbar = {match.mu:+.6f} v {match.c2:+.6f}")
 print(f"axes swapped: {match.swapped},  field misfit (rms): {match.misfit:.3e}")
-print("the base offset 0.3 reappears as the translation of the u-map")
+# the law: the slopes are A's canonical factors at the image q of B's base,
+# here the point (0.3, 1.0) of A's (standard, already canonical) chart;
+# canonical_factors is second order, the fit's factors fourth order
+psi1, psi2 = cs.canonical_factors(inv_a)
+geo = inv_a.geometry
+i = int(np.argmin(np.abs(geo.u_axis - 0.3)))
+j = int(np.argmin(np.abs(geo.v_axis - 1.0)))
+print(f"law-predicted |lam| = sqrt(a_A / a_B) Psi1_A(q) = "
+      f"{math.sqrt(inv_a.a / inv_b.a) * psi1[i, j]:.6f}  (fitted {abs(match.lam):.6f})")
+print(f"law-predicted |mu|  = sqrt(b_A / b_B) Psi2_A(q) = "
+      f"{math.sqrt(inv_a.b / inv_b.b) * psi2[i, j]:.6f}  (fitted {abs(match.mu):.6f})")
+print("the base offset 0.3 reappears as the translation of the u-map; the fields")
+print("are constant along v, so the law alone fixes mu and the v-offset is the seed's")

@@ -33,6 +33,9 @@ from .reports import make_report
 
 DISCRIMINANT_RTOL = 1e-12
 AFFINE_MAX_SAMPLES = 33  # the affine fit keeps every (n // 33)-th node of an n-node axis
+AFFINE_MIN_OVERLAP = 0.25  # share of A's samples a choice must map into B's domain
+AFFINE_TIE_RTOL = 1e-12  # seed distances and choice scores this close to the least tie
+AFFINE_ANCHOR = 1e-8  # weight of the rows that hold q at its seed, per grid cell
 
 
 def require_positive_discriminant(K: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -291,61 +294,158 @@ def _field_interpolators(inv: InvariantGrid):
             RectBivariateSpline(g.u_axis, g.v_axis, inv.field2.values))
 
 
-def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> AffineMatch:
-    """Fit ubar = lam*u + c1, vbar = mu*v + c2 (optionally with u and v swapped)
-    mapping grid A onto grid B so the curvature fields agree; misfit is the
-    RMS field discrepancy after the best fit.
+def _law_factors(inv: InvariantGrid):
+    """Interpolants of the canonical factors (Psi1, Psi2) of inv, one pair per labeling.
+
+    The factors use the fourth-order stencils of the maps. In kh mode both
+    carry sqrt(s / s_base), s = |nu1 - nu2| / 2, which takes the weight of
+    the base node out of the constants a, b; and since the magnitude
+    convention may have exchanged the direction labels, the pair of the
+    exchanged labeling (nu2, nu1) is returned as well.
     """
+    g = inv.geometry
+    nu1, nu2 = inv.nu_arrays()
+    labelings = [(nu1, nu2)]
+    weight = 1.0
+    if inv.mode == "kh":
+        labelings.append((nu2, nu1))
+        s = np.abs(nu1 - nu2)
+        weight = np.sqrt(s / s[inv.base.i0, inv.base.j0])
+    pairs = []
+    for f1, f2 in labelings:
+        gap = f1 - f2
+        psi1 = np.exp(-path_exponent(f1, gap, g, inv.base, 1, _deriv4, _cumint4))
+        psi2 = np.exp(path_exponent(f2, gap, g, inv.base, 0, _deriv4, _cumint4))
+        pairs.append(tuple(RectBivariateSpline(g.u_axis, g.v_axis, weight * p)
+                           for p in (psi1, psi2)))
+    return pairs
+
+
+def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> AffineMatch:
+    """Affine map ubar = lam*u + c1, vbar = mu*v + c2 from canonical chart A onto B
+    (with A's u and v exchanged when `swapped`) under which the curvature fields agree.
+
+    The canonical transformation law ties all four numbers to the image q of
+    B's base point in A: lam = sqrt(a_A / a_B) Psi1_A(q), mu = sqrt(b_A / b_B)
+    Psi2_A(q) (swapped: sqrt(b_A / a_B) Psi2_A(q) and sqrt(a_A / b_B) Psi1_A(q)),
+    and the offsets send q to B's base node. q is seeded at the node of A whose
+    fields come closest to B's at its base. Every discrete choice (swap, the
+    signs of lam and mu, and in kh mode the direction labeling) is scored at
+    the seed, ties going to the unswapped axes and positive slopes, and one
+    Levenberg-Marquardt fit of q refines the best one.
+    misfit is the RMS field discrepancy over A's samples whose image lies in
+    B's domain. Raises DimensionError when the grids' modes differ, and
+    RangeError when no choice maps a share AFFINE_MIN_OVERLAP of A's samples
+    into B's domain.
+    """
+    if inv_a.mode != inv_b.mode:
+        raise DimensionError(f"cannot match a {inv_a.mode}-mode grid against a "
+                             f"{inv_b.mode}-mode grid")
     ga, gb = inv_a.geometry, inv_b.geometry
     step_u = max(1, ga.nu // AFFINE_MAX_SAMPLES)
     step_v = max(1, ga.nv // AFFINE_MAX_SAMPLES)
-    su = ga.u_axis[::step_u]
-    sv = ga.v_axis[::step_v]
-    U, V = np.meshgrid(su, sv, indexing="ij")
-    f1a = inv_a.field1.values[::step_u, ::step_v]
-    f2a = inv_a.field2.values[::step_u, ::step_v]
+    nodes = np.meshgrid(ga.u_axis, ga.v_axis, indexing="ij")
+    samples = [x[::step_u, ::step_v] for x in nodes]
+    fields_a = (inv_a.field1.values, inv_a.field2.values)
     f1b, f2b = _field_interpolators(inv_b)
-    # swapping u and v exchanges the direction-labeled curvatures
-    fields_swap = inv_a.mode == "nu"
+    ib, jb = inv_b.base.i0, inv_b.base.j0
+    base_b = (gb.u_axis[ib], gb.v_axis[jb])
+    at_base_b = (inv_b.field1.values[ib, jb], inv_b.field2.values[ib, jb])
+    lo = (gb.u_axis[0], gb.v_axis[0])
+    hi = (gb.u_axis[-1], gb.v_axis[-1])
+    consts_a, consts_b = (inv_a.a, inv_a.b), (inv_b.a, inv_b.b)
+    cell = np.array([ga.du, ga.dv])
+    tie = AFFINE_TIE_RTOL * max(np.max(np.abs(f)) for f in fields_a)
 
-    b_lo_u, b_hi_u = gb.u_axis[0], gb.u_axis[-1]
-    b_lo_v, b_hi_v = gb.v_axis[0], gb.v_axis[-1]
+    # order[k]: the axis of A that runs along B's axis k; swapping the axes
+    # exchanges the direction-labeled curvatures, but not K and H
+    def targets(order, field_pair):
+        return tuple(field_pair[k] for k in order) if inv_a.mode == "nu" else field_pair
 
-    def residual(params, swapped, penalize=True):
+    def seed(order):
+        # ties (a whole row on a surface of revolution) go to the node nearest
+        # B's base coordinates
+        t1, t2 = targets(order, fields_a)
+        dist = np.hypot(t1 - at_base_b[0], t2 - at_base_b[1])
+        off = (nodes[order[0]] - base_b[0]) ** 2 + (nodes[order[1]] - base_b[1]) ** 2
+        k = np.unravel_index(np.argmin(np.where(dist <= dist.min() + tie, off, np.inf)),
+                             dist.shape)
+        return np.array([ga.u_axis[k[0]], ga.v_axis[k[1]]])
+
+    def affine(q, choice):
+        # (lam, mu, c1, c2), the images of A's samples in B's coordinates, and
+        # the derivatives of the images by q
+        order, factors, signs = choice
+        params, image, grads = [], [], []
+        for k, ax in enumerate(order):
+            w = signs[k] * math.sqrt(consts_a[ax] / consts_b[k])
+            psi = factors[ax]
+            slope = w * float(psi.ev(q[0], q[1]))
+            dslope = w * np.array([float(psi.ev(q[0], q[1], dx=1)),
+                                   float(psi.ev(q[0], q[1], dy=1))])
+            rel = samples[ax] - q[ax]
+            params += [slope, base_b[k] - slope * q[ax]]
+            image.append(slope * rel + base_b[k])
+            grad = dslope[:, None, None] * rel
+            grad[ax] -= slope
+            grads.append(grad)
         lam, c1, mu, c2 = params
-        src_u = V if swapped else U
-        src_v = U if swapped else V
-        ub = lam * src_u + c1
-        vb = mu * src_v + c2
-        over_u = np.maximum(b_lo_u - ub, 0.0) + np.maximum(ub - b_hi_u, 0.0)
-        over_v = np.maximum(b_lo_v - vb, 0.0) + np.maximum(vb - b_hi_v, 0.0)
-        ub_c = np.clip(ub, b_lo_u, b_hi_u)
-        vb_c = np.clip(vb, b_lo_v, b_hi_v)
-        t1a, t2a = (f2a, f1a) if (swapped and fields_swap) else (f1a, f2a)
-        r = np.concatenate([
-            (f1b(ub_c, vb_c, grid=False) - t1a).ravel(),
-            (f2b(ub_c, vb_c, grid=False) - t2a).ravel(),
-        ])
-        if penalize:
-            r = np.concatenate([r, 10.0 * (over_u + over_v).ravel()])
-        return r
+        return (lam, mu, c1, c2), image, grads
 
-    scale = math.sqrt(inv_a.a / inv_b.a)
+    def clipped(image, mask):
+        return [np.clip(x[mask], lo[k], hi[k]) for k, x in enumerate(image)]
+
+    def field_residual(image, t, mask):
+        ub, vb = clipped(image, mask)
+        return np.concatenate([f1b(ub, vb, grid=False) - t[0][mask],
+                               f2b(ub, vb, grid=False) - t[1][mask]])
+
+    def inside(image):
+        return np.all([(lo[k] <= x) & (x <= hi[k]) for k, x in enumerate(image)], axis=0)
+
+    def rms(image, t, mask):
+        if not mask.any():
+            return math.inf
+        r = field_residual(image, t, mask)
+        return float(np.sqrt(np.mean(r * r)))
+
+    sample_fields = [f[::step_u, ::step_v] for f in fields_a]
+    labelings = _law_factors(inv_a)
     best = None
-    for swapped in (False, True):
-        src_u_c = 0.5 * (ga.v_axis[0] + ga.v_axis[-1]) if swapped else 0.5 * (ga.u_axis[0] + ga.u_axis[-1])
-        src_v_c = 0.5 * (ga.u_axis[0] + ga.u_axis[-1]) if swapped else 0.5 * (ga.v_axis[0] + ga.v_axis[-1])
-        for s_lam in (scale, -scale):
-            for s_mu in (1.0 / scale, -1.0 / scale):
-                x0 = np.array([
-                    s_lam, 0.5 * (b_lo_u + b_hi_u) - s_lam * src_u_c,
-                    s_mu, 0.5 * (b_lo_v + b_hi_v) - s_mu * src_v_c,
-                ])
-                fit = least_squares(residual, x0, args=(swapped,), method="lm")
-                clean = residual(fit.x, swapped, penalize=False)
-                misfit = float(np.sqrt(np.mean(clean * clean)))
-                if best is None or misfit < best[0]:
-                    best = (misfit, fit.x, swapped)
-    misfit, params, swapped = best
-    lam, c1, mu, c2 = (float(p) for p in params)
-    return AffineMatch(lam, mu, c1, c2, swapped, misfit)
+    for order in ((0, 1), (1, 0)):
+        q0 = seed(order)
+        t = targets(order, sample_fields)
+        for factors in labelings:
+            for signs in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+                choice = (order, factors, signs)
+                image = affine(q0, choice)[1]
+                mask = inside(image)
+                if mask.mean() < AFFINE_MIN_OVERLAP:
+                    continue
+                score = rms(image, t, mask)
+                # a tie (a direction the fields do not see) keeps the earlier choice
+                if best is None or score < best[0] - tie:
+                    best = (score, choice, q0, t, mask)
+    if best is None:
+        raise RangeError(f"no choice of swap and signs maps {AFFINE_MIN_OVERLAP:.0%} of "
+                         "A's samples into B's domain")
+    _, choice, q0, t, mask = best
+
+    # the anchor rows hold a direction the fields do not see at its seed; the
+    # Jacobian is analytic, as difference quotients of a field that is
+    # constant up to roundoff would outweigh them
+    def residual(q):
+        return np.concatenate([field_residual(affine(q, choice)[1], t, mask),
+                               AFFINE_ANCHOR * (q - q0) / cell])
+
+    def jacobian(q):
+        _, image, grads = affine(q, choice)
+        ub, vb = clipped(image, mask)
+        gu, gv = (g[:, mask].T for g in grads)
+        rows = [f.ev(ub, vb, dx=1)[:, None] * gu + f.ev(ub, vb, dy=1)[:, None] * gv
+                for f in (f1b, f2b)]
+        return np.vstack(rows + [np.diag(AFFINE_ANCHOR / cell)])
+
+    fit = least_squares(residual, q0, jac=jacobian, method="lm")
+    (lam, mu, c1, c2), image, _ = affine(fit.x, choice)
+    return AffineMatch(lam, mu, c1, c2, choice[0] == (1, 0), rms(image, t, inside(image)))

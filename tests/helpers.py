@@ -34,6 +34,15 @@ def sample_chart(name, u_range, v_range, n, base=None, **params):
     return jets, forms, curv, base
 
 
+def canonical_grid(name, u_range, v_range, n, base, mode, **params):
+    """Invariant grid (mode "nu" or "kh") of a catalog chart resampled to canonical
+    parameters about base (the centre node when None)."""
+    _, forms, curv, base = sample_chart(name, u_range, v_range, n, base, **params)
+    maps = cs.build_canonical_maps(forms.E, forms.G, curv.nu1, curv.nu2, base)
+    inv = cs.resample_to_canonical(maps, curv.nu1, curv.nu2)
+    return inv.to_kh() if mode == "kh" else inv
+
+
 def refine_sizes(n0, levels):
     return [2**k * (n0 - 1) + 1 for k in range(levels)]
 

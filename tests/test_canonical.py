@@ -7,7 +7,7 @@ import canonsurf as cs
 from canonsurf.errors import CodazziViolation, MonotonicityError, UmbilicError
 from canonsurf.errors import DimensionError, DiscriminantError, RangeError
 
-from helpers import catenoid_invariants
+from helpers import canonical_grid, catenoid_invariants, torus_invariants
 
 
 def _chart_pipeline(name, u_range, v_range, nu, nv, base=None, **params):
@@ -22,6 +22,12 @@ def _chart_pipeline(name, u_range, v_range, nu, nv, base=None, **params):
         base = cs.BaseIndex(nu // 2, nv // 2)
     maps = cs.build_canonical_maps(forms.E, forms.G, curv.nu1, curv.nu2, base)
     return jets, forms, curv, base, maps
+
+
+def _canonical_pair(name, u_range, v_range, n, base_b, mode, **params):
+    """Canonical grids of one n x n chart: A about the centre node, B about base_b."""
+    return tuple(canonical_grid(name, u_range, v_range, n, base, mode, **params)
+                 for base in (None, cs.BaseIndex(*base_b)))
 
 
 def _identity_error(maps):
@@ -207,6 +213,58 @@ class TestAffineEquivalence:
         assert m.swapped
         assert m.misfit < 1e-6
         assert abs(abs(m.mu) - 1.0) < 1e-3
+
+    @pytest.mark.parametrize("mode", ["nu", "kh"])
+    @pytest.mark.parametrize("base_b", [(40, 40), (40, 24)])
+    def test_cone_bases_off_the_centre_row(self, base_b, mode):
+        # the v-slope of a base above the centre row used to start above 1 and
+        # stall; in kh mode the magnitude convention flips the cone's labels
+        inv_a, inv_b = _canonical_pair("cone", (0, 2), (0.5, 2.5), 65, base_b, mode, alpha=0.6)
+        m = cs.check_affine_equivalence(inv_a, inv_b)
+        assert not m.swapped
+        assert m.misfit <= 1e-12, m.misfit
+        assert abs(abs(m.lam) - 1.0) < 1e-5 and abs(abs(m.mu) - 1.0) < 1e-5, (m.lam, m.mu)
+
+    @pytest.mark.parametrize("mode", ["nu", "kh"])
+    def test_catenoid_misfit_converges(self, mode):
+        # base at 30% / 60% of the axes: the misfit is truncation error, not a
+        # stall, so it falls at second order or better
+        misfits = []
+        for n in (33, 65, 129):
+            base_b = (round(0.3 * (n - 1)), round(0.6 * (n - 1)))
+            inv_a, inv_b = _canonical_pair("catenoid", (-1, 1), (0, math.pi), n, base_b, mode)
+            m = cs.check_affine_equivalence(inv_a, inv_b)
+            assert not m.swapped
+            assert abs(abs(m.lam) - 1.0) < 1e-4 and abs(abs(m.mu) - 1.0) < 1e-4
+            # the fields do not see v: the positive slope wins the tie, and the
+            # v-offset stays the seed's (q_v = 0, the node nearest B's base)
+            assert m.mu > 0 and abs(m.c2) < 1e-6, (m.mu, m.c2)
+            misfits.append(m.misfit)
+        assert all(ratio >= 2**1.8 for ratio in np.divide(misfits[:-1], misfits[1:])), misfits
+
+    def test_one_levenberg_marquardt_start(self, monkeypatch):
+        from canonsurf import canonical
+        calls = []
+        fit = canonical.least_squares
+        monkeypatch.setattr(canonical, "least_squares",
+                            lambda *args, **kw: calls.append(1) or fit(*args, **kw))
+        inv_a, inv_b = _canonical_pair("cone", (0, 2), (0.5, 2.5), 33, (20, 20), "kh", alpha=0.6)
+        cs.check_affine_equivalence(inv_a, inv_b)
+        assert len(calls) == 1
+
+    def test_mixed_modes_rejected(self):
+        inv, _, _ = torus_invariants(33)
+        with pytest.raises(DimensionError):
+            cs.check_affine_equivalence(inv, inv.to_kh())
+
+    def test_no_overlap_rejected(self):
+        # constants 1e12 times larger stretch both slopes by 1e6, and the seed
+        # (the base node, 64) is not one of the samples (every 3rd node): every
+        # choice sends all of A's samples outside B's domain
+        inv, _, _ = catenoid_invariants(129)
+        big = cs.InvariantGrid("nu", inv.field1, inv.field2, 1e12 * inv.a, 1e12 * inv.b, inv.base)
+        with pytest.raises(RangeError):
+            cs.check_affine_equivalence(big, inv)
 
 
 def test_invariant_grid_validation():

@@ -1,4 +1,5 @@
-"""Property tests: curvature invariants under a u<->v swap and a homothety of the chart."""
+"""Property tests: curvature invariants under a u<->v swap and a homothety of the chart,
+and the affine fit between canonical charts whose axes are listed in the other order."""
 
 import math
 
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import canonsurf as cs
+
+from helpers import canonical_grid
 
 N = 17
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
@@ -62,3 +65,39 @@ def test_homothety_scales_curvatures(jets, lam):
     assert np.max(np.abs(lam * s.H.values - c.H.values)) <= tol
     assert np.max(np.abs(lam * s.nu1.values - c.nu1.values)) <= tol
     assert np.max(np.abs(lam * s.nu2.values - c.nu2.values)) <= tol
+
+
+AFFINE_N = 33
+# (u range, v range, parameters) of standard charts that are already canonical
+AFFINE_CHARTS = {
+    "torus": ((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi), {"R": 2.0, "r": 1.0}),
+    "catenoid": ((-1.0, 1.0), (0.0, math.pi), {}),
+    "cone": ((0.0, 2.0), (0.5, 2.5), {"alpha": 0.6}),
+}
+
+
+def _canonical_grid(name, base, mode):
+    u_range, v_range, params = AFFINE_CHARTS[name]
+    return canonical_grid(name, u_range, v_range, AFFINE_N, base, mode, **params)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(sorted(AFFINE_CHARTS)), st.sampled_from(["nu", "kh"]),
+       st.integers(AFFINE_N // 4, 3 * AFFINE_N // 4), st.integers(AFFINE_N // 4, 3 * AFFINE_N // 4))
+def test_swapped_chart_reports_swapped(name, mode, i, j):
+    # B is canonical about another base and lists its axes in the other order;
+    # the direction-labeled curvatures and the constants a, b trade places with them
+    centre = AFFINE_N // 2
+    inv_a = _canonical_grid(name, cs.BaseIndex(centre, centre), mode)
+    inv_b = _canonical_grid(name, cs.BaseIndex(i, j), mode)
+    f1, f2 = inv_b.field1.values.T, inv_b.field2.values.T
+    if mode == "nu":
+        f1, f2 = f2, f1
+    g = inv_b.geometry
+    t = cs.Grid2(g.v0, g.u0, g.dv, g.du, f1)
+    swapped = cs.InvariantGrid(mode, t, t.like(f2), inv_b.b, inv_b.a,
+                               cs.BaseIndex(inv_b.base.j0, inv_b.base.i0))
+    m = cs.check_affine_equivalence(inv_a, swapped)
+    assert m.swapped
+    assert m.misfit <= 1e-6, m.misfit
+    assert abs(abs(m.lam) - 1.0) < 1e-3 and abs(abs(m.mu) - 1.0) < 1e-3, (m.lam, m.mu)
