@@ -14,11 +14,10 @@ the shared second-order substrate so it stays an independent check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator, RectBivariateSpline
-from scipy.optimize import least_squares
 
 from .errors import (
     CodazziViolation,
@@ -131,6 +130,8 @@ def _deriv4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 
 def _cumint4(values: np.ndarray, h: float, i0: int, axis: int) -> np.ndarray:
+    from scipy.interpolate import CubicSpline
+
     f = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
     x = h * np.arange(f.shape[0])
     anti = CubicSpline(x, f, axis=0).antiderivative()
@@ -214,6 +215,8 @@ def _canonical_axis(bar_samples: np.ndarray, n: int):
 
 def _resample_2d(maps: CanonicalMaps, values: np.ndarray, u_src: np.ndarray,
                  v_src: np.ndarray) -> np.ndarray:
+    from scipy.interpolate import PchipInterpolator
+
     along_u = PchipInterpolator(maps.u_samples, values, axis=0)(u_src)
     return PchipInterpolator(maps.v_samples, along_u, axis=1)(v_src)
 
@@ -289,6 +292,8 @@ class AffineMatch:
 
 
 def _field_interpolators(inv: InvariantGrid):
+    from scipy.interpolate import RectBivariateSpline
+
     g = inv.geometry
     return (RectBivariateSpline(g.u_axis, g.v_axis, inv.field1.values),
             RectBivariateSpline(g.u_axis, g.v_axis, inv.field2.values))
@@ -303,6 +308,8 @@ def _law_factors(inv: InvariantGrid):
     convention may have exchanged the direction labels, the pair of the
     exchanged labeling (nu2, nu1) is returned as well.
     """
+    from scipy.interpolate import RectBivariateSpline
+
     g = inv.geometry
     nu1, nu2 = inv.nu_arrays()
     labelings = [(nu1, nu2)]
@@ -446,6 +453,18 @@ def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> Affi
                 for f in (f1b, f2b)]
         return np.vstack(rows + [np.diag(AFFINE_ANCHOR / cell)])
 
-    fit = least_squares(residual, q0, jac=jacobian, method="lm")
+    # the module attribute, read at call time, so a caller may replace it
+    fit = sys.modules[__name__].least_squares(residual, q0, jac=jacobian, method="lm")
     (lam, mu, c1, c2), image, _ = affine(fit.x, choice)
     return AffineMatch(lam, mu, c1, c2, choice[0] == (1, 0), rms(image, t, inside(image)))
+
+
+def __getattr__(name):
+    # scipy.optimize costs about a second to import, so least_squares is
+    # imported on first access and then cached as an ordinary module attribute
+    if name == "least_squares":
+        from scipy.optimize import least_squares
+
+        globals()[name] = least_squares
+        return least_squares
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
 from .grid import Grid2
@@ -226,6 +225,8 @@ def make_revolution_entry(t_samples, rho_samples, z_samples) -> CatalogEntry:
         raise DomainError("profile parameter samples must be strictly increasing")
     if np.any(rho <= 0):
         raise DomainError("profile radius must stay positive")
+    from scipy.interpolate import CubicSpline
+
     rho_s = CubicSpline(t, rho)
     z_s = CubicSpline(t, zz)
     rho_d, rho_dd = rho_s.derivative(1), rho_s.derivative(2)

@@ -19,12 +19,18 @@ from .grid import BaseIndex, Grid2
 from .reconstruction import SurfaceMesh
 
 INVARIANT_GRID_FORMAT = "invariant-grid/1"
+_NON_FINITE = "cannot serialize non-finite numbers"
 
 
 def format_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
-        raise ValueError("cannot serialize non-finite numbers")
+        raise ValueError(_NON_FINITE)
     return f"{x:.17g}"
+
+
+def _check_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(_NON_FINITE)
 
 
 def dumps(obj, _level: int = 0) -> str:
@@ -37,6 +43,9 @@ def dumps(obj, _level: int = 0) -> str:
         items = ",\n".join(f"{inner}{json.dumps(str(k))}: {dumps(v, _level + 1)}"
                            for k, v in obj.items())
         return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+        _check_finite(obj)
+        return "[" + ", ".join(["%.17g"] * obj.size) % tuple(obj.tolist()) + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
         if not seq:
@@ -84,6 +93,9 @@ def invariant_grid_to_dict(inv: InvariantGrid) -> dict:
 
 
 def invariant_grid_from_dict(data: dict) -> InvariantGrid:
+    if not isinstance(data, dict):
+        raise DimensionError(f"malformed invariant-grid file: top level is a "
+                             f"{type(data).__name__}, not an object")
     if data.get("format") != INVARIANT_GRID_FORMAT:
         raise RangeError(f"not an invariant-grid file (format={data.get('format')!r})")
     try:
@@ -107,35 +119,40 @@ def write_invariant_grid(inv: InvariantGrid, path: str) -> None:
 
 def read_invariant_grid(path: str) -> InvariantGrid:
     with open(path, "r", encoding="utf-8") as fh:
-        return invariant_grid_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DimensionError(f"malformed invariant-grid file: {exc}") from exc
+    return invariant_grid_from_dict(data)
 
 
 def write_obj(mesh: SurfaceMesh, path: str) -> None:
-    """Wavefront OBJ: v lines in row-major (u fastest) order, quads as triangles."""
+    """Wavefront OBJ: v lines in row-major (u fastest) order, quads as triangles.
+
+    The file is written one grid row (fixed j) at a time, each row formatted
+    by one %-operation; "%.17g" % x is the same text as f"{x:.17g}".
+    """
     pos = mesh.positions.values
+    fields = [("v", pos)] if mesh.normals is None else [("v", pos), ("vn", mesh.normals.values)]
+    for _, values in fields:
+        _check_finite(values)
     nu, nv = pos.shape[:2]
-    lines = [f"# canonsurf surface mesh, grid {nu} x {nv} (u fastest)"]
-    order = [(i, j) for j in range(nv) for i in range(nu)]
-    for i, j in order:
-        x, y, z = pos[i, j]
-        lines.append(f"v {format_float(x)} {format_float(y)} {format_float(z)}")
-    has_normals = mesh.normals is not None
-    if has_normals:
-        nrm = mesh.normals.values
-        for i, j in order:
-            x, y, z = nrm[i, j]
-            lines.append(f"vn {format_float(x)} {format_float(y)} {format_float(z)}")
-    node = lambda i, j: j * nu + i + 1
-    for j in range(nv - 1):
-        for i in range(nu - 1):
-            q = (node(i, j), node(i + 1, j), node(i + 1, j + 1), node(i, j + 1))
-            for tri in ((q[0], q[1], q[2]), (q[0], q[2], q[3])):
-                if has_normals:
-                    lines.append("f " + " ".join(f"{k}//{k}" for k in tri))
-                else:
-                    lines.append("f " + " ".join(str(k) for k in tri))
+    # the triangles (q0, q1, q2), (q0, q2, q3) of the quads of row 0; row j adds j * nu
+    node = np.arange(1, nu + 1)
+    q0, q1, q2, q3 = node[:-1], node[1:], node[1:] + nu, node[:-1] + nu
+    tris = np.column_stack([q0, q1, q2, q0, q2, q3])
+    face = "f %d %d %d\n"
+    if mesh.normals is not None:
+        tris, face = np.repeat(tris, 2, axis=1), "f %d//%d %d//%d %d//%d\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# canonsurf surface mesh, grid {nu} x {nv} (u fastest)\n")
+        for tag, values in fields:
+            line = f"{tag} %.17g %.17g %.17g\n" * nu
+            for j in range(nv):
+                fh.write(line % tuple(values[:, j].ravel().tolist()))
+        faces = face * (2 * (nu - 1))
+        for j in range(nv - 1):
+            fh.write(faces % tuple((tris + j * nu).ravel().tolist()))
 
 
 def read_obj(path: str):

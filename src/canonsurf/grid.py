@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DimensionError, MonotonicityError, RangeError, ShapeMismatchError
 
@@ -157,8 +155,21 @@ def second_v(g: Grid2) -> Grid2:
     return g.like(_second_diff(g.values, g.dv, axis=1))
 
 
+def _cumtrapz(values: np.ndarray, steps, axis: int) -> np.ndarray:
+    """Composite trapezoid integral along axis from index 0, which holds 0.
+
+    steps is the spacing, a scalar or the 1-D array of the n - 1 steps of a
+    1-D input. The arithmetic is scipy.integrate.cumulative_trapezoid's, so
+    the results are bitwise equal to it.
+    """
+    f = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    total = np.zeros_like(f)
+    np.cumsum(steps * (f[1:] + f[:-1]) / 2.0, axis=0, out=total[1:])
+    return np.moveaxis(total, 0, axis)
+
+
 def _signed_cumtrapz(values: np.ndarray, h: float, i0: int, axis: int) -> np.ndarray:
-    total = cumulative_trapezoid(values, dx=h, axis=axis, initial=0.0)
+    total = _cumtrapz(values, h, axis)
     anchor = np.take(total, [i0], axis=axis)
     return total - anchor
 
@@ -218,6 +229,8 @@ def invert_monotone_map(x_samples, y_samples, y):
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if np.any(y_arr < ys[0]) or np.any(y_arr > ys[-1]):
         raise RangeError(f"target outside sampled range [{ys[0]}, {ys[-1]}]")
+
+    from scipy.interpolate import PchipInterpolator
 
     interp = PchipInterpolator(xs, ys, extrapolate=False)
     # bracket each target between consecutive samples, then bisect

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .canonical import InvariantGrid
 from .catalog import JetGrid
@@ -119,6 +118,8 @@ def _renormalize(y):
 
 def _midpoint_coefficients(coef_values: np.ndarray, axis_coords: np.ndarray) -> np.ndarray:
     """Cubic-spline coefficients at the n - 1 interval midpoints t_k + h/2."""
+    from scipy.interpolate import CubicSpline
+
     h = axis_coords[1] - axis_coords[0]
     return CubicSpline(axis_coords, coef_values, axis=0)(axis_coords[:-1] + 0.5 * h)
 

@@ -19,11 +19,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DiscriminantError, PositivityError, RangeError, ZeroMeanCurvatureError
-from .grid import BaseIndex, Grid2, partial_u, partial_v, second_u, second_v
+from .grid import BaseIndex, Grid2, _cumtrapz, partial_u, partial_v, second_u, second_v
 from .reports import ResidualReport, make_report
 
 
@@ -91,8 +89,10 @@ def weingarten_residual(data: WeingartenData) -> ResidualReport:
     gp = np.gradient(g, t, edge_order=2)
     fpp = np.gradient(fp, t, edge_order=2)
     gpp = np.gradient(gp, t, edge_order=2)
-    anti_minus = cumulative_trapezoid(gp / (g - f), x=t, initial=0.0)  # of g'/(g-f)
-    anti_plus = cumulative_trapezoid(fp / (f - g), x=t, initial=0.0)   # of f'/(f-g)
+    from scipy.interpolate import PchipInterpolator
+
+    anti_minus = _cumtrapz(gp / (g - f), np.diff(t), 0)  # of g'/(g-f)
+    anti_plus = _cumtrapz(fp / (f - g), np.diff(t), 0)   # of f'/(f-g)
 
     at = lambda samples: PchipInterpolator(t, samples)(data.nu.values)
     nu0 = data.nu0

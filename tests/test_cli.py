@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import pytest
 import canonsurf as cs
 from canonsurf import formats
 
-from helpers import overflowing_invariants, run_cli
+from helpers import SRC_DIR, canonical_grid, overflowing_invariants, run_cli
 
 
 def test_analyze_torus_identity(tmp_path):
@@ -142,6 +145,43 @@ def test_check_non_finite_field_exits_3_from_reader(tmp_path):
     res = run_cli("check", "--input", str(path))
     assert res.returncode == 3
     assert "field1 has non-finite values" in res.stderr
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"format": "invariant-grid/1", '])
+def test_check_malformed_grid_file_exits_3(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    res = run_cli("check", "--input", str(path))
+    assert res.returncode == 3
+    assert res.stderr.startswith("canonsurf: error: malformed invariant-grid file")
+
+
+def test_check_runs_without_scipy(tmp_path):
+    # pytest's own process has scipy loaded, so only a fresh interpreter sees the import path
+    paths = []
+    for name, ranges, mode, params in (("catenoid", ((-1, 1), (0, math.pi)), "nu", {}),
+                                       ("torus", ((0, 2 * math.pi),) * 2, "kh",
+                                        {"R": 2.0, "r": 1.0})):
+        paths.append(str(tmp_path / f"{name}.json"))
+        formats.write_invariant_grid(canonical_grid(name, *ranges, 33, None, mode, **params),
+                                     paths[-1])
+    script = """
+import contextlib, io, sys
+import canonsurf
+from canonsurf import canonical, cli
+for path in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["check", "--input", path]) == 0, path
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded[:5]
+import scipy.optimize
+assert canonical.least_squares is scipy.optimize.least_squares
+assert not hasattr(canonical, "no_such_attribute")
+"""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    res = subprocess.run([sys.executable, "-c", script, *paths], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr
 
 
 def test_check_overflowing_residual_exits_3(tmp_path):

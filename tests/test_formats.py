@@ -6,7 +6,7 @@ import pytest
 
 import canonsurf as cs
 from canonsurf import formats
-from canonsurf.errors import RangeError
+from canonsurf.errors import DimensionError, RangeError
 
 from helpers import catenoid_invariants
 
@@ -104,3 +104,80 @@ def test_obj_without_normals(tmp_path):
     assert norms is None
     assert verts.shape == (9, 3)
     assert len(faces) == 8
+
+
+# values whose shortest round-trip text differs from their 17-digit text, plus
+# signed zero, the smallest subnormal and the largest finite double
+_SPECIAL_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e22]
+
+
+def _mesh_values(nu, nv, seed):
+    values = np.random.default_rng(seed).normal(size=(nu, nv, 3)) * 10.0 ** np.arange(-3, 6, 3)
+    values.reshape(-1)[: len(_SPECIAL_FLOATS)] = _SPECIAL_FLOATS
+    values[nu - 1, nv - 1] = _SPECIAL_FLOATS[-3:]
+    return values
+
+
+def _reference_obj(pos, nrm):
+    # the per-element writer: every float through f"{x:.17g}", every line by hand
+    nu, nv = pos.shape[:2]
+    lines = [f"# canonsurf surface mesh, grid {nu} x {nv} (u fastest)"]
+    for tag, values in (("v", pos), ("vn", nrm)):
+        if values is not None:
+            lines += [f"{tag} " + " ".join(f"{x:.17g}" for x in values[i, j])
+                      for j in range(nv) for i in range(nu)]
+    node = lambda i, j: j * nu + i + 1
+    for j in range(nv - 1):
+        for i in range(nu - 1):
+            q = (node(i, j), node(i + 1, j), node(i + 1, j + 1), node(i, j + 1))
+            for tri in ((q[0], q[1], q[2]), (q[0], q[2], q[3])):
+                lines.append("f " + " ".join(f"{k}//{k}" if nrm is not None else str(k)
+                                             for k in tri))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("with_normals", [False, True])
+def test_obj_bytes_equal_per_element_reference(tmp_path, with_normals):
+    pos = _mesh_values(5, 4, 0)
+    nrm = _mesh_values(5, 4, 1) if with_normals else None
+    mesh = cs.SurfaceMesh(cs.Grid2(0, 0, 1, 1, pos),
+                          cs.Grid2(0, 0, 1, 1, nrm) if with_normals else None)
+    path = tmp_path / "mesh.obj"
+    formats.write_obj(mesh, str(path))
+    assert path.read_bytes() == _reference_obj(pos, nrm).encode("utf-8")
+
+
+def test_json_float_array_bytes_equal_per_element_reference(tmp_path):
+    arr = _mesh_values(4, 3, 2).ravel()
+    path = tmp_path / "a.json"
+    formats.write_json({"x": arr, "empty": np.zeros(0)}, str(path))
+    want = '{\n  "x": [' + ", ".join(f"{x:.17g}" for x in arr) + '],\n  "empty": []\n}\n'
+    assert path.read_bytes() == want.encode("utf-8")
+    assert formats.dumps(arr) == formats.dumps(arr.tolist())
+
+
+@pytest.mark.parametrize("where", ["positions", "normals"])
+def test_write_obj_leaves_no_file_on_nan(tmp_path, where):
+    pos, nrm = np.zeros((3, 3, 3)), np.ones((3, 3, 3))
+    (pos if where == "positions" else nrm)[1, 2, 0] = np.nan
+    mesh = cs.SurfaceMesh(cs.Grid2(0, 0, 1, 1, pos), cs.Grid2(0, 0, 1, 1, nrm))
+    path = tmp_path / "mesh.obj"
+    with pytest.raises(ValueError, match="non-finite"):
+        formats.write_obj(mesh, str(path))
+    assert not path.exists()
+
+
+def test_write_json_float_array_with_nan_leaves_no_file(tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        formats.write_json({"x": np.array([1.0, np.nan])}, str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("content", [b"[1, 2]", b'"grid"', b'{"format": "invariant-grid/1", ',
+                                     b"\xff\xfe{}"])
+def test_malformed_grid_file_raises_dimension_error(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(DimensionError, match="malformed invariant-grid file"):
+        formats.read_invariant_grid(str(path))

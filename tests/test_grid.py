@@ -87,6 +87,21 @@ def test_cumulative_integral_cos_order():
     assert 3.0 < errs[0] / errs[1] < 5.0
 
 
+@pytest.mark.parametrize("k", ["first", "interior", "last"])
+def test_cumulative_integrals_equal_scipy_bitwise(k):
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(5)
+    g = cs.Grid2(0.3, -1.0, 0.071, 0.113, rng.normal(size=(13, 17)))
+    for axis, (h, n, integral) in enumerate(((g.du, g.nu, cs.cumulative_integral_u),
+                                             (g.dv, g.nv, cs.cumulative_integral_v))):
+        k0 = {"first": 0, "interior": n // 3, "last": n - 1}[k]
+        total = cumulative_trapezoid(g.values, dx=h, axis=axis, initial=0.0)
+        want = total - np.take(total, [k0], axis=axis)
+        got = integral(g, cs.BaseIndex(k0, 0) if axis == 0 else cs.BaseIndex(0, k0)).values
+        assert np.array_equal(got, want)
+
+
 def test_derivative_then_integral_roundtrip_order():
     errs = []
     for n in (33, 65):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import canonsurf as cs
+from canonsurf import special_surfaces
 from canonsurf.errors import (
     DiscriminantError,
     PositivityError,
@@ -40,6 +41,20 @@ class TestWeingarten:
             ref = cs.gauss_residual_canonical(inv)
             ratio = max(rep.max_abs / ref.max_abs, ref.max_abs / rep.max_abs)
             assert ratio < 10.0
+
+    def test_non_uniform_t_quadrature_equals_scipy_bitwise(self, monkeypatch):
+        from scipy.integrate import cumulative_trapezoid
+
+        n = 33
+        u = np.linspace(0.0, 1.0, n)
+        nu = cs.Grid2.from_axes(u, u, 0.5 + 0.3 * u[:, None] + 0.2 * (u[None, :] + 0.5) ** 2)
+        t = 0.4 + np.linspace(0.0, 1.0, 201) ** 1.5
+        data = cs.WeingartenData(t, t**2 + 1.0, -t, nu, 1.0, 1.0, cs.BaseIndex(n // 2, n // 2))
+        got = cs.weingarten_residual(data).residual.values
+        monkeypatch.setattr(special_surfaces, "_cumtrapz", lambda y, steps, axis:
+                            cumulative_trapezoid(y, x=t, axis=axis, initial=0.0))
+        want = cs.weingarten_residual(data).residual.values
+        assert np.array_equal(got, want)
 
     def test_catenoid_convergence(self):
         errs = []
