@@ -92,6 +92,14 @@ def invariant_grid_to_dict(inv: InvariantGrid) -> dict:
     }
 
 
+def _grid_field(data: dict, key: str, nu: int, nv: int) -> np.ndarray:
+    # a nested list of the right element count must not load as a grid
+    values = np.asarray(data[key])
+    if values.ndim != 1 or values.size != nu * nv or values.dtype.kind not in "iuf":
+        raise ValueError(f"{key} must be a flat list of {nu * nv} numbers")
+    return values.astype(float, copy=False).reshape((nu, nv), order="F")
+
+
 def invariant_grid_from_dict(data: dict) -> InvariantGrid:
     if not isinstance(data, dict):
         raise DimensionError(f"malformed invariant-grid file: top level is a "
@@ -105,8 +113,7 @@ def invariant_grid_from_dict(data: dict) -> InvariantGrid:
         i0, j0 = (int(n) for n in data["base_index"])
         a, b = float(data["a"]), float(data["b"])
         mode = data["mode"]
-        f1 = np.asarray(data["field1"], dtype=float).reshape((nu, nv), order="F")
-        f2 = np.asarray(data["field2"], dtype=float).reshape((nu, nv), order="F")
+        f1, f2 = (_grid_field(data, key, nu, nv) for key in ("field1", "field2"))
     except (KeyError, ValueError, TypeError) as exc:
         raise DimensionError(f"malformed invariant-grid file: {exc}") from exc
     make = lambda vals: Grid2(u0, v0, du, dv, vals)

@@ -4,10 +4,14 @@ From an InvariantGrid the first- and second-form coefficients E, G, L, N are
 rebuilt (F = M = 0 by construction), and the orthonormal frame
 (xu/sqrt(E), xv/sqrt(G), n) is integrated over the grid: first along the base
 row in u, then along every column in v, with a classical fourth-order stepper.
-Its node coefficients are the grid values; its midpoint coefficients come from
-one cubic-spline evaluation per axis at all interval midpoints. After every
-step the frame is pulled back to its polar factor, the nearest orthonormal
-triple, by two Newton-Schulz steps.
+The frame system is linear, so one RK4 step of the unit state maps the whole
+state: x' = x + p F and F' = Q F. These step propagators are formed for a
+block of steps on every line at once, and each Q is pulled to its polar
+factor, the nearest orthonormal matrix, by two Newton-Schulz steps; for an
+orthonormal frame that equals projecting the stepped frame. What remains
+sequential is one small matrix product per step. The stepper's node
+coefficients are the grid values; its midpoint coefficients are the
+not-a-knot cubic spline's, from one tridiagonal solve per axis in numpy.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .errors import (
 from .grid import BaseIndex, Grid2, partial_u, partial_v, same_geometry, second_u, second_v
 
 FRAME_DRIFT_LIMIT = 1e-6
+MARCH_BLOCK = 32  # steps whose propagators are formed together: cache-sized temporaries
 
 
 @dataclass(frozen=True)
@@ -100,28 +105,81 @@ def _frame_rate(y, coef, tangent: int):
     return d
 
 
-def _renormalize(y):
-    frames = y[..., 1:4, :]
-    gram = frames @ np.swapaxes(frames, -1, -2)
-    drift = float(np.max(np.abs(gram - np.eye(3))))
+def _polar_factor(frames: np.ndarray) -> np.ndarray:
+    """Nearest orthonormal triples of a (..., 3, 3) stack, by two Newton-Schulz steps."""
+    # each 3x3 product runs as nine vector operations over the stack, which
+    # are contiguous when the stack is the frames' innermost memory axis
+    f = np.moveaxis(frames, (-2, -1), (0, 1))
+    gram = np.einsum("ik...,jk...->ij...", f, f)
+    drift = float(np.max(np.abs(gram - np.eye(3).reshape((3, 3) + (1,) * (f.ndim - 2)))))
     if not drift <= FRAME_DRIFT_LIMIT:  # also a NaN drift from overflowing coefficients
         raise IntegrationError(
             f"frame drift {drift:.3e} exceeds {FRAME_DRIFT_LIMIT}; grid is too coarse "
             "for the stepper")
     # Newton-Schulz F <- 1.5 F - 0.5 F F^T F converges quadratically to the
     # polar factor for drift < 1: from drift 1e-6, two steps reach roundoff.
-    frames = 1.5 * frames - 0.5 * gram @ frames
-    gram = frames @ np.swapaxes(frames, -1, -2)
-    y[..., 1:4, :] = 1.5 * frames - 0.5 * gram @ frames
-    return y
+    f = 1.5 * f - 0.5 * np.einsum("ik...,kj...->ij...", gram, f)
+    gram = np.einsum("ik...,jk...->ij...", f, f)
+    f = 1.5 * f - 0.5 * np.einsum("ik...,kj...->ij...", gram, f)
+    return np.moveaxis(f, (0, 1), (-2, -1))
 
 
 def _midpoint_coefficients(coef_values: np.ndarray, axis_coords: np.ndarray) -> np.ndarray:
-    """Cubic-spline coefficients at the n - 1 interval midpoints t_k + h/2."""
-    from scipy.interpolate import CubicSpline
+    """Not-a-knot cubic-spline values at the n - 1 interval midpoints t_k + h/2.
 
-    h = axis_coords[1] - axis_coords[0]
-    return CubicSpline(axis_coords, coef_values, axis=0)(axis_coords[:-1] + 0.5 * h)
+    With s_k the spline's node slopes times h, the cubic on [t_k, t_k+1] takes
+    (y_k + y_k+1)/2 + (s_k - s_k+1)/8 at the midpoint. Three nodes give the
+    parabola through them.
+    """
+    y = coef_values
+    n = y.shape[0]
+    if n == 3:
+        return np.stack([0.375 * y[0] + 0.75 * y[1] - 0.125 * y[2],
+                         -0.125 * y[0] + 0.75 * y[1] + 0.375 * y[2]])
+    d = np.diff(y, axis=0)
+    # rows s_i-1 + 4 s_i + s_i+1 = 3 (d_i-1 + d_i) for s_1..s_n-2, with the
+    # not-a-knot ends s_0 = s_2 + 2 (d_0 - d_1) and s_n-1 = s_n-3 + 2 (d_n-2 - d_n-3)
+    # substituted into the first and last rows: off-diagonals 2 there, else 1
+    s = 3.0 * (d[:-1] + d[1:])
+    s[0] = d[0] + 5.0 * d[1]
+    s[-1] = 5.0 * d[-2] + d[-1]
+    # Thomas elimination, stable here because every row is diagonally dominant;
+    # c holds the eliminated super-diagonal
+    m = n - 2
+    c = np.empty(m)
+    c[0] = 0.5
+    s[0] /= 4.0
+    for i in range(1, m):
+        sub = 2.0 if i == m - 1 else 1.0
+        w = 4.0 - sub * c[i - 1]
+        c[i] = 1.0 / w
+        s[i] -= sub * s[i - 1]
+        s[i] /= w
+    for i in range(m - 2, -1, -1):
+        s[i] -= c[i] * s[i + 1]
+    first = s[1] + 2.0 * (d[0] - d[1])
+    last = s[-2] + 2.0 * (d[-1] - d[-2])
+    s = np.concatenate([first[None], s, last[None]])
+    return 0.5 * (y[:-1] + y[1:]) + 0.125 * (s[:-1] - s[1:])
+
+
+def _step_propagators(c0, cm, c1, h: float, tangent: int) -> np.ndarray:
+    """Step maps [p; Q], shape (steps, lines, 4, 3), from (steps, 3, lines) coefficients.
+
+    The frame rate is linear in the state, so one RK4 step of the unit state
+    [0; I] gives the whole step: x' = x + p F and F' = Q F. The lines are the
+    innermost memory axis throughout, which keeps every rate a long vector
+    operation.
+    """
+    unit = np.zeros((c0.shape[0], 4, 3, c0.shape[-1]))
+    unit[:, 1:] = np.eye(3)[:, :, None]
+    unit = np.moveaxis(unit, -1, 1)
+    c0, cm, c1 = (np.moveaxis(c, 1, -1) for c in (c0, cm, c1))
+    k1 = _frame_rate(unit, c0, tangent)
+    k2 = _frame_rate(unit + 0.5 * h * k1, cm, tangent)
+    k3 = _frame_rate(unit + 0.5 * h * k2, cm, tangent)
+    k4 = _frame_rate(unit + h * k3, c1, tangent)
+    return unit + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _march(y0: np.ndarray, coef_values: np.ndarray, axis_coords: np.ndarray,
@@ -132,23 +190,29 @@ def _march(y0: np.ndarray, coef_values: np.ndarray, axis_coords: np.ndarray,
     axis comes first. Returns states of shape (n,) + y0.shape.
     """
     n = axis_coords.size
-    mid = _midpoint_coefficients(coef_values, axis_coords)
+    h = axis_coords[1] - axis_coords[0]
+    node = np.ascontiguousarray(np.moveaxis(coef_values.reshape(n, -1, 3), -1, 1))
+    mid = _midpoint_coefficients(node, axis_coords)  # (n - 1, 3, lines)
     out = np.empty((n,) + y0.shape, dtype=float)
     out[k0] = y0
+    start = y0.copy()
+    start[..., 1:, :] = _polar_factor(y0[..., 1:, :])
     for direction in (1, -1):
-        y = y0.copy()
-        rng = range(k0, n - 1) if direction == 1 else range(k0, 0, -1)
-        h = direction * (axis_coords[1] - axis_coords[0])
-        for k in rng:
+        steps = np.arange(k0, n - 1) if direction == 1 else np.arange(k0, 0, -1)
+        y = start
+        for b in range(0, steps.size, MARCH_BLOCK):
+            ks = steps[b:b + MARCH_BLOCK]
             # the step from k to k + direction crosses interval min(k, k + direction)
-            cm = mid[min(k, k + direction)]
-            k1 = _frame_rate(y, coef_values[k], tangent)
-            k2 = _frame_rate(y + 0.5 * h * k1, cm, tangent)
-            k3 = _frame_rate(y + 0.5 * h * k2, cm, tangent)
-            k4 = _frame_rate(y + h * k3, coef_values[k + direction], tangent)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            y = _renormalize(y)
-            out[k + direction] = y
+            prop = _step_propagators(node[ks], mid[np.minimum(ks, ks + direction)],
+                                     node[ks + direction], direction * h, tangent)
+            # polar(Q F) = polar(Q) F for orthonormal F, so each Q is projected once
+            prop[..., 1:, :] = _polar_factor(prop[..., 1:, :])
+            prop = np.ascontiguousarray(prop).reshape(ks.shape + y0.shape)
+            for p, k in zip(prop, ks):
+                nxt = out[k + direction]
+                np.matmul(p, y[..., 1:, :], out=nxt)  # [p F; Q F]
+                nxt[..., 0, :] += y[..., 0, :]
+                y = nxt
     return out
 
 

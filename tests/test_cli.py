@@ -147,7 +147,14 @@ def test_check_non_finite_field_exits_3_from_reader(tmp_path):
     assert "field1 has non-finite values" in res.stderr
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", '{"format": "invariant-grid/1", '])
+NESTED_FIELD_GRID = json.dumps({
+    "format": "invariant-grid/1", "mode": "nu", "nu": [9, 9], "origin": [0.0, 0.0],
+    "spacing": [0.1, 0.1], "base_index": [4, 4], "a": 1.0, "b": 1.0,
+    "field1": [[1.0]] * 81, "field2": [0.0] * 81})
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"format": "invariant-grid/1", ',
+                                  pytest.param(NESTED_FIELD_GRID, id="nested-field")])
 def test_check_malformed_grid_file_exits_3(tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -166,12 +173,15 @@ def test_check_runs_without_scipy(tmp_path):
         formats.write_invariant_grid(canonical_grid(name, *ranges, 33, None, mode, **params),
                                      paths[-1])
     script = """
-import contextlib, io, sys
+import contextlib, io, os, sys
 import canonsurf
 from canonsurf import canonical, cli
 for path in sys.argv[1:]:
+    stem = os.path.splitext(path)[0]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["check", "--input", path]) == 0, path
+        assert cli.main(["reconstruct", "--input", path, "--output", stem + ".obj",
+                         "--report", stem + "-report.json"]) == 0, path
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded[:5]
 import scipy.optimize
@@ -194,6 +204,19 @@ def test_check_overflowing_residual_exits_3(tmp_path):
         # no numpy RuntimeWarning lines ahead of the error
         assert res.stderr.splitlines() == ["canonsurf: error: gauss-canonical residual is "
                                            "not finite (interior max abs inf, rms inf)"]
+
+
+def test_reconstruct_overflowing_frame_exits_3(tmp_path):
+    # 8 nodes a side skips the floor test; the overflowing frame rates reach
+    # the drift guard as NaN, and nothing is written
+    path = tmp_path / "huge8.json"
+    formats.write_invariant_grid(overflowing_invariants(8), str(path))
+    res = run_cli("reconstruct", "--input", str(path), "--output", str(tmp_path / "m.obj"),
+                  "--report", str(tmp_path / "r.json"))
+    assert res.returncode == 3
+    assert res.stderr.splitlines() == ["canonsurf: error: frame drift nan exceeds 1e-06; "
+                                       "grid is too coarse for the stepper"]
+    assert not (tmp_path / "m.obj").exists()
 
 
 def test_canonicalize_umbilic_chart_exits_2(tmp_path):

@@ -181,3 +181,19 @@ def test_malformed_grid_file_raises_dimension_error(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(DimensionError, match="malformed invariant-grid file"):
         formats.read_invariant_grid(str(path))
+
+
+FLAT_GRID = {"format": "invariant-grid/1", "mode": "nu", "nu": [9, 9], "origin": [0.0, 0.0],
+             "spacing": [0.1, 0.1], "base_index": [4, 4], "a": 1.0, "b": 1.0,
+             "field1": [1.0] * 81, "field2": [0.0] * 81}
+
+
+@pytest.mark.parametrize("field1", [[[1.0]] * 81, [[1.0] * 9] * 9, [1.0] * 80, [1.0] * 82,
+                                    ["1.0"] * 81, [True] * 81, [None] * 81, "1.0"],
+                         ids=["nested-81x1", "nested-9x9", "short", "long", "strings",
+                              "booleans", "nulls", "string"])
+def test_grid_field_must_be_flat_list_of_nu_nv_numbers(field1):
+    assert formats.invariant_grid_from_dict(FLAT_GRID).geometry.nu == 9
+    data = dict(FLAT_GRID, field1=field1)
+    with pytest.raises(DimensionError, match="field1 must be a flat list of 81 numbers"):
+        formats.invariant_grid_from_dict(data)

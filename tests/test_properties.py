@@ -1,5 +1,6 @@
 """Property tests: curvature invariants under a u<->v swap and a homothety of the chart,
-and the affine fit between canonical charts whose axes are listed in the other order."""
+the affine fit between canonical charts whose axes are listed in the other order, and
+reconstruction under a rigid motion of the initial frame."""
 
 import math
 
@@ -101,3 +102,30 @@ def test_swapped_chart_reports_swapped(name, mode, i, j):
     assert m.swapped
     assert m.misfit <= 1e-6, m.misfit
     assert abs(abs(m.lam) - 1.0) < 1e-3 and abs(abs(m.mu) - 1.0) < 1e-3, (m.lam, m.mu)
+
+
+@st.composite
+def rigid_motions(draw):
+    """A proper rotation R, from a unit quaternion, and a translation t."""
+    q = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+                      .filter(lambda q: np.linalg.norm(q) > 0.1)))
+    w, x, y, z = q / np.linalg.norm(q)
+    R = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                  [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                  [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+    t = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)))
+    return R, t
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(sorted(AFFINE_CHARTS)), st.sampled_from(["nu", "kh"]), rigid_motions())
+def test_reconstruction_is_equivariant_under_the_initial_frame(name, mode, motion):
+    # the frame (t; R e1, R e2, R n) moves the whole mesh by x -> R x + t
+    R, t = motion
+    inv = _canonical_grid(name, None, mode)
+    mesh = cs.reconstruct(inv, check_compatibility=False)
+    moved = cs.reconstruct(inv, initial_frame=cs.FrameState(t, *R.T), check_compatibility=False)
+    pos = mesh.positions.values
+    scale = max(np.max(np.abs(pos)), np.max(np.abs(t)))
+    assert np.max(np.abs(moved.positions.values - (pos @ R.T + t))) <= 1e-12 * scale
+    assert np.max(np.abs(moved.normals.values - mesh.normals.values @ R.T)) <= 1e-12

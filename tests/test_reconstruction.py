@@ -175,13 +175,12 @@ class TestFrameMarch:
         frames = q + 0.9 * drift / np.max(np.abs(first_order + np.swapaxes(first_order, -1, -2))) * noise
         gram = frames @ np.swapaxes(frames, -1, -2)
         assert 0.5 * drift < np.max(np.abs(gram - np.eye(3))) <= drift
-        y = np.concatenate([rng.standard_normal((200, 1, 3)), frames], axis=1)
-        x = y[:, 0, :].copy()
-        out = reconstruction._renormalize(y)[:, 1:4, :]
+        given = frames.copy()
+        out = reconstruction._polar_factor(frames)
         assert np.max(np.abs(out - svd_polar_factor(frames))) < 1e-13
         assert np.max(np.abs(out @ np.swapaxes(out, -1, -2) - np.eye(3))) < 1e-14
         assert np.all(np.abs(np.linalg.det(out) - 1.0) < 1e-14)
-        assert np.array_equal(y[:, 0, :], x)
+        assert np.array_equal(frames, given)
 
     def test_midpoint_table_matches_spline(self):
         inv, _, _ = torus_invariants(33)
@@ -195,6 +194,45 @@ class TestFrameMarch:
         # a step from k to k + 1 uses mid[k]; a step from k to k - 1 uses mid[k - 1]
         assert np.max(np.abs(mid - spline(ax[:-1] + 0.5 * h))) <= 1e-14 * scale
         assert np.max(np.abs(mid - spline(ax[1:] - 0.5 * h))) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 33])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_midpoint_table_matches_spline_on_short_axes(self, n, axis):
+        # a smooth table with no symmetry along either axis: three nodes take
+        # the parabola, four or more the tridiagonal solve
+        u = np.linspace(0.2, 1.4, n)[:, None]
+        v = np.linspace(-0.5, 0.9, n)[None, :]
+        table = np.stack([np.exp(0.8 * u - 0.3 * v), np.sin(1.3 * u + 0.7 * v) + 2.0,
+                          np.cos(u) * v**2 + u**3], axis=-1)
+        coef = table if axis == 0 else np.moveaxis(table, 1, 0)
+        ax = np.ravel(u if axis == 0 else v)
+        h = ax[1] - ax[0]
+        spline = CubicSpline(ax, coef, axis=0)
+        mid = reconstruction._midpoint_coefficients(coef, ax)
+        scale = np.max(np.abs(coef))
+        assert np.max(np.abs(mid - spline(ax[:-1] + 0.5 * h))) <= 1e-14 * scale
+        assert np.max(np.abs(mid - spline(ax[1:] - 0.5 * h))) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("k0", [0, 44])
+    def test_march_from_either_end_matches_reference(self, k0):
+        # 44 steps: one full block of propagators and a partial one. The
+        # initial frame is off orthonormal by 5e-12 (1e-10 is accepted): left
+        # unprojected it would put every later frame off by as much, while its
+        # projection moves the first step's position by about h times as much
+        n = 45
+        assert (n - 1) % reconstruction.MARCH_BLOCK != 0
+        inv, _, _ = torus_invariants(n)
+        E, G, L, N = cs.coefficients_from_invariants(inv)
+        R = random_rotation(3)
+        init = cs.FrameState(np.zeros(3), R[0] * (1.0 + 5e-12), R[1], R[2])
+        cu, cv = reconstruction._frame_coefficients(E, G, L, N, init, inv.base)
+        y0 = init.as_matrix()
+        row = reconstruction._march(y0, cu[:, k0, :], E.u_axis, k0, tangent=1)
+        ref_row = reference_march(y0, cu[:, k0, :], E.u_axis, k0, tangent=1)
+        assert np.max(np.abs(row - ref_row)) <= 1e-12
+        lines = reconstruction._march(row, np.moveaxis(cv, 1, 0), E.v_axis, k0, tangent=2)
+        ref_lines = reference_march(row, np.moveaxis(cv, 1, 0), E.v_axis, k0, tangent=2)
+        assert np.max(np.abs(lines - ref_lines)) <= 1e-12
 
     @pytest.mark.parametrize("build, kh", [(catenoid_invariants, False),
                                            (catenoid_invariants, True),
