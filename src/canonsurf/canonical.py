@@ -26,7 +26,15 @@ from .errors import (
     MonotonicityError,
     RangeError,
 )
-from .grid import BaseIndex, Grid2, invert_monotone_map, path_exponent, same_geometry
+from .grid import (
+    BaseIndex,
+    Grid2,
+    invert_monotone_map,
+    not_a_knot_slopes,
+    path_exponent,
+    pchip,
+    same_geometry,
+)
 from .invariants import require_umbilic_free
 from .reports import make_report
 
@@ -130,13 +138,13 @@ def _deriv4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 
 def _cumint4(values: np.ndarray, h: float, i0: int, axis: int) -> np.ndarray:
-    from scipy.interpolate import CubicSpline
-
+    # integral of the not-a-knot spline from node i0: on each interval the
+    # cubic with end slopes s / h integrates to h ((y_k + y_k+1)/2 + (s_k - s_k+1)/12)
     f = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    x = h * np.arange(f.shape[0])
-    anti = CubicSpline(x, f, axis=0).antiderivative()
-    out = anti(x) - anti(x[i0])
-    return np.moveaxis(out, 0, axis)
+    s = not_a_knot_slopes(f)
+    total = np.zeros_like(f)
+    np.cumsum(h * (0.5 * (f[:-1] + f[1:]) + (s[:-1] - s[1:]) / 12.0), axis=0, out=total[1:])
+    return np.moveaxis(total - total[i0], 0, axis)
 
 
 @dataclass(frozen=True)
@@ -215,10 +223,8 @@ def _canonical_axis(bar_samples: np.ndarray, n: int):
 
 def _resample_2d(maps: CanonicalMaps, values: np.ndarray, u_src: np.ndarray,
                  v_src: np.ndarray) -> np.ndarray:
-    from scipy.interpolate import PchipInterpolator
-
-    along_u = PchipInterpolator(maps.u_samples, values, axis=0)(u_src)
-    return PchipInterpolator(maps.v_samples, along_u, axis=1)(v_src)
+    along_u = np.swapaxes(pchip(maps.u_samples, values, u_src), 0, 1)
+    return np.swapaxes(pchip(maps.v_samples, along_u, v_src), 0, 1)
 
 
 def _source_axes(maps: CanonicalMaps, u_axis: np.ndarray, v_axis: np.ndarray):

@@ -320,16 +320,16 @@ def cmd_special(args) -> int:
     if args.case == "weingarten":
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if data.get("format") != "weingarten/1":
+        if not isinstance(data, dict) or data.get("format") != "weingarten/1":
             raise ValueError("weingarten case needs a weingarten/1 file")
-        nu_count, nv_count = (int(n) for n in data["nu"])
-        field = np.asarray(data["field"], dtype=float).reshape((nu_count, nv_count), order="F")
+        field = formats.grid_field(data, "field", *formats.header_pair(data, "nu", int))
         wd = special_surfaces.WeingartenData(
             np.asarray(data["t"], dtype=float), np.asarray(data["f"], dtype=float),
             np.asarray(data["g"], dtype=float),
-            Grid2(*(float(q) for q in data["origin"]), *(float(q) for q in data["spacing"]), field),
-            float(data["A"]), float(data["B"]),
-            BaseIndex(*(int(n) for n in data["base_index"])))
+            Grid2(*formats.header_pair(data, "origin", float),
+                  *formats.header_pair(data, "spacing", float), field),
+            formats.header_number(data, "A"), formats.header_number(data, "B"),
+            BaseIndex(*formats.header_pair(data, "base_index", int)))
         reports, skipped = [special_surfaces.weingarten_residual(wd)], []
     else:
         inv = formats.read_invariant_grid(args.input)

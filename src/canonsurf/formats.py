@@ -92,7 +92,34 @@ def invariant_grid_to_dict(inv: InvariantGrid) -> dict:
     }
 
 
-def _grid_field(data: dict, key: str, nu: int, nv: int) -> np.ndarray:
+def _header_scalar(value, key: str, kind: type):
+    kinds, what = (int, "integers") if kind is int else ((int, float), "numbers")
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise DimensionError(f"{key} must hold JSON {what}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError as exc:
+        raise DimensionError(f"{key} does not fit a float: {value!r}") from exc
+
+
+def header_number(data: dict, key: str) -> float:
+    """data[key], which must be a JSON number (no bool, no string), as a float."""
+    if key not in data:
+        raise DimensionError(f"missing header entry {key}")
+    return _header_scalar(data[key], key, float)
+
+
+def header_pair(data: dict, key: str, kind: type) -> tuple:
+    """data[key], which must be a list of two JSON integers (kind int) or
+    numbers (kind float), as a tuple of kind; bools and strings are refused."""
+    pair = data.get(key)
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise DimensionError(f"{key} must be a list of two values, got {pair!r}")
+    return tuple(_header_scalar(value, key, kind) for value in pair)
+
+
+def grid_field(data: dict, key: str, nu: int, nv: int) -> np.ndarray:
+    """data[key], a flat list of nu * nv numbers with u fastest, as an (nu, nv) array."""
     # a nested list of the right element count must not load as a grid
     values = np.asarray(data[key])
     if values.ndim != 1 or values.size != nu * nv or values.dtype.kind not in "iuf":
@@ -107,14 +134,14 @@ def invariant_grid_from_dict(data: dict) -> InvariantGrid:
     if data.get("format") != INVARIANT_GRID_FORMAT:
         raise RangeError(f"not an invariant-grid file (format={data.get('format')!r})")
     try:
-        nu, nv = (int(n) for n in data["nu"])
-        u0, v0 = (float(q) for q in data["origin"])
-        du, dv = (float(q) for q in data["spacing"])
-        i0, j0 = (int(n) for n in data["base_index"])
-        a, b = float(data["a"]), float(data["b"])
+        nu, nv = header_pair(data, "nu", int)
+        u0, v0 = header_pair(data, "origin", float)
+        du, dv = header_pair(data, "spacing", float)
+        i0, j0 = header_pair(data, "base_index", int)
+        a, b = header_number(data, "a"), header_number(data, "b")
         mode = data["mode"]
-        f1, f2 = (_grid_field(data, key, nu, nv) for key in ("field1", "field2"))
-    except (KeyError, ValueError, TypeError) as exc:
+        f1, f2 = (grid_field(data, key, nu, nv) for key in ("field1", "field2"))
+    except (DimensionError, KeyError, ValueError, TypeError) as exc:
         raise DimensionError(f"malformed invariant-grid file: {exc}") from exc
     make = lambda vals: Grid2(u0, v0, du, dv, vals)
     return InvariantGrid(mode, make(f1), make(f2), a, b, BaseIndex(i0, j0))

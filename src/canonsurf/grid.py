@@ -1,8 +1,11 @@
-"""Shared numerical substrate: grids, stencils, quadrature, path exponents, map inversion.
+"""Shared numerical substrate: grids, stencils, quadrature, path exponents, 1-D
+cubic interpolants, map inversion.
 
-All discretizations are second order (central differences inside, one-sided
-second-order stencils on the two boundary layers, composite trapezoid
-quadrature) so that every residual in the package has a clean O(h^2) target.
+All default discretizations are second order (central differences inside,
+one-sided second-order stencils on the two boundary layers, composite
+trapezoid quadrature) so that every residual in the package has a clean
+O(h^2) target. The not-a-knot spline and the monotone cubic (PCHIP) serve the
+fourth-order map construction, resampling and frame march.
 """
 
 from __future__ import annotations
@@ -207,6 +210,119 @@ def path_exponent(f: np.ndarray, gap: np.ndarray, g: Grid2, base: BaseIndex, axi
     return full + cumint(line, h[other], k0[other], other)
 
 
+def not_a_knot_slopes(y: np.ndarray) -> np.ndarray:
+    """Node slopes, times the step, of the not-a-knot cubic spline through
+    uniformly spaced samples y along axis 0, for any trailing shape.
+
+    Three nodes leave the cubic free by one degree; they take the parabola
+    through them.
+    """
+    n = y.shape[0]
+    if n < 3:
+        raise DimensionError("a not-a-knot spline needs at least 3 samples")
+    if n == 3:
+        return np.stack([-1.5 * y[0] + 2.0 * y[1] - 0.5 * y[2], 0.5 * (y[2] - y[0]),
+                         0.5 * y[0] - 2.0 * y[1] + 1.5 * y[2]])
+    d = np.diff(y, axis=0)
+    # rows s_i-1 + 4 s_i + s_i+1 = 3 (d_i-1 + d_i) for s_1..s_n-2, with the
+    # not-a-knot ends s_0 = s_2 + 2 (d_0 - d_1) and s_n-1 = s_n-3 + 2 (d_n-2 - d_n-3)
+    # substituted into the first and last rows: off-diagonals 2 there, else 1
+    s = 3.0 * (d[:-1] + d[1:])
+    s[0] = d[0] + 5.0 * d[1]
+    s[-1] = 5.0 * d[-2] + d[-1]
+    # Thomas elimination, stable here because every row is diagonally dominant;
+    # c holds the eliminated super-diagonal
+    m = n - 2
+    c = np.empty(m)
+    c[0] = 0.5
+    s[0] /= 4.0
+    for i in range(1, m):
+        sub = 2.0 if i == m - 1 else 1.0
+        w = 4.0 - sub * c[i - 1]
+        c[i] = 1.0 / w
+        s[i] -= sub * s[i - 1]
+        s[i] /= w
+    for i in range(m - 2, -1, -1):
+        s[i] -= c[i] * s[i + 1]
+    first = s[1] + 2.0 * (d[0] - d[1])
+    last = s[-2] + 2.0 * (d[-1] - d[-2])
+    return np.concatenate([first[None], s, last[None]])
+
+
+def _pchip_edge(h0, h1, m0, m1):
+    # one-sided three-point derivative, set to 0 when its sign differs from
+    # the end interval's and capped at 3 m0 where the data turn
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    d = np.where(np.sign(d) != np.sign(m0), 0.0, d)
+    turn = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(turn, 3.0 * m0, d)
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Power-form coefficients c[0..3] of (t - x_k)^3..^0, per interval, of the
+    monotone piecewise cubic (PCHIP) through (x, y) along axis 0.
+
+    The node derivatives are Fritsch and Carlson's, in the Fritsch-Butland
+    form: 0 where the data turn or lie flat, else the weighted harmonic mean
+    of the neighbouring slopes; the ends take the one-sided rule of
+    _pchip_edge. Two nodes give the line.
+    """
+    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    m = np.diff(y, axis=0)
+    m /= h
+    if y.shape[0] == 2:
+        d = np.concatenate([m, m])
+    else:
+        sign = np.sign(m)
+        flat = sign[1:] * sign[:-1] <= 0.0  # the data turn or lie flat
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        d = np.empty_like(y)
+        # a flat node divides by a zero slope (or by a zero mean) here and
+        # is then set to 0; a slope too small to invert gives the limit 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            whmean = w1 / m[:-1]
+            whmean += w2 / m[1:]
+            whmean /= w1 + w2
+            np.divide(1.0, whmean, out=d[1:-1])
+        d[1:-1][flat] = 0.0
+        d[0] = _pchip_edge(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_edge(h[-1], h[-2], m[-1], m[-2])
+    # the Hermite coefficients in the order of operations of scipy's
+    # CubicHermiteSpline, with t = (d_k + d_k+1 - 2 m_k) / h_k
+    c = np.empty((4,) + m.shape)
+    t = np.add(d[:-1], d[1:], out=c[0])
+    t -= 2.0 * m
+    t /= h
+    np.subtract(m, d[:-1], out=c[1])
+    c[1] /= h
+    c[1] -= t
+    t /= h
+    c[2] = d[:-1]
+    c[3] = y[:-1]
+    return c
+
+
+def _cubic(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # the power sum of scipy's PPoly, so PCHIP values agree with it bitwise
+    s2 = s * s
+    return c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
+
+
+def pchip(x, y, xq) -> np.ndarray:
+    """Monotone piecewise cubic (PCHIP) through (x, y) along axis 0 of y,
+    evaluated at the 1-D points xq; outside [x_0, x_n-1] the end cubics
+    extrapolate. x must be strictly increasing.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xq = np.asarray(xq, dtype=float)
+    c = _pchip_coefficients(x, y)
+    k = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+    s = (xq - x[k]).reshape(xq.shape + (1,) * (y.ndim - 1))
+    return _cubic(c[:, k], s)
+
+
 def _check_strictly_increasing(a: np.ndarray, what: str) -> None:
     if np.any(np.diff(a) <= 0):
         raise MonotonicityError(f"{what} samples are not strictly increasing")
@@ -230,12 +346,12 @@ def invert_monotone_map(x_samples, y_samples, y):
     if np.any(y_arr < ys[0]) or np.any(y_arr > ys[-1]):
         raise RangeError(f"target outside sampled range [{ys[0]}, {ys[-1]}]")
 
-    from scipy.interpolate import PchipInterpolator
-
-    interp = PchipInterpolator(xs, ys, extrapolate=False)
-    # bracket each target between consecutive samples, then bisect
+    # bracket each target between consecutive samples, then bisect; the
+    # bracket never leaves its interval, whose cubic is gathered once
     hi_idx = np.clip(np.searchsorted(ys, y_arr, side="left"), 1, xs.size - 1)
-    lo = xs[hi_idx - 1].copy()
+    cubic = _pchip_coefficients(xs, ys)[:, hi_idx - 1]
+    x_left = xs[hi_idx - 1]
+    lo = x_left.copy()
     hi = xs[hi_idx].copy()
     exact = ys[hi_idx] == y_arr
     lo[exact] = xs[hi_idx][exact]
@@ -247,8 +363,7 @@ def invert_monotone_map(x_samples, y_samples, y):
         width = hi - lo
         if np.all(width <= INVERSION_RTOL * np.maximum(1.0, np.abs(mid))):
             break
-        f_mid = interp(mid)
-        go_right = f_mid < y_arr
+        go_right = _cubic(cubic, mid - x_left) < y_arr
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
     out = 0.5 * (lo + hi)

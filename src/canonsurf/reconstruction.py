@@ -31,7 +31,16 @@ from .errors import (
     PositivityError,
     ShapeMismatchError,
 )
-from .grid import BaseIndex, Grid2, partial_u, partial_v, same_geometry, second_u, second_v
+from .grid import (
+    BaseIndex,
+    Grid2,
+    not_a_knot_slopes,
+    partial_u,
+    partial_v,
+    same_geometry,
+    second_u,
+    second_v,
+)
 
 FRAME_DRIFT_LIMIT = 1e-6
 MARCH_BLOCK = 32  # steps whose propagators are formed together: cache-sized temporaries
@@ -127,39 +136,11 @@ def _polar_factor(frames: np.ndarray) -> np.ndarray:
 def _midpoint_coefficients(coef_values: np.ndarray, axis_coords: np.ndarray) -> np.ndarray:
     """Not-a-knot cubic-spline values at the n - 1 interval midpoints t_k + h/2.
 
-    With s_k the spline's node slopes times h, the cubic on [t_k, t_k+1] takes
-    (y_k + y_k+1)/2 + (s_k - s_k+1)/8 at the midpoint. Three nodes give the
-    parabola through them.
+    With s_k the spline's node slopes times h (grid.not_a_knot_slopes), the
+    cubic on [t_k, t_k+1] takes (y_k + y_k+1)/2 + (s_k - s_k+1)/8 at the midpoint.
     """
     y = coef_values
-    n = y.shape[0]
-    if n == 3:
-        return np.stack([0.375 * y[0] + 0.75 * y[1] - 0.125 * y[2],
-                         -0.125 * y[0] + 0.75 * y[1] + 0.375 * y[2]])
-    d = np.diff(y, axis=0)
-    # rows s_i-1 + 4 s_i + s_i+1 = 3 (d_i-1 + d_i) for s_1..s_n-2, with the
-    # not-a-knot ends s_0 = s_2 + 2 (d_0 - d_1) and s_n-1 = s_n-3 + 2 (d_n-2 - d_n-3)
-    # substituted into the first and last rows: off-diagonals 2 there, else 1
-    s = 3.0 * (d[:-1] + d[1:])
-    s[0] = d[0] + 5.0 * d[1]
-    s[-1] = 5.0 * d[-2] + d[-1]
-    # Thomas elimination, stable here because every row is diagonally dominant;
-    # c holds the eliminated super-diagonal
-    m = n - 2
-    c = np.empty(m)
-    c[0] = 0.5
-    s[0] /= 4.0
-    for i in range(1, m):
-        sub = 2.0 if i == m - 1 else 1.0
-        w = 4.0 - sub * c[i - 1]
-        c[i] = 1.0 / w
-        s[i] -= sub * s[i - 1]
-        s[i] /= w
-    for i in range(m - 2, -1, -1):
-        s[i] -= c[i] * s[i + 1]
-    first = s[1] + 2.0 * (d[0] - d[1])
-    last = s[-2] + 2.0 * (d[-1] - d[-2])
-    s = np.concatenate([first[None], s, last[None]])
+    s = not_a_knot_slopes(y)
     return 0.5 * (y[:-1] + y[1:]) + 0.125 * (s[:-1] - s[1:])
 
 

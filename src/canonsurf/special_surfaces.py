@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiscriminantError, PositivityError, RangeError, ZeroMeanCurvatureError
-from .grid import BaseIndex, Grid2, _cumtrapz, partial_u, partial_v, second_u, second_v
+from .grid import BaseIndex, Grid2, _cumtrapz, partial_u, partial_v, pchip, second_u, second_v
 from .reports import ResidualReport, make_report
 
 
@@ -89,14 +89,15 @@ def weingarten_residual(data: WeingartenData) -> ResidualReport:
     gp = np.gradient(g, t, edge_order=2)
     fpp = np.gradient(fp, t, edge_order=2)
     gpp = np.gradient(gp, t, edge_order=2)
-    from scipy.interpolate import PchipInterpolator
-
     anti_minus = _cumtrapz(gp / (g - f), np.diff(t), 0)  # of g'/(g-f)
     anti_plus = _cumtrapz(fp / (f - g), np.diff(t), 0)   # of f'/(f-g)
 
-    at = lambda samples: PchipInterpolator(t, samples)(data.nu.values)
-    nu0 = data.nu0
-    at0 = lambda samples: float(PchipInterpolator(t, samples)(nu0))
+    # every sample array at every node and, last, at the base value nu0
+    nodes = data.nu.values
+    at = pchip(t, np.stack([f, g, fp, gp, fpp, gpp, anti_minus, anti_plus], axis=1),
+               np.append(nodes.ravel(), data.nu0))
+    f_n, g_n, fp_n, gp_n, fpp_n, gpp_n, am_n, ap_n = (a[:-1].reshape(nodes.shape) for a in at.T)
+    am0, ap0 = at[-1, 6:]
 
     nu_u = partial_u(data.nu).values
     nu_v = partial_v(data.nu).values
@@ -106,12 +107,9 @@ def weingarten_residual(data: WeingartenData) -> ResidualReport:
         warnings.warn("nu_u * nu_v vanishes somewhere; the surface is not strongly "
                       "regular Weingarten there", UserWarning, stacklevel=2)
 
-    f_n, g_n = at(f), at(g)
-    fp_n, gp_n = at(fp), at(gp)
-    fpp_n, gpp_n = at(fpp), at(gpp)
     w_n = f_n - g_n
-    exp_minus = np.exp(2.0 * (at(anti_minus) - at0(anti_minus)))
-    exp_plus = np.exp(2.0 * (at(anti_plus) - at0(anti_plus)))
+    exp_minus = np.exp(2.0 * (am_n - am0))
+    exp_plus = np.exp(2.0 * (ap_n - ap0))
 
     lhs = data.A * (fp_n * nu_vv + (fpp_n - 2.0 * fp_n**2 / w_n) * nu_v**2) * exp_minus
     lhs -= data.B * (gp_n * nu_uu + (gpp_n + 2.0 * gp_n**2 / w_n) * nu_u**2) * exp_plus

@@ -10,7 +10,7 @@ import pytest
 import canonsurf as cs
 from canonsurf import formats
 
-from helpers import SRC_DIR, canonical_grid, overflowing_invariants, run_cli
+from helpers import SRC_DIR, overflowing_invariants, run_cli
 
 
 def test_analyze_torus_identity(tmp_path):
@@ -153,8 +153,16 @@ NESTED_FIELD_GRID = json.dumps({
     "field1": [[1.0]] * 81, "field2": [0.0] * 81})
 
 
+# loaded as a 9 x 9 grid while header values were passed through int()
+COERCED_HEADER_GRID = json.dumps({
+    "format": "invariant-grid/1", "mode": "nu", "nu": [9.9, "9"], "origin": [0.0, 0.0],
+    "spacing": [0.1, 0.1], "base_index": [4, 4], "a": 1.0, "b": 1.0,
+    "field1": [1.0] * 81, "field2": [0.0] * 81})
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '{"format": "invariant-grid/1", ',
-                                  pytest.param(NESTED_FIELD_GRID, id="nested-field")])
+                                  pytest.param(NESTED_FIELD_GRID, id="nested-field"),
+                                  pytest.param(COERCED_HEADER_GRID, id="coerced-header")])
 def test_check_malformed_grid_file_exits_3(tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -164,34 +172,42 @@ def test_check_malformed_grid_file_exits_3(tmp_path, text):
 
 
 def test_check_runs_without_scipy(tmp_path):
-    # pytest's own process has scipy loaded, so only a fresh interpreter sees the import path
-    paths = []
-    for name, ranges, mode, params in (("catenoid", ((-1, 1), (0, math.pi)), "nu", {}),
-                                       ("torus", ((0, 2 * math.pi),) * 2, "kh",
-                                        {"R": 2.0, "r": 1.0})):
-        paths.append(str(tmp_path / f"{name}.json"))
-        formats.write_invariant_grid(canonical_grid(name, *ranges, 33, None, mode, **params),
-                                     paths[-1])
+    # pytest's own process has scipy loaded, so only a fresh interpreter sees
+    # the import path: canonicalize (nu and kh), check and reconstruct each
+    # leave scipy unloaded
     script = """
 import contextlib, io, os, sys
 import canonsurf
 from canonsurf import canonical, cli
-for path in sys.argv[1:]:
-    stem = os.path.splitext(path)[0]
+
+def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["check", "--input", path]) == 0, path
-        assert cli.main(["reconstruct", "--input", path, "--output", stem + ".obj",
-                         "--report", stem + "-report.json"]) == 0, path
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert not loaded, loaded[:5]
+        assert cli.main(list(argv)) == 0, argv
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert not loaded, (argv[0], loaded[:5])
+
+run_dir = sys.argv[1]
+for surface, ranges, mode in (
+        (["--surface", "catenoid"], ["--u", "-1:1:33", "--v", "0:3.141592653589793:21",
+                                     "--base-index", "9,14"], "nu"),
+        (["--surface", "torus", "--param", "R=2", "--param", "r=1"],
+         ["--u", "0:6.283185307179586:33", "--v", "0:6.283185307179586:33"], "kh")):
+    stem = os.path.join(run_dir, mode)
+    run("canonicalize", *surface, *ranges, "--mode", mode, "--output", stem + ".json")
+    run("check", "--input", stem + ".json")
+    run("reconstruct", "--input", stem + ".json", "--output", stem + ".obj",
+        "--report", stem + "-report.json")
 import scipy.optimize
 assert canonical.least_squares is scipy.optimize.least_squares
 assert not hasattr(canonical, "no_such_attribute")
 """
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
-    res = subprocess.run([sys.executable, "-c", script, *paths], capture_output=True,
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
                          text=True, env=env)
     assert res.returncode == 0, res.stderr
+    for mode in ("nu", "kh"):
+        assert formats.read_invariant_grid(str(tmp_path / f"{mode}.json")).mode == mode
+        assert (tmp_path / f"{mode}.obj").stat().st_size > 0
 
 
 def test_check_overflowing_residual_exits_3(tmp_path):
@@ -388,6 +404,33 @@ def test_special_weingarten(tmp_path):
     assert res.returncode == 0, res.stderr
     report = json.loads(res.stdout)
     assert report["residuals"][0]["name"] == "weingarten"
+
+
+@pytest.mark.parametrize("key, value", [("nu", [33.5, 33]), ("base_index", [16, True]),
+                                        ("A", "1.0"), ("origin", ["-1", 0.0])])
+def test_special_weingarten_refuses_coerced_header(tmp_path, key, value):
+    n = 33
+    t = np.linspace(0.3, 1.1, 201)
+    payload = {
+        "format": "weingarten/1",
+        "t": list(t), "f": list(t), "g": list(-t), "A": 1.0, "B": 1.0,
+        "nu": [n, n], "origin": [-1.0, 0.0], "spacing": [2.0 / (n - 1), math.pi / (n - 1)],
+        "base_index": [n // 2, n // 2], "field": [0.5] * (n * n), key: value,
+    }
+    path = tmp_path / "wg.json"
+    path.write_text(json.dumps(payload))
+    res = run_cli("special", "--case", "weingarten", "--input", str(path))
+    assert res.returncode == 3
+    assert res.stderr.startswith(f"canonsurf: error: {key} must"), res.stderr
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"format": "invariant-grid/1"}'])
+def test_special_weingarten_refuses_other_files(tmp_path, text):
+    path = tmp_path / "wg.json"
+    path.write_text(text)
+    res = run_cli("special", "--case", "weingarten", "--input", str(path))
+    assert res.returncode == 3
+    assert res.stderr == "canonsurf: error: weingarten case needs a weingarten/1 file\n"
 
 
 def test_outdir_env_redirects_relative_output(tmp_path):

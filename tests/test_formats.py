@@ -197,3 +197,29 @@ def test_grid_field_must_be_flat_list_of_nu_nv_numbers(field1):
     data = dict(FLAT_GRID, field1=field1)
     with pytest.raises(DimensionError, match="field1 must be a flat list of 81 numbers"):
         formats.invariant_grid_from_dict(data)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("nu", [9.9, "9"]), ("nu", [9.0, 9]), ("nu", [True, 9]), ("nu", [9, 9, 9]), ("nu", 9),
+    ("base_index", [4.7, True]), ("base_index", [4, None]), ("base_index", "4,4"),
+    ("origin", ["0.0", 0.0]), ("origin", [False, 0.0]), ("spacing", [0.1]),
+    ("spacing", [0.1, 10**400]), ("a", True), ("a", None), ("b", "1.0"), ("b", [1.0]),
+])
+def test_header_values_are_validated_not_coerced(key, value):
+    data = dict(FLAT_GRID, **{key: value})
+    with pytest.raises(DimensionError, match=f"malformed invariant-grid file: {key}"):
+        formats.invariant_grid_from_dict(data)
+
+
+def test_header_accepts_integral_json_numbers_for_floats():
+    data = dict(FLAT_GRID, origin=[0, -1], spacing=[1, 0.5], a=2, b=3)
+    inv = formats.invariant_grid_from_dict(data)
+    g = inv.geometry
+    assert (g.u0, g.v0, g.du, g.dv, inv.a, inv.b) == (0.0, -1.0, 1.0, 0.5, 2.0, 3.0)
+    assert all(type(q) is float for q in (g.u0, g.v0, g.du, g.dv, inv.a, inv.b))
+
+
+def test_missing_header_entry_is_named():
+    data = {k: v for k, v in FLAT_GRID.items() if k != "b"}
+    with pytest.raises(DimensionError, match="missing header entry b"):
+        formats.invariant_grid_from_dict(data)

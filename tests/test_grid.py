@@ -6,7 +6,7 @@ import pytest
 import canonsurf as cs
 from canonsurf.errors import DimensionError, MonotonicityError, RangeError
 from canonsurf.canonical import _cumint4, _deriv4
-from canonsurf.grid import path_exponent
+from canonsurf.grid import path_exponent, pchip
 
 from helpers import grid_from_fn, observed_orders
 
@@ -172,6 +172,78 @@ def test_path_exponent_matches_cumulative_integrals():
     assert np.array_equal(path_exponent(g.values, gap, g, base, 0), want)
 
 
+def _pchip_cases():
+    # (x, y) along axis 0: monotone, non-monotone, flat runs (zero interval
+    # slopes), data turning at either end (both edge clamps) and non-uniform x
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4, 33):
+        x = np.cumsum(rng.uniform(0.2, 1.0, n)) - 1.0
+        t = np.linspace(0.0, 1.0, n)
+        yield n, "monotone", x, np.exp(2.0 * t) + t
+        yield n, "non-monotone", x, np.sin(7.0 * t) + 0.3 * rng.standard_normal(n)
+        yield n, "flat-runs", x, np.floor(3.0 * t) + (t > 0.5)
+        ends = rng.standard_normal(n)
+        ends[:3], ends[-3:] = [0.0, 1.0, 0.8][:n], [0.8, 1.0, 0.0][-min(n, 3):]
+        yield n, "edge-turns", x, ends
+        yield n, "steep-edge", x, np.where(t < 0.1, 10.0 * t, 1.0 + 0.01 * t) - 4.0 * (t == 1.0)
+
+
+@pytest.mark.parametrize("n, kind, x, y", list(_pchip_cases()),
+                         ids=[f"{c[0]}-{c[1]}" for c in _pchip_cases()])
+def test_pchip_equals_scipy(n, kind, x, y):
+    from scipy.interpolate import PchipInterpolator
+
+    inside = x[:-1] + np.diff(x) * np.linspace(0.1, 0.9, n - 1)
+    xq = np.concatenate([x, [x[0], x[-1]], inside])
+    table = np.stack([y, y**2 - 1.0, -3.0 * y], axis=1)
+    for data in (y, table):
+        got = pchip(x, data, xq)
+        want = PchipInterpolator(x, data, axis=0)(xq)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(data))
+
+
+def test_pchip_edge_clamps_are_exercised():
+    # the ends of these data take 0 (the one-sided estimate has the wrong
+    # sign) and 3 m0 (the data turn and the estimate exceeds it)
+    from scipy.interpolate import PchipInterpolator
+
+    x = np.array([0.0, 1.0, 1.5, 4.0])
+    for y, d0 in ((np.array([0.0, 0.1, 2.0, 2.5]), 0.0),
+                  (np.array([0.0, 1.0, -1.0, -2.0]), 3.0)):
+        assert PchipInterpolator(x, y).derivative()(0.0) == d0
+        s = 1e-3
+        assert abs((pchip(x, y, [s])[0] - y[0]) / s - d0) < 1e-2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 33])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_cumint4_equals_spline_antiderivative(n, axis):
+    from scipy.interpolate import CubicSpline
+
+    h = 0.07
+    u = h * np.arange(n)
+    table = np.exp(0.8 * u[:, None] - 0.3 * u[None, :]) + np.sin(3.0 * u)[:, None] * u[None, :]
+    values = table if axis == 0 else table.T
+    scale = np.max(np.abs(values))
+    anti = CubicSpline(u, np.moveaxis(values, axis, 0), axis=0).antiderivative()
+    for i0 in (0, n // 2, n - 1):
+        want = np.moveaxis(anti(u) - anti(u[i0]), 0, axis)
+        got = _cumint4(values, h, i0, axis)
+        assert np.all(np.take(got, i0, axis=axis) == 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
+def test_pchip_raises_no_runtime_warning():
+    # flat runs and turning data make scipy divide by zero slopes, which it
+    # hides; the numpy code must not divide by them at all
+    x = np.linspace(0.0, 1.0, 9)
+    y = np.array([0.0, 0.0, 1.0, 1.0, 0.5, 0.5, 2.0, -1.0, -1.0])
+    with np.errstate(all="raise"):
+        got = pchip(x, np.stack([y, -y], axis=1), np.linspace(0.0, 1.0, 41))
+    assert np.all(np.isfinite(got))
+
+
 class TestInvertMonotoneMap:
     def test_identity(self):
         x = np.linspace(0, 1, 11)
@@ -196,6 +268,21 @@ class TestInvertMonotoneMap:
         x = np.linspace(0, 1, 11)
         with pytest.raises(RangeError):
             cs.invert_monotone_map(x, x, 1.5)
+
+    @pytest.mark.parametrize("ys_of", [np.sinh, lambda x: np.exp(3.0 * x) + x,
+                                       lambda x: x + 0.4 * np.sin(2.0 * x)])
+    def test_equals_scipy_inverse(self, ys_of):
+        from scipy.interpolate import PchipInterpolator
+        from scipy.optimize import brentq
+
+        x = np.cumsum(np.random.default_rng(2).uniform(0.5, 1.5, 40)) / 20.0 - 0.7
+        ys = ys_of(x)
+        interp = PchipInterpolator(x, ys)
+        targets = np.concatenate([ys[::7], np.linspace(ys[0], ys[-1], 57)])
+        got = cs.invert_monotone_map(x, ys, targets)
+        want = np.array([brentq(lambda s: interp(s) - y, x[0], x[-1], xtol=1e-300,
+                                rtol=4 * np.finfo(float).eps) for y in targets])
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
 
     def test_non_monotone(self):
         x = np.linspace(0, 1, 11)

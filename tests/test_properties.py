@@ -1,5 +1,5 @@
-"""Property tests: curvature invariants under a u<->v swap and a homothety of the chart,
-the affine fit between canonical charts whose axes are listed in the other order, and
+"""Property tests: curvature invariants under a u<->v swap, a homothety and a rigid
+motion of the chart, the affine fit between canonical charts whose axes are listed in the other order, and
 reconstruction under a rigid motion of the initial frame."""
 
 import math
@@ -129,3 +129,19 @@ def test_reconstruction_is_equivariant_under_the_initial_frame(name, mode, motio
     scale = max(np.max(np.abs(pos)), np.max(np.abs(t)))
     assert np.max(np.abs(moved.positions.values - (pos @ R.T + t))) <= 1e-12 * scale
     assert np.max(np.abs(moved.normals.values - mesh.normals.values @ R.T)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(charts(), rigid_motions())
+def test_rigid_motion_keeps_curvatures(jets, motion):
+    # x -> R x + t moves every derivative by R, and a proper rotation carries
+    # the normal along, so K and H keep their values and signs
+    R, t = motion
+    moved = cs.JetGrid(jets.x.like(jets.x.values @ R.T + t),
+                       *(g.like(g.values @ R.T)
+                         for g in (jets.xu, jets.xv, jets.xuu, jets.xuv, jets.xvv)))
+    c, m = _curvatures(jets), _curvatures(moved)
+    scale = max(np.max(np.abs(c.nu1.values)), np.max(np.abs(c.nu2.values)))
+    tol = 1e-12 * scale
+    assert np.max(np.abs(m.K.values - c.K.values)) <= tol * scale
+    assert np.max(np.abs(m.H.values - c.H.values)) <= tol
