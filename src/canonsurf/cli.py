@@ -217,7 +217,8 @@ def _check_report(inv):
         "grid": _grid_block(inv.geometry),
         "residuals": [rep.to_dict()],
     }
-    floor = compatibility.compatibility_floor(inv)
+    # the floor test reuses the full-grid residual rather than evaluating it again
+    floor = compatibility._floor_check(inv, rep)
     result["floor_check"] = None if floor is None else {
         "fine_max_abs": floor.fine_max_abs,
         "coarse_max_abs": floor.coarse_max_abs,
@@ -324,8 +325,7 @@ def cmd_special(args) -> int:
             raise ValueError("weingarten case needs a weingarten/1 file")
         field = formats.grid_field(data, "field", *formats.header_pair(data, "nu", int))
         wd = special_surfaces.WeingartenData(
-            np.asarray(data["t"], dtype=float), np.asarray(data["f"], dtype=float),
-            np.asarray(data["g"], dtype=float),
+            *(formats.number_list(data, key) for key in ("t", "f", "g")),
             Grid2(*formats.header_pair(data, "origin", float),
                   *formats.header_pair(data, "spacing", float), field),
             formats.header_number(data, "A"), formats.header_number(data, "B"),

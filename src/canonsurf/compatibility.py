@@ -156,6 +156,12 @@ def _subsample(inv: InvariantGrid) -> InvariantGrid:
                          BaseIndex(inv.base.i0 // 2, inv.base.j0 // 2))
 
 
+def _canonical_residual(inv: InvariantGrid) -> ResidualReport:
+    if inv.mode == "nu":
+        return gauss_residual_canonical(inv)
+    return gauss_residual_canonical_kh(inv)
+
+
 def compatibility_floor(inv: InvariantGrid) -> FloorCheck | None:
     """Compare the canonical Gauss residual at full and halved resolution.
 
@@ -167,8 +173,13 @@ def compatibility_floor(inv: InvariantGrid) -> FloorCheck | None:
     """
     if min(inv.geometry.nu, inv.geometry.nv) < FLOOR_MIN_NODES:
         return None
-    residual = gauss_residual_canonical if inv.mode == "nu" else gauss_residual_canonical_kh
-    fine = residual(inv).max_abs
-    coarse = residual(_subsample(inv)).max_abs
-    ratio = coarse / fine if fine > 0 else float("inf")
-    return FloorCheck(fine, coarse, ratio, bool(ratio >= FLOOR_MIN_RATIO))
+    return _floor_check(inv, _canonical_residual(inv))
+
+
+def _floor_check(inv: InvariantGrid, fine: ResidualReport) -> FloorCheck | None:
+    """compatibility_floor(inv), given the full grid's canonical residual."""
+    if min(inv.geometry.nu, inv.geometry.nv) < FLOOR_MIN_NODES:
+        return None
+    coarse = _canonical_residual(_subsample(inv)).max_abs
+    ratio = coarse / fine.max_abs if fine.max_abs > 0 else float("inf")
+    return FloorCheck(fine.max_abs, coarse, ratio, bool(ratio >= FLOOR_MIN_RATIO))

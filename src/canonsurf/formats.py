@@ -118,13 +118,32 @@ def header_pair(data: dict, key: str, kind: type) -> tuple:
     return tuple(_header_scalar(value, key, kind) for value in pair)
 
 
+def _flat_numbers(values) -> np.ndarray | None:
+    """values as a 1-D array if it is a flat list of JSON numbers, else None."""
+    if not isinstance(values, list):
+        return None
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nested list
+        return None
+    # a string, bool or null makes the dtype non-numeric, a nested list adds a dimension
+    return array if array.ndim == 1 and array.dtype.kind in "iuf" else None
+
+
+def number_list(data: dict, key: str) -> np.ndarray:
+    """data[key], a flat list of JSON numbers, as a float array."""
+    array = _flat_numbers(data[key])
+    if array is None:
+        raise DimensionError(f"{key} must be a flat list of numbers")
+    return array.astype(float)
+
+
 def grid_field(data: dict, key: str, nu: int, nv: int) -> np.ndarray:
     """data[key], a flat list of nu * nv numbers with u fastest, as an (nu, nv) array."""
-    # a nested list of the right element count must not load as a grid
-    values = np.asarray(data[key])
-    if values.ndim != 1 or values.size != nu * nv or values.dtype.kind not in "iuf":
-        raise ValueError(f"{key} must be a flat list of {nu * nv} numbers")
-    return values.astype(float, copy=False).reshape((nu, nv), order="F")
+    array = _flat_numbers(data[key])
+    if array is None or array.size != nu * nv:
+        raise DimensionError(f"{key} must be a flat list of {nu * nv} numbers")
+    return array.astype(float, copy=False).reshape((nu, nv), order="F")
 
 
 def invariant_grid_from_dict(data: dict) -> InvariantGrid:

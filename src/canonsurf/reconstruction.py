@@ -6,12 +6,14 @@ rebuilt (F = M = 0 by construction), and the orthonormal frame
 row in u, then along every column in v, with a classical fourth-order stepper.
 The frame system is linear, so one RK4 step of the unit state maps the whole
 state: x' = x + p F and F' = Q F. These step propagators are formed for a
-block of steps on every line at once, and each Q is pulled to its polar
-factor, the nearest orthonormal matrix, by two Newton-Schulz steps; for an
-orthonormal frame that equals projecting the stepped frame. What remains
-sequential is one small matrix product per step. The stepper's node
-coefficients are the grid values; its midpoint coefficients are the
-not-a-knot cubic spline's, from one tridiagonal solve per axis in numpy.
+block of steps on every line at once, one array per matrix entry, without
+the products with the unit state's zeros. Each Q is pulled to its polar
+factor, the nearest orthonormal matrix, by one Newton-Schulz step (two when
+the block's drift exceeds NEWTON_SCHULZ_ONE_STEP); for an orthonormal frame
+that equals projecting the stepped frame. What remains sequential is one
+small matrix product per step. The stepper's node coefficients are the grid
+values; its midpoint coefficients are the not-a-knot cubic spline's, from one
+tridiagonal solve per axis in numpy.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ from .grid import (
 )
 
 FRAME_DRIFT_LIMIT = 1e-6
+# one Newton-Schulz step leaves an error of about 0.4 drift^2, below roundoff
+# from this drift on down; a larger drift gets a second step
+NEWTON_SCHULZ_ONE_STEP = 1e-8
 MARCH_BLOCK = 32  # steps whose propagators are formed together: cache-sized temporaries
 
 
@@ -99,38 +104,71 @@ def coefficients_from_invariants(inv: InvariantGrid):
     return like(E), like(G), like(nu1 * E), like(nu2 * G)
 
 
-def _frame_rate(y, coef, tangent: int):
-    # y[..., 0,:] = x, y[..., 1,:] = e1, y[..., 2,:] = e2, y[..., 3,:] = n
-    a = coef[..., 0:1]
-    b = coef[..., 1:2]
-    c = coef[..., 2:3]
+def _scaled(s, x):
+    """s * x, where None stands for an exact zero of the unit state."""
+    return None if x is None else s * x
+
+
+def _plus(x, y):
+    """x + y, where None stands for an exact zero of the unit state."""
+    return x if y is None else y if x is None else x + y
+
+
+def _frame_rate(col, coef, tangent: int):
+    """Rate of one column (x, e1, e2, n) of the frame state; coef holds (a, b, c, -b, -c).
+
+    The columns of the state evolve independently, each entry is an array or
+    None for an exact zero, and no product with a zero is formed.
+    """
+    a, b, c, neg_b, neg_c = coef
     other = 3 - tangent
-    et = y[..., tangent, :]
-    d = np.empty_like(y)
-    d[..., 0, :] = a * et
-    d[..., tangent, :] = -b * y[..., other, :] + c * y[..., 3, :]
-    d[..., other, :] = b * et
-    d[..., 3, :] = -c * et
+    d = [None] * 4
+    d[0] = _scaled(a, col[tangent])
+    d[tangent] = _plus(_scaled(neg_b, col[other]), _scaled(c, col[3]))
+    d[other] = _scaled(b, col[tangent])
+    d[3] = _scaled(neg_c, col[tangent])
     return d
 
 
-def _polar_factor(frames: np.ndarray) -> np.ndarray:
-    """Nearest orthonormal triples of a (..., 3, 3) stack, by two Newton-Schulz steps."""
-    # each 3x3 product runs as nine vector operations over the stack, which
-    # are contiguous when the stack is the frames' innermost memory axis
-    f = np.moveaxis(frames, (-2, -1), (0, 1))
-    gram = np.einsum("ik...,jk...->ij...", f, f)
-    drift = float(np.max(np.abs(gram - np.eye(3).reshape((3, 3) + (1,) * (f.ndim - 2)))))
+def _gram_deviation(f):
+    """Entries of F F^T - I, as a symmetric nested 3x3 list, of the entries f[i][j]."""
+    dev = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            g = f[i][0] * f[j][0] + f[i][1] * f[j][1] + f[i][2] * f[j][2]
+            dev[i][j] = dev[j][i] = g - 1.0 if i == j else g
+    return dev
+
+
+def _newton_schulz_step(f, dev):
+    """Entries of F - 0.5 (F F^T - I) F, from the entries of F and of its Gram deviation."""
+    return [[f[i][j] - 0.5 * (dev[i][0] * f[0][j] + dev[i][1] * f[1][j] + dev[i][2] * f[2][j])
+             for j in range(3)] for i in range(3)]
+
+
+def _polar_entries(f):
+    """Polar factor, the nearest orthonormal matrix, of the 3x3 matrix of stacks f[i][j].
+
+    Newton-Schulz converges quadratically (Bjorck & Bowie 1971; Higham 1986):
+    one step from a drift max|F F^T - I| of NEWTON_SCHULZ_ONE_STEP or less
+    reaches roundoff, so a second step is taken only above it.
+    """
+    dev = _gram_deviation(f)
+    drift = float(np.max([np.max(np.abs(dev[i][j])) for i in range(3) for j in range(i, 3)]))
     if not drift <= FRAME_DRIFT_LIMIT:  # also a NaN drift from overflowing coefficients
         raise IntegrationError(
             f"frame drift {drift:.3e} exceeds {FRAME_DRIFT_LIMIT}; grid is too coarse "
             "for the stepper")
-    # Newton-Schulz F <- 1.5 F - 0.5 F F^T F converges quadratically to the
-    # polar factor for drift < 1: from drift 1e-6, two steps reach roundoff.
-    f = 1.5 * f - 0.5 * np.einsum("ik...,kj...->ij...", gram, f)
-    gram = np.einsum("ik...,jk...->ij...", f, f)
-    f = 1.5 * f - 0.5 * np.einsum("ik...,kj...->ij...", gram, f)
-    return np.moveaxis(f, (0, 1), (-2, -1))
+    f = _newton_schulz_step(f, dev)
+    if drift > NEWTON_SCHULZ_ONE_STEP:
+        f = _newton_schulz_step(f, _gram_deviation(f))
+    return f
+
+
+def _polar_factor(frames: np.ndarray) -> np.ndarray:
+    """Nearest orthonormal triples of a (..., 3, 3) stack."""
+    f = _polar_entries(np.moveaxis(frames, (-2, -1), (0, 1)))
+    return np.moveaxis(np.array(f), (0, 1), (-2, -1))
 
 
 def _midpoint_coefficients(coef_values: np.ndarray, axis_coords: np.ndarray) -> np.ndarray:
@@ -144,23 +182,32 @@ def _midpoint_coefficients(coef_values: np.ndarray, axis_coords: np.ndarray) -> 
     return 0.5 * (y[:-1] + y[1:]) + 0.125 * (s[:-1] - s[1:])
 
 
-def _step_propagators(c0, cm, c1, h: float, tangent: int) -> np.ndarray:
-    """Step maps [p; Q], shape (steps, lines, 4, 3), from (steps, 3, lines) coefficients.
+def _step_propagators(c0, cm, c1, h: float, tangent: int) -> list:
+    """Step maps [p; Q] from (steps, 3, lines) coefficients, as a nested 4x3 list of
+    (steps, lines) entries.
 
     The frame rate is linear in the state, so one RK4 step of the unit state
-    [0; I] gives the whole step: x' = x + p F and F' = Q F. The lines are the
-    innermost memory axis throughout, which keeps every rate a long vector
-    operation.
+    [0; I] gives the whole step: x' = x + p F and F' = Q F. The state's
+    columns evolve independently, each entry is its own array with the lines
+    as the innermost memory axis, and the unit state's exact zeros are never
+    multiplied: the first stage has 9 of them in 12 entries.
     """
-    unit = np.zeros((c0.shape[0], 4, 3, c0.shape[-1]))
-    unit[:, 1:] = np.eye(3)[:, :, None]
-    unit = np.moveaxis(unit, -1, 1)
-    c0, cm, c1 = (np.moveaxis(c, 1, -1) for c in (c0, cm, c1))
-    k1 = _frame_rate(unit, c0, tangent)
-    k2 = _frame_rate(unit + 0.5 * h * k1, cm, tangent)
-    k3 = _frame_rate(unit + 0.5 * h * k2, cm, tangent)
-    k4 = _frame_rate(unit + h * k3, c1, tangent)
-    return unit + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    coefs = [(a, b, c, -b, -c) for a, b, c in (np.moveaxis(k, 1, 0) for k in (c0, cm, c1))]
+    out = [[None] * 3 for _ in range(4)]
+    for j in range(3):
+        unit = [None] * 4
+        unit[j + 1] = 1.0
+        k1 = _frame_rate(unit, coefs[0], tangent)
+        k2 = _frame_rate([_plus(u, _scaled(0.5 * h, k)) for u, k in zip(unit, k1)],
+                         coefs[1], tangent)
+        k3 = _frame_rate([_plus(u, _scaled(0.5 * h, k)) for u, k in zip(unit, k2)],
+                         coefs[1], tangent)
+        k4 = _frame_rate([_plus(u, _scaled(h, k)) for u, k in zip(unit, k3)],
+                         coefs[2], tangent)
+        for r in range(4):  # k4 has no zero entry left
+            slope = _plus(_plus(_plus(k1[r], _scaled(2.0, k2[r])), _scaled(2.0, k3[r])), k4[r])
+            out[r][j] = _plus(unit[r], _scaled(h / 6.0, slope))
+    return out
 
 
 def _march(y0: np.ndarray, coef_values: np.ndarray, axis_coords: np.ndarray,
@@ -184,14 +231,16 @@ def _march(y0: np.ndarray, coef_values: np.ndarray, axis_coords: np.ndarray,
         for b in range(0, steps.size, MARCH_BLOCK):
             ks = steps[b:b + MARCH_BLOCK]
             # the step from k to k + direction crosses interval min(k, k + direction)
-            prop = _step_propagators(node[ks], mid[np.minimum(ks, ks + direction)],
-                                     node[ks + direction], direction * h, tangent)
+            p, *q = _step_propagators(node[ks], mid[np.minimum(ks, ks + direction)],
+                                      node[ks + direction], direction * h, tangent)
             # polar(Q F) = polar(Q) F for orthonormal F, so each Q is projected once
-            prop[..., 1:, :] = _polar_factor(prop[..., 1:, :])
-            prop = np.ascontiguousarray(prop).reshape(ks.shape + y0.shape)
-            for p, k in zip(prop, ks):
+            prop = np.empty(ks.shape + node.shape[-1:] + (4, 3))
+            for r, row in enumerate([p, *_polar_entries(q)]):
+                for j, entry in enumerate(row):
+                    prop[..., r, j] = entry
+            for step, k in zip(prop.reshape(ks.shape + y0.shape), ks):
                 nxt = out[k + direction]
-                np.matmul(p, y[..., 1:, :], out=nxt)  # [p F; Q F]
+                np.matmul(step, y[..., 1:, :], out=nxt)  # [p F; Q F]
                 nxt[..., 0, :] += y[..., 0, :]
                 y = nxt
     return out
@@ -251,7 +300,8 @@ def path_consistency_diagnostic(E: Grid2, G: Grid2, L: Grid2, N: Grid2,
     incompatible data.
     """
     cu, cv = _frame_coefficients(E, G, L, N, init, base)
-    a = _integrate_states(cu, cv, E, init, base, u_first=True)[..., 0, :]
+    # a copy of the positions frees the first march's frames before the second march
+    a = _integrate_states(cu, cv, E, init, base, u_first=True)[..., 0, :].copy()
     b = _integrate_states(cu, cv, E, init, base, u_first=False)[..., 0, :]
     return float(np.max(np.linalg.norm(a - b, axis=-1)))
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import canonsurf as cs
-from canonsurf import formats
+from canonsurf import cli, compatibility, formats
 
-from helpers import SRC_DIR, overflowing_invariants, run_cli
+from helpers import SRC_DIR, canonical_grid, overflowing_invariants, run_cli
 
 
 def test_analyze_torus_identity(tmp_path):
@@ -222,6 +222,37 @@ def test_check_overflowing_residual_exits_3(tmp_path):
                                            "not finite (interior max abs inf, rms inf)"]
 
 
+@pytest.mark.parametrize("name, u, v, mode", [
+    ("catenoid", (-1.0, 1.0), (0.0, math.pi), "nu"),
+    ("torus", (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi), "kh"),
+])
+def test_check_evaluates_canonical_residual_once_per_grid(tmp_path, monkeypatch, name, u, v, mode):
+    # the floor test reuses the full grid's residual: one evaluation on the
+    # full grid and one on the halved grid, and the report is unchanged
+    inv = canonical_grid(name, u, v, 33, None, mode)
+    path = tmp_path / "grid.json"
+    formats.write_invariant_grid(inv, str(path))
+    inv = formats.read_invariant_grid(str(path))
+    g = inv.geometry
+    rep = (cs.gauss_residual_canonical if mode == "nu" else cs.gauss_residual_canonical_kh)(inv)
+    floor = cs.compatibility_floor(inv)
+    expected = {
+        "format": "check-report/1", "mode": mode,
+        "grid": {"counts": [g.nu, g.nv], "origin": [g.u0, g.v0], "spacing": [g.du, g.dv]},
+        "residuals": [rep.to_dict()],
+        "floor_check": {"fine_max_abs": floor.fine_max_abs, "coarse_max_abs": floor.coarse_max_abs,
+                        "ratio": floor.ratio, "compatible": floor.compatible},
+    }
+    calls = []
+    for fn in ("gauss_residual_canonical", "gauss_residual_canonical_kh"):
+        real = getattr(compatibility, fn)
+        monkeypatch.setattr(compatibility, fn,
+                            lambda grid, real=real: calls.append(grid.geometry.nu) or real(grid))
+    assert cli.main(["check", "--input", str(path), "--output", str(tmp_path / "r.json")]) == 0
+    assert calls == [33, 17]
+    assert (tmp_path / "r.json").read_text() == formats.dumps(expected) + "\n"
+
+
 def test_reconstruct_overflowing_frame_exits_3(tmp_path):
     # 8 nodes a side skips the floor test; the overflowing frame rates reach
     # the drift guard as NaN, and nothing is written
@@ -422,6 +453,27 @@ def test_special_weingarten_refuses_coerced_header(tmp_path, key, value):
     res = run_cli("special", "--case", "weingarten", "--input", str(path))
     assert res.returncode == 3
     assert res.stderr.startswith(f"canonsurf: error: {key} must"), res.stderr
+
+
+@pytest.mark.parametrize("key", ["t", "f", "g"])
+@pytest.mark.parametrize("value", [["0.3"] * 201, [True] * 201, [None] * 201, [[0.3]] * 201,
+                                   [[0.3, 0.4], [0.5]], "0.3", 0.3],
+                         ids=["strings", "booleans", "nulls", "nested", "ragged", "string",
+                              "number"])
+def test_special_weingarten_refuses_non_numeric_samples(tmp_path, key, value):
+    n = 33
+    t = np.linspace(0.3, 1.1, 201)
+    payload = {
+        "format": "weingarten/1",
+        "t": list(t), "f": list(t), "g": list(-t), "A": 1.0, "B": 1.0,
+        "nu": [n, n], "origin": [-1.0, 0.0], "spacing": [2.0 / (n - 1), math.pi / (n - 1)],
+        "base_index": [n // 2, n // 2], "field": [0.5] * (n * n), key: value,
+    }
+    path = tmp_path / "wg.json"
+    path.write_text(json.dumps(payload))
+    res = run_cli("special", "--case", "weingarten", "--input", str(path))
+    assert res.returncode == 3
+    assert res.stderr == f"canonsurf: error: {key} must be a flat list of numbers\n"
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", '{"format": "invariant-grid/1"}'])

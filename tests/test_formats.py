@@ -199,6 +199,16 @@ def test_grid_field_must_be_flat_list_of_nu_nv_numbers(field1):
         formats.invariant_grid_from_dict(data)
 
 
+@pytest.mark.parametrize("value", [["0.3"], [True, False], [None], [[0.3]], [[0.3, 0.4], [0.5]],
+                                   "0.3", 0.3, None],
+                         ids=["strings", "booleans", "nulls", "nested", "ragged", "string",
+                              "number", "null"])
+def test_number_list_refuses_anything_but_a_flat_list_of_numbers(value):
+    assert formats.number_list({"t": [0, 0.5, 2**63]}, "t").tolist() == [0.0, 0.5, 2.0**63]
+    with pytest.raises(DimensionError, match="^t must be a flat list of numbers$"):
+        formats.number_list({"t": value}, "t")
+
+
 @pytest.mark.parametrize("key, value", [
     ("nu", [9.9, "9"]), ("nu", [9.0, 9]), ("nu", [True, 9]), ("nu", [9, 9, 9]), ("nu", 9),
     ("base_index", [4.7, True]), ("base_index", [4, None]), ("base_index", "4,4"),

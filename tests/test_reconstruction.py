@@ -141,6 +141,21 @@ def svd_polar_factor(frames):
     return U @ Vt
 
 
+def frame_rate(y, coef, tangent):
+    """Array form of the frame rate: y[..., 0:4, :] = (x, e1, e2, n), coef[...] = (a, b, c)."""
+    a = coef[..., 0:1]
+    b = coef[..., 1:2]
+    c = coef[..., 2:3]
+    other = 3 - tangent
+    et = y[..., tangent, :]
+    d = np.empty_like(y)
+    d[..., 0, :] = a * et
+    d[..., tangent, :] = -b * y[..., other, :] + c * y[..., 3, :]
+    d[..., other, :] = b * et
+    d[..., 3, :] = -c * et
+    return d
+
+
 def reference_march(y0, coef_values, axis_coords, k0, tangent):
     """The frame march with a spline call per RK4 stage and an SVD polar step."""
     n = axis_coords.size
@@ -153,28 +168,81 @@ def reference_march(y0, coef_values, axis_coords, k0, tangent):
             t = axis_coords[k]
             h = direction * (axis_coords[1] - axis_coords[0])
             cm = spline(t + 0.5 * h)
-            k1 = reconstruction._frame_rate(y, spline(t), tangent)
-            k2 = reconstruction._frame_rate(y + 0.5 * h * k1, cm, tangent)
-            k3 = reconstruction._frame_rate(y + 0.5 * h * k2, cm, tangent)
-            k4 = reconstruction._frame_rate(y + h * k3, spline(t + h), tangent)
+            k1 = frame_rate(y, spline(t), tangent)
+            k2 = frame_rate(y + 0.5 * h * k1, cm, tangent)
+            k3 = frame_rate(y + 0.5 * h * k2, cm, tangent)
+            k4 = frame_rate(y + h * k3, spline(t + h), tangent)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             y[..., 1:4, :] = svd_polar_factor(y[..., 1:4, :])
             out[k + direction] = y
     return out
 
 
+def drifted_frames(seed, drift):
+    """200 rotations moved off orthonormal by a first-order drift of 0.9 * drift."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((200, 3, 3)))
+    q[np.linalg.det(q) < 0, 0, :] *= -1.0
+    noise = rng.standard_normal(q.shape)
+    # first-order drift of q + eps * noise is eps * max|q noise^T + noise q^T|
+    first_order = q @ np.swapaxes(noise, -1, -2)
+    return q + 0.9 * drift / np.max(np.abs(first_order + np.swapaxes(first_order, -1, -2))) * noise
+
+
+def frame_drift(frames):
+    return np.max(np.abs(frames @ np.swapaxes(frames, -1, -2) - np.eye(3)))
+
+
+def unit_state_rk4_step(c0, cm, c1, h, tangent):
+    """One RK4 step of the unit state [0; I] through the array-form rate, shaped
+    (steps, lines, 4, 3), from (steps, 3, lines) coefficients."""
+    c0, cm, c1 = (np.moveaxis(c, 1, -1) for c in (c0, cm, c1))
+    unit = np.zeros(c0.shape[:-1] + (4, 3))
+    unit[..., 1:, :] = np.eye(3)
+    k1 = frame_rate(unit, c0, tangent)
+    k2 = frame_rate(unit + 0.5 * h * k1, cm, tangent)
+    k3 = frame_rate(unit + 0.5 * h * k2, cm, tangent)
+    k4 = frame_rate(unit + h * k3, c1, tangent)
+    return unit + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 class TestFrameMarch:
+    @pytest.mark.parametrize("tangent", [1, 2])
+    @pytest.mark.parametrize("h", [0.07, -0.07])
+    @pytest.mark.parametrize("steps", [1, 7, reconstruction.MARCH_BLOCK])
+    @pytest.mark.parametrize("lines", [1, 65])
+    def test_step_propagators_are_one_rk4_step_of_the_unit_state(self, tangent, h, steps, lines):
+        # skipping the unit state's exact zeros changes no bit on finite coefficients
+        rng = np.random.default_rng(100 * steps + lines)
+        c0, cm, c1 = (rng.standard_normal((steps, 3, lines)) for _ in range(3))
+        got = np.array(reconstruction._step_propagators(c0, cm, c1, h, tangent))
+        assert got.shape == (4, 3, steps, lines)
+        want = unit_state_rk4_step(c0, cm, c1, h, tangent)
+        assert np.array_equal(np.moveaxis(got, (0, 1), (-2, -1)), want)
+
+    @pytest.mark.parametrize("scale, newton_schulz_steps", [(1.0, 1), (1.2, 2)])
+    def test_polar_factor_about_the_one_step_threshold(self, scale, newton_schulz_steps,
+                                                       monkeypatch):
+        threshold = reconstruction.NEWTON_SCHULZ_ONE_STEP
+        frames = drifted_frames(8, scale * threshold)
+        drift = frame_drift(frames)
+        # one step at or below the threshold, two just above it
+        assert 0.85 * threshold < drift < 1.2 * threshold
+        assert (drift <= threshold) == (newton_schulz_steps == 1)
+        calls = []
+        step = reconstruction._newton_schulz_step
+        monkeypatch.setattr(reconstruction, "_newton_schulz_step",
+                            lambda *args: calls.append(1) or step(*args))
+        out = reconstruction._polar_factor(frames)
+        assert len(calls) == newton_schulz_steps
+        assert np.max(np.abs(out - svd_polar_factor(frames))) < 1e-13
+        assert np.max(np.abs(out @ np.swapaxes(out, -1, -2) - np.eye(3))) < 1e-14
+        assert np.all(np.abs(np.linalg.det(out) - 1.0) < 1e-14)
+
     @pytest.mark.parametrize("drift", [1e-12, 1e-9, 1e-6])
     def test_renormalize_matches_svd_polar_factor(self, drift):
-        rng = np.random.default_rng(int(-math.log10(drift)))
-        q, _ = np.linalg.qr(rng.standard_normal((200, 3, 3)))
-        q[np.linalg.det(q) < 0, 0, :] *= -1.0
-        noise = rng.standard_normal(q.shape)
-        # first-order drift of q + eps * noise is eps * max|q noise^T + noise q^T|
-        first_order = q @ np.swapaxes(noise, -1, -2)
-        frames = q + 0.9 * drift / np.max(np.abs(first_order + np.swapaxes(first_order, -1, -2))) * noise
-        gram = frames @ np.swapaxes(frames, -1, -2)
-        assert 0.5 * drift < np.max(np.abs(gram - np.eye(3))) <= drift
+        frames = drifted_frames(int(-math.log10(drift)), drift)
+        assert 0.5 * drift < frame_drift(frames) <= drift
         given = frames.copy()
         out = reconstruction._polar_factor(frames)
         assert np.max(np.abs(out - svd_polar_factor(frames))) < 1e-13
