@@ -26,13 +26,11 @@ from .compatibility import (
 from .grid import (
     BaseIndex,
     Grid2,
-    cumulative_integral_u,
-    cumulative_integral_v,
+    d_u,
+    d_uu,
+    d_v,
+    d_vv,
     invert_monotone_map,
-    partial_u,
-    partial_v,
-    second_u,
-    second_v,
 )
 from .invariants import (
     CurvatureGrid,

@@ -5,10 +5,11 @@ monotone 1-D maps u -> ubar, v -> vbar built from path integrals of the
 curvature fields. The ubar integrand is constant in v exactly when the
 Codazzi equations hold, so its v-variation doubles as a Codazzi diagnostic.
 
-Map construction uses fourth-order stencils and spline quadrature internally:
-the maps feed resampling, and second-order map errors would dominate every
-downstream comparison. Verification (verify_canonical) deliberately sticks to
-the shared second-order substrate so it stays an independent check.
+Map construction uses grid.FOURTH_ORDER (five-point differences, spline
+quadrature): the maps feed resampling, and second-order map errors would
+dominate every downstream comparison. Verification (verify_canonical)
+deliberately sticks to the shared second-order substrate so it stays an
+independent check.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from .errors import (
     RangeError,
 )
 from .grid import (
+    FOURTH_ORDER,
     BaseIndex,
     Grid2,
+    _cumint4,
     invert_monotone_map,
-    not_a_knot_slopes,
     path_exponent,
     pchip,
     same_geometry,
@@ -117,36 +119,6 @@ class InvariantGrid:
         return self.field1
 
 
-# fourth-order internals for map construction ------------------------------
-
-_D4_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_D4_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-
-
-def _deriv4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    f = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    n = f.shape[0]
-    if n < 5:
-        return np.moveaxis(np.gradient(f, h, axis=0, edge_order=2), 0, axis)
-    out = np.empty_like(f)
-    out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
-    out[0] = np.tensordot(_D4_EDGE0, f[:5], axes=(0, 0)) / h
-    out[1] = np.tensordot(_D4_EDGE1, f[:5], axes=(0, 0)) / h
-    out[-1] = -np.tensordot(_D4_EDGE0, f[-5:][::-1], axes=(0, 0)) / h
-    out[-2] = -np.tensordot(_D4_EDGE1, f[-5:][::-1], axes=(0, 0)) / h
-    return np.moveaxis(out, 0, axis)
-
-
-def _cumint4(values: np.ndarray, h: float, i0: int, axis: int) -> np.ndarray:
-    # integral of the not-a-knot spline from node i0: on each interval the
-    # cubic with end slopes s / h integrates to h ((y_k + y_k+1)/2 + (s_k - s_k+1)/12)
-    f = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    s = not_a_knot_slopes(f)
-    total = np.zeros_like(f)
-    np.cumsum(h * (0.5 * (f[:-1] + f[1:]) + (s[:-1] - s[1:]) / 12.0), axis=0, out=total[1:])
-    return np.moveaxis(total - total[i0], 0, axis)
-
-
 @dataclass(frozen=True)
 class CanonicalMaps:
     """Sampled monotone maps u -> ubar, v -> vbar (base node to 0), with normalization data."""
@@ -194,12 +166,12 @@ def build_canonical_maps(E: Grid2, G: Grid2, nu1: Grid2, nu2: Grid2, base: BaseI
     b = float(G.values[i0, j0])
 
     # ubar: exponent = int_v (nu1)_v/gap + int_u (nu1)_u/gap on the base row
-    expo_u = path_exponent(nu1.values, gap, E, base, 1, _deriv4, _cumint4)
+    expo_u = path_exponent(nu1.values, gap, E, base, 1, FOURTH_ORDER)
     ubar, var_u = _map_1d(np.sqrt(E.values) * np.exp(expo_u), math.sqrt(a), E.du, i0,
                           reduce_axis=1, what="ubar")
 
     # vbar: exponent = -int_u (nu2)_u/gap - int_v (nu2)_v/gap on the base column
-    expo_v = -path_exponent(nu2.values, gap, E, base, 0, _deriv4, _cumint4)
+    expo_v = -path_exponent(nu2.values, gap, E, base, 0, FOURTH_ORDER)
     vbar, var_v = _map_1d(np.sqrt(G.values) * np.exp(expo_v), math.sqrt(b), E.dv, j0,
                           reduce_axis=0, what="vbar")
 
@@ -327,8 +299,8 @@ def _law_factors(inv: InvariantGrid):
     pairs = []
     for f1, f2 in labelings:
         gap = f1 - f2
-        psi1 = np.exp(-path_exponent(f1, gap, g, inv.base, 1, _deriv4, _cumint4))
-        psi2 = np.exp(path_exponent(f2, gap, g, inv.base, 0, _deriv4, _cumint4))
+        psi1 = np.exp(-path_exponent(f1, gap, g, inv.base, 1, FOURTH_ORDER))
+        psi2 = np.exp(path_exponent(f2, gap, g, inv.base, 0, FOURTH_ORDER))
         pairs.append(tuple(RectBivariateSpline(g.u_axis, g.v_axis, weight * p)
                            for p in (psi1, psi2)))
     return pairs

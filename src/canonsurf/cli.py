@@ -207,10 +207,7 @@ def cmd_canonicalize(args) -> int:
 
 
 def _check_report(inv):
-    if inv.mode == "nu":
-        rep = compatibility.gauss_residual_canonical(inv)
-    else:
-        rep = compatibility.gauss_residual_canonical_kh(inv)
+    rep = compatibility._canonical_residual(inv)
     result = {
         "format": "check-report/1",
         "mode": inv.mode,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import InvariantGrid
-from .errors import NotPrincipalError, RegularityError
-from .grid import BaseIndex, Grid2, d_u, d_v, partial_u, partial_v, path_exponent, same_geometry
+from .errors import DimensionError, NotPrincipalError, RegularityError
+from .grid import BaseIndex, Grid2, d_u, d_v, path_exponent, same_geometry
 from .invariants import FormGrid, is_principal, require_umbilic_free
 from .reports import ResidualReport, make_report
 
@@ -74,8 +74,8 @@ def codazzi_residual_principal(nu1: Grid2, nu2: Grid2, E: Grid2, G: Grid2):
     same_geometry(nu1, nu2, E, G)
     require_umbilic_free(nu1.values, nu2.values)
     gap = nu1.values - nu2.values
-    r1 = partial_v(E).values / (2.0 * E.values) + partial_v(nu1).values / gap
-    r2 = partial_u(G).values / (2.0 * G.values) - partial_u(nu2).values / gap
+    r1 = d_v(E.values, E) / (2.0 * E.values) + d_v(nu1.values, nu1) / gap
+    r2 = d_u(G.values, G) / (2.0 * G.values) - d_u(nu2.values, nu2) / gap
     return (make_report("codazzi-principal-1", nu1.like(r1)),
             make_report("codazzi-principal-2", nu1.like(r2)))
 
@@ -111,8 +111,8 @@ def canonical_factors(inv: InvariantGrid) -> tuple[np.ndarray, np.ndarray]:
 def gauss_residual_canonical(inv: InvariantGrid) -> ResidualReport:
     """Residual of the canonical-parameter Gauss equation in the nu route."""
     if inv.mode != "nu":
-        raise ValueError("gauss_residual_canonical expects a nu-mode grid; "
-                         "use gauss_residual_canonical_kh for KH data")
+        raise DimensionError("gauss_residual_canonical expects a nu-mode grid; "
+                             "use gauss_residual_canonical_kh for KH data")
     nu1, nu2 = inv.nu_arrays()
     gap = nu1 - nu2
     geo = inv.geometry

@@ -120,13 +120,14 @@ def header_pair(data: dict, key: str, kind: type) -> tuple:
 
 def _flat_numbers(values) -> np.ndarray | None:
     """values as a 1-D array if it is a flat list of JSON numbers, else None."""
-    if not isinstance(values, list):
+    # numpy would coerce a bool among numbers to 0 or 1
+    if not isinstance(values, list) or bool in set(map(type, values)):
         return None
     try:
         array = np.asarray(values)
     except ValueError:  # a ragged nested list
         return None
-    # a string, bool or null makes the dtype non-numeric, a nested list adds a dimension
+    # a string or null makes the dtype non-numeric, a nested list adds a dimension
     return array if array.ndim == 1 and array.dtype.kind in "iuf" else None
 
 

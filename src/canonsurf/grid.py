@@ -1,11 +1,14 @@
-"""Shared numerical substrate: grids, stencils, quadrature, path exponents, 1-D
-cubic interpolants, map inversion.
+"""Shared numerical substrate: grids, every derivative and quadrature
+stencil, path exponents, 1-D cubic interpolants, map inversion.
 
-All default discretizations are second order (central differences inside,
-one-sided second-order stencils on the two boundary layers, composite
-trapezoid quadrature) so that every residual in the package has a clean
-O(h^2) target. The not-a-knot spline and the monotone cubic (PCHIP) serve the
-fourth-order map construction, resampling and frame march.
+This module alone decides the discretization, and every stencil takes and
+returns bare arrays sampled on a Grid2's nodes. The default is second order
+(central differences inside, one-sided second-order stencils on the two
+boundary layers, composite trapezoid quadrature) so that every residual in
+the package has a clean O(h^2) target; FOURTH_ORDER (five-point differences,
+not-a-knot spline quadrature) serves the canonical map construction. The
+not-a-knot spline and the monotone cubic (PCHIP) also serve resampling and
+the frame march.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ GEOMETRY_RTOL = 1e-12  # same_geometry's tolerance on origins and spacings
 INVERSION_RTOL = 1e-12  # invert_monotone_map's bisection tolerance
 
 
-def _frozen_array(a, dtype=float) -> np.ndarray:
-    arr = np.array(a, dtype=dtype)
+def _frozen_array(a) -> np.ndarray:
+    arr = np.array(a, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -126,16 +129,6 @@ def d_v(values: np.ndarray, g: Grid2) -> np.ndarray:
     return _diff(values, g.dv, axis=1)
 
 
-def partial_u(g: Grid2) -> Grid2:
-    """d/du of a grid (see d_u)."""
-    return g.like(d_u(g.values, g))
-
-
-def partial_v(g: Grid2) -> Grid2:
-    """d/dv of a grid (see d_v)."""
-    return g.like(d_v(g.values, g))
-
-
 def _second_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     # interior: (f[i-1] - 2 f[i] + f[i+1]) / h^2; boundary: one-sided second order
     if values.shape[axis] < 4:
@@ -148,14 +141,15 @@ def _second_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def second_u(g: Grid2) -> Grid2:
-    """d2/du2 by the standard three-point stencil (one-sided at the boundary)."""
-    return g.like(_second_diff(g.values, g.du, axis=0))
+def d_uu(values: np.ndarray, g: Grid2) -> np.ndarray:
+    """d2/du2 of an array sampled on g's nodes by the three-point stencil,
+    one-sided second order at the two boundary columns."""
+    return _second_diff(values, g.du, axis=0)
 
 
-def second_v(g: Grid2) -> Grid2:
-    """d2/dv2, symmetric to second_u."""
-    return g.like(_second_diff(g.values, g.dv, axis=1))
+def d_vv(values: np.ndarray, g: Grid2) -> np.ndarray:
+    """d2/dv2 of an array sampled on g's nodes, symmetric to d_uu."""
+    return _second_diff(values, g.dv, axis=1)
 
 
 def _cumtrapz(values: np.ndarray, steps, axis: int) -> np.ndarray:
@@ -172,36 +166,60 @@ def _cumtrapz(values: np.ndarray, steps, axis: int) -> np.ndarray:
 
 
 def _signed_cumtrapz(values: np.ndarray, h: float, i0: int, axis: int) -> np.ndarray:
+    """Trapezoid integral along axis from index i0, which holds exactly 0;
+    nodes before i0 carry the negative of the reversed integral."""
     total = _cumtrapz(values, h, axis)
     anchor = np.take(total, [i0], axis=axis)
     return total - anchor
 
 
-def cumulative_integral_u(g: Grid2, base: BaseIndex) -> Grid2:
-    """Composite trapezoid integral along each row from the base column.
-
-    Signed: values left of the base column are the negative of the reversed
-    integral. The base column itself is exactly zero.
-    """
-    base.validate(g)
-    return g.like(_signed_cumtrapz(g.values, g.du, base.i0, axis=0))
+# fourth-order one-sided first-derivative weights of the first two nodes
+_D4_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+_D4_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 
 
-def cumulative_integral_v(g: Grid2, base: BaseIndex) -> Grid2:
-    """Composite trapezoid integral along each column from the base row."""
-    base.validate(g)
-    return g.like(_signed_cumtrapz(g.values, g.dv, base.j0, axis=1))
+def _deriv4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Fourth-order first derivative: five-point central inside, one-sided
+    five-point on the two boundary layers; below 5 nodes it is _diff."""
+    if values.shape[axis] < 5:
+        return _diff(values, h, axis)
+    f = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    out = np.empty_like(f)
+    out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
+    out[0] = np.tensordot(_D4_EDGE0, f[:5], axes=(0, 0)) / h
+    out[1] = np.tensordot(_D4_EDGE1, f[:5], axes=(0, 0)) / h
+    out[-1] = -np.tensordot(_D4_EDGE0, f[-5:][::-1], axes=(0, 0)) / h
+    out[-2] = -np.tensordot(_D4_EDGE1, f[-5:][::-1], axes=(0, 0)) / h
+    return np.moveaxis(out, 0, axis)
+
+
+def _cumint4(values: np.ndarray, h: float, i0: int, axis: int) -> np.ndarray:
+    """Integral of the not-a-knot spline along axis from node i0, signed as
+    _signed_cumtrapz."""
+    # on each interval the cubic with end slopes s / h integrates to
+    # h ((y_k + y_k+1)/2 + (s_k - s_k+1)/12)
+    f = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    s = not_a_knot_slopes(f)
+    total = np.zeros_like(f)
+    np.cumsum(h * (0.5 * (f[:-1] + f[1:]) + (s[:-1] - s[1:]) / 12.0), axis=0, out=total[1:])
+    return np.moveaxis(total - total[i0], 0, axis)
+
+
+# (diff(values, h, axis), cumint(values, h, k0, axis)) stencil pairs of path_exponent
+SECOND_ORDER = (_diff, _signed_cumtrapz)
+FOURTH_ORDER = (_deriv4, _cumint4)
 
 
 def path_exponent(f: np.ndarray, gap: np.ndarray, g: Grid2, base: BaseIndex, axis: int,
-                  diff=_diff, cumint=_signed_cumtrapz) -> np.ndarray:
+                  stencils=SECOND_ORDER) -> np.ndarray:
     """Path integral of df / gap from the base node to every node of g.
 
     The `axis` component of df / gap is integrated over the whole grid, the
     other component along the base line through the base node only, so the
-    result is exactly 0 at the base node. diff(values, h, axis) and
-    cumint(values, h, k0, axis) are the stencils; the defaults are second order.
+    result is exactly 0 at the base node. stencils is SECOND_ORDER or
+    FOURTH_ORDER.
     """
+    diff, cumint = stencils
     h = (g.du, g.dv)
     k0 = (base.i0, base.j0)
     other = 1 - axis

@@ -21,7 +21,7 @@ from .errors import (
     UmbilicError,
 )
 from .catalog import Jet2, JetGrid
-from .grid import Grid2, partial_u, partial_v, same_geometry
+from .grid import Grid2, d_u, d_v, same_geometry
 
 PRINCIPALITY_RTOL = 1e-10
 UMBILIC_RTOL = 1e-8
@@ -185,8 +185,8 @@ def geodesic_curvatures_of_parametric_lines(forms: FormGrid):
     E, G = forms.E, forms.G
     if not is_principal(E.values, forms.F.values, G.values, forms.M.values):
         raise NotPrincipalError("geodesic curvatures of parametric lines need F = M = 0")
-    E_v = partial_v(E).values
-    G_u = partial_u(G).values
+    E_v = d_v(E.values, E)
+    G_u = d_u(G.values, G)
     gamma1 = -E_v / (2.0 * E.values * np.sqrt(G.values))
     gamma2 = G_u / (2.0 * G.values * np.sqrt(E.values))
     return E.like(gamma1), E.like(gamma2)

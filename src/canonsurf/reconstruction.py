@@ -36,12 +36,12 @@ from .errors import (
 from .grid import (
     BaseIndex,
     Grid2,
+    d_u,
+    d_uu,
+    d_v,
+    d_vv,
     not_a_knot_slopes,
-    partial_u,
-    partial_v,
     same_geometry,
-    second_u,
-    second_v,
 )
 
 FRAME_DRIFT_LIMIT = 1e-6
@@ -171,7 +171,7 @@ def _polar_factor(frames: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.array(f), (0, 1), (-2, -1))
 
 
-def _midpoint_coefficients(coef_values: np.ndarray, axis_coords: np.ndarray) -> np.ndarray:
+def _midpoint_coefficients(coef_values: np.ndarray) -> np.ndarray:
     """Not-a-knot cubic-spline values at the n - 1 interval midpoints t_k + h/2.
 
     With s_k the spline's node slopes times h (grid.not_a_knot_slopes), the
@@ -220,7 +220,7 @@ def _march(y0: np.ndarray, coef_values: np.ndarray, axis_coords: np.ndarray,
     n = axis_coords.size
     h = axis_coords[1] - axis_coords[0]
     node = np.ascontiguousarray(np.moveaxis(coef_values.reshape(n, -1, 3), -1, 1))
-    mid = _midpoint_coefficients(node, axis_coords)  # (n - 1, 3, lines)
+    mid = _midpoint_coefficients(node)  # (n - 1, 3, lines)
     out = np.empty((n,) + y0.shape, dtype=float)
     out[k0] = y0
     start = y0.copy()
@@ -248,14 +248,12 @@ def _march(y0: np.ndarray, coef_values: np.ndarray, axis_coords: np.ndarray,
 
 def _u_coefficients(E, G, L):
     sqrtE = np.sqrt(E.values)
-    return np.stack([sqrtE, partial_v(E.like(sqrtE)).values / np.sqrt(G.values),
-                     L.values / sqrtE], axis=-1)
+    return np.stack([sqrtE, d_v(sqrtE, E) / np.sqrt(G.values), L.values / sqrtE], axis=-1)
 
 
 def _v_coefficients(E, G, N):
     sqrtG = np.sqrt(G.values)
-    return np.stack([sqrtG, partial_u(G.like(sqrtG)).values / np.sqrt(E.values),
-                     N.values / sqrtG], axis=-1)
+    return np.stack([sqrtG, d_u(sqrtG, G) / np.sqrt(E.values), N.values / sqrtG], axis=-1)
 
 
 def _frame_coefficients(E: Grid2, G: Grid2, L: Grid2, N: Grid2, init: FrameState,
@@ -333,8 +331,9 @@ def align_rigid(mesh_a: SurfaceMesh, mesh_b: SurfaceMesh):
 def finite_difference_jets(mesh: SurfaceMesh) -> JetGrid:
     """Second-order finite-difference jets of a mesh, for round-trip checks."""
     x = mesh.positions
-    xu = partial_u(x)
-    return JetGrid(x, xu, partial_v(x), second_u(x), partial_v(xu), second_v(x))
+    p = x.values
+    xu = d_u(p, x)
+    return JetGrid(x, *(x.like(d) for d in (xu, d_v(p, x), d_uu(p, x), d_v(xu, x), d_vv(p, x))))
 
 
 def reconstruct(inv: InvariantGrid, initial_frame: FrameState | None = None,

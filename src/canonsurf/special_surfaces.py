@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiscriminantError, PositivityError, RangeError, ZeroMeanCurvatureError
-from .grid import BaseIndex, Grid2, _cumtrapz, partial_u, partial_v, pchip, second_u, second_v
+from .grid import BaseIndex, Grid2, _cumtrapz, d_u, d_uu, d_v, d_vv, pchip
 from .reports import ResidualReport, make_report
 
 
@@ -99,10 +99,8 @@ def weingarten_residual(data: WeingartenData) -> ResidualReport:
     f_n, g_n, fp_n, gp_n, fpp_n, gpp_n, am_n, ap_n = (a[:-1].reshape(nodes.shape) for a in at.T)
     am0, ap0 = at[-1, 6:]
 
-    nu_u = partial_u(data.nu).values
-    nu_v = partial_v(data.nu).values
-    nu_uu = second_u(data.nu).values
-    nu_vv = second_v(data.nu).values
+    nu_u, nu_v = d_u(nodes, data.nu), d_v(nodes, data.nu)
+    nu_uu, nu_vv = d_uu(nodes, data.nu), d_vv(nodes, data.nu)
     if np.any(nu_u * nu_v == 0.0):
         warnings.warn("nu_u * nu_v vanishes somewhere; the surface is not strongly "
                       "regular Weingarten there", UserWarning, stacklevel=2)
@@ -117,8 +115,8 @@ def weingarten_residual(data: WeingartenData) -> ResidualReport:
     return make_report("weingarten", data.nu.like(lhs - rhs))
 
 
-def _weighted_laplacian(g: Grid2, a: float, b: float) -> np.ndarray:
-    return second_u(g).values / a + second_v(g).values / b
+def _weighted_laplacian(values: np.ndarray, g: Grid2, a: float, b: float) -> np.ndarray:
+    return d_uu(values, g) / a + d_vv(values, g) / b
 
 
 def cmc_residual(K: Grid2, H: float, a: float = 1.0, b: float = 1.0) -> ResidualReport:
@@ -127,7 +125,7 @@ def cmc_residual(K: Grid2, H: float, a: float = 1.0, b: float = 1.0) -> Residual
     if np.any(disc <= 1e-12 * max(1.0, H * H, float(np.max(np.abs(K.values))))):
         raise DiscriminantError("CMC equation needs K < H^2 strictly")
     root = np.sqrt(disc)
-    res = _weighted_laplacian(K.like(np.log(disc)), a, b) - 4.0 * K.values / root
+    res = _weighted_laplacian(np.log(disc), K, a, b) - 4.0 * K.values / root
     return make_report("cmc", K.like(res))
 
 
@@ -135,7 +133,7 @@ def minimal_natural_residual(nu: Grid2, a: float = 1.0, b: float = 1.0) -> Resid
     """Residual of the natural minimal-surface equation for the positive curvature."""
     if np.any(nu.values <= 0.0):
         raise PositivityError("the minimal-surface equation needs nu > 0 everywhere")
-    res = _weighted_laplacian(nu.like(np.log(nu.values)), a, b) + 2.0 * nu.values
+    res = _weighted_laplacian(np.log(nu.values), nu, a, b) + 2.0 * nu.values
     return make_report("minimal-natural", nu.like(res))
 
 
@@ -160,7 +158,7 @@ def flat_characterization(H: Grid2) -> FlatCharacterization:
     if np.any(np.abs(Hv) <= 1e-14 * float(np.max(np.abs(Hv)))):
         raise ZeroMeanCurvatureError("mean curvature vanishes; 1/H undefined")
     inv_h = 1.0 / Hv
-    res = second_v(H.like(inv_h))
+    res = H.like(d_vv(inv_h, H))
     design = np.stack([H.v_axis, np.ones(H.nv)], axis=1)
     coef, *_ = np.linalg.lstsq(design, inv_h.T, rcond=None)
     fitted = design @ coef

@@ -88,9 +88,10 @@ def test_fd_positions_reproduce_xu_at_second_order(name, params, u_range, v_rang
     errs = []
     for n in (33, 65):
         jets, *_ = sample_chart(name, u_range, v_range, n, **params)
-        fd_xu = cs.partial_u(jets.x).values
-        fd_xuu = cs.second_u(jets.x).values
-        fd_xuv = cs.partial_v(jets.xu).values
+        x = jets.x
+        fd_xu = cs.d_u(x.values, x)
+        fd_xuu = cs.d_uu(x.values, x)
+        fd_xuv = cs.d_v(jets.xu.values, jets.xu)
         e1 = np.max(np.abs(fd_xu - jets.xu.values))
         e2 = np.max(np.abs(fd_xuu - jets.xuu.values))
         e3 = np.max(np.abs(fd_xuv - jets.xuv.values))
@@ -144,7 +145,7 @@ class TestRevolution:
         errs = []
         for n in (33, 65):
             jets = cs.sample_surface(e, -0.5, 1.0 / (n - 1), n, 0.0, 1.0 / (n - 1), n)
-            errs.append(np.max(np.abs(cs.partial_u(jets.x).values - jets.xu.values)))
+            errs.append(np.max(np.abs(cs.d_u(jets.x.values, jets.x) - jets.xu.values)))
         assert 3.0 < errs[0] / errs[1] < 5.0
 
     def test_validation(self):

@@ -5,7 +5,7 @@ import pytest
 
 import canonsurf as cs
 from canonsurf import compatibility
-from canonsurf.errors import NotPrincipalError, RangeError, UmbilicError
+from canonsurf.errors import DimensionError, NotPrincipalError, RangeError, UmbilicError
 
 from helpers import (
     catenoid_invariants,
@@ -252,7 +252,7 @@ class TestGaussCanonical:
 
     def test_mode_mismatch_rejected(self):
         inv = catenoid_invariants(17)[0].to_kh()
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionError):
             cs.gauss_residual_canonical(inv)
 
     def test_orientation_flip_invariance(self):

@@ -189,9 +189,10 @@ FLAT_GRID = {"format": "invariant-grid/1", "mode": "nu", "nu": [9, 9], "origin":
 
 
 @pytest.mark.parametrize("field1", [[[1.0]] * 81, [[1.0] * 9] * 9, [1.0] * 80, [1.0] * 82,
-                                    ["1.0"] * 81, [True] * 81, [None] * 81, "1.0"],
+                                    ["1.0"] * 81, [True] * 81, [1.0] * 80 + [True],
+                                    [None] * 81, "1.0"],
                          ids=["nested-81x1", "nested-9x9", "short", "long", "strings",
-                              "booleans", "nulls", "string"])
+                              "booleans", "one-boolean", "nulls", "string"])
 def test_grid_field_must_be_flat_list_of_nu_nv_numbers(field1):
     assert formats.invariant_grid_from_dict(FLAT_GRID).geometry.nu == 9
     data = dict(FLAT_GRID, field1=field1)
@@ -199,10 +200,10 @@ def test_grid_field_must_be_flat_list_of_nu_nv_numbers(field1):
         formats.invariant_grid_from_dict(data)
 
 
-@pytest.mark.parametrize("value", [["0.3"], [True, False], [None], [[0.3]], [[0.3, 0.4], [0.5]],
-                                   "0.3", 0.3, None],
-                         ids=["strings", "booleans", "nulls", "nested", "ragged", "string",
-                              "number", "null"])
+@pytest.mark.parametrize("value", [["0.3"], [True, False], [0.5, True], [None], [[0.3]],
+                                   [[0.3, 0.4], [0.5]], "0.3", 0.3, None],
+                         ids=["strings", "booleans", "number-and-boolean", "nulls", "nested",
+                              "ragged", "string", "number", "null"])
 def test_number_list_refuses_anything_but_a_flat_list_of_numbers(value):
     assert formats.number_list({"t": [0, 0.5, 2**63]}, "t").tolist() == [0.0, 0.5, 2.0**63]
     with pytest.raises(DimensionError, match="^t must be a flat list of numbers$"):

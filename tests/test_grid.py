@@ -5,8 +5,8 @@ import pytest
 
 import canonsurf as cs
 from canonsurf.errors import DimensionError, MonotonicityError, RangeError
-from canonsurf.canonical import _cumint4, _deriv4
-from canonsurf.grid import path_exponent, pchip
+from canonsurf.grid import (FOURTH_ORDER, _cumint4, _deriv4, _diff, _signed_cumtrapz,
+                            path_exponent, pchip)
 
 from helpers import grid_from_fn, observed_orders
 
@@ -31,49 +31,59 @@ def test_grid_values_immutable():
         g.values[0, 0] = 1.0
 
 
-def test_partial_u_constant_is_zero():
+def test_d_u_d_v_constant_is_zero():
     g = grid_from_fn(lambda u, v: 0 * u + 3.7, (0, 1), (0, 1), 12)
-    assert np.all(cs.partial_u(g).values == 0.0)
-    assert np.all(cs.partial_v(g).values == 0.0)
+    assert np.all(cs.d_u(g.values, g) == 0.0)
+    assert np.all(cs.d_v(g.values, g) == 0.0)
 
 
-def test_partial_u_linear_exact():
+def test_d_u_linear_exact():
     g = grid_from_fn(lambda u, v: u + 0 * v, (0, 2), (0, 1), 17)
-    assert np.max(np.abs(cs.partial_u(g).values - 1.0)) < 1e-12
-    assert np.max(np.abs(cs.partial_v(g).values)) < 1e-12
+    assert np.max(np.abs(cs.d_u(g.values, g) - 1.0)) < 1e-12
+    assert np.max(np.abs(cs.d_v(g.values, g))) < 1e-12
 
 
-def test_partial_u_sin_accuracy_and_order():
+def test_d_u_sin_accuracy_and_order():
     errs = []
     for du in (0.01, 0.005):
         n = int(round(1.0 / du)) + 1
         u = np.linspace(0.0, 1.0, n)
         g = cs.Grid2(0.0, 0.0, du, 0.5, np.sin(u)[:, None] * np.ones((n, 3)))
         exact = np.cos(u)[:, None]
-        errs.append(np.max(np.abs(cs.partial_u(g).values - exact)))
+        errs.append(np.max(np.abs(cs.d_u(g.values, g) - exact)))
     assert errs[0] < 1e-4
     assert 3.0 < errs[0] / errs[1] < 5.0
 
 
 def test_second_derivative_quadratic_exact():
     g = grid_from_fn(lambda u, v: u * u + 0 * v, (0, 1), (0, 1), 9)
-    assert np.max(np.abs(cs.second_u(g).values - 2.0)) < 1e-10
-    assert np.max(np.abs(cs.second_v(g).values)) < 1e-10
+    assert np.max(np.abs(cs.d_uu(g.values, g) - 2.0)) < 1e-10
+    assert np.max(np.abs(cs.d_vv(g.values, g))) < 1e-10
+
+
+@pytest.mark.parametrize("shape, short", [((3, 5), "u"), ((5, 3), "v")])
+def test_second_derivative_needs_four_nodes(shape, short):
+    g = cs.Grid2(0, 0, 0.1, 0.1, np.ones(shape))
+    second = {"u": cs.d_uu, "v": cs.d_vv}
+    with pytest.raises(DimensionError, match="at least 4 samples"):
+        second[short](g.values, g)
+    long = "v" if short == "u" else "u"
+    assert np.all(second[long](g.values, g) == 0.0)
 
 
 def test_cumulative_integral_constant_exact():
     # binary-representable spacing: trapezoid on a constant is exact, bit for bit
     g = grid_from_fn(lambda u, v: 1.0 + 0 * u + 0 * v, (0, 1.25), (0, 1), 11)
-    out = cs.cumulative_integral_u(g, cs.BaseIndex(0, 0))
+    out = _signed_cumtrapz(g.values, g.du, 0, axis=0)
     expected = 0.125 * np.arange(11)[:, None] * np.ones((11, 11))
-    assert np.max(np.abs(out.values - expected)) == 0.0
+    assert np.max(np.abs(out - expected)) == 0.0
 
 
 def test_cumulative_integral_signed_from_interior_base():
     g = grid_from_fn(lambda u, v: 1.0 + 0 * u + 0 * v, (0, 1.25), (0, 1), 11)
-    out = cs.cumulative_integral_u(g, cs.BaseIndex(2, 0))
-    assert out.values[2, 4] == 0.0
-    assert out.values[0, 3] == -0.25
+    out = _signed_cumtrapz(g.values, g.du, 2, axis=0)
+    assert out[2, 4] == 0.0
+    assert out[0, 3] == -0.25
 
 
 def test_cumulative_integral_cos_order():
@@ -82,8 +92,8 @@ def test_cumulative_integral_cos_order():
         u = np.linspace(0.0, 1.0, n)
         du = u[1] - u[0]
         g = cs.Grid2(0.0, 0.0, du, 1.0, np.cos(u)[:, None] * np.ones((n, 3)))
-        out = cs.cumulative_integral_u(g, cs.BaseIndex(0, 0))
-        errs.append(np.max(np.abs(out.values - np.sin(u)[:, None])))
+        out = _signed_cumtrapz(g.values, g.du, 0, axis=0)
+        errs.append(np.max(np.abs(out - np.sin(u)[:, None])))
     assert 3.0 < errs[0] / errs[1] < 5.0
 
 
@@ -93,13 +103,11 @@ def test_cumulative_integrals_equal_scipy_bitwise(k):
 
     rng = np.random.default_rng(5)
     g = cs.Grid2(0.3, -1.0, 0.071, 0.113, rng.normal(size=(13, 17)))
-    for axis, (h, n, integral) in enumerate(((g.du, g.nu, cs.cumulative_integral_u),
-                                             (g.dv, g.nv, cs.cumulative_integral_v))):
+    for axis, (h, n) in enumerate(((g.du, g.nu), (g.dv, g.nv))):
         k0 = {"first": 0, "interior": n // 3, "last": n - 1}[k]
         total = cumulative_trapezoid(g.values, dx=h, axis=axis, initial=0.0)
         want = total - np.take(total, [k0], axis=axis)
-        got = integral(g, cs.BaseIndex(k0, 0) if axis == 0 else cs.BaseIndex(0, k0)).values
-        assert np.array_equal(got, want)
+        assert np.array_equal(_signed_cumtrapz(g.values, h, k0, axis), want)
 
 
 def test_derivative_then_integral_roundtrip_order():
@@ -107,26 +115,26 @@ def test_derivative_then_integral_roundtrip_order():
     for n in (33, 65):
         g = grid_from_fn(lambda u, v: np.sin(2 * u) * np.cos(v), (0, 1), (0, 1), n)
         base = cs.BaseIndex(n // 2, 0)
-        back = cs.cumulative_integral_u(cs.partial_u(g), base)
+        back = _signed_cumtrapz(cs.d_u(g.values, g), g.du, base.i0, axis=0)
         expected = g.values - g.values[base.i0 : base.i0 + 1, :]
-        errs.append(np.max(np.abs(back.values - expected)))
+        errs.append(np.max(np.abs(back - expected)))
     assert 3.0 < errs[0] / errs[1] < 5.0
 
 
 def test_partials_commute():
     g = grid_from_fn(lambda u, v: np.sin(2 * u + 0.3) * np.exp(0.5 * v), (0, 1), (0, 1), 21)
-    uv = cs.partial_v(cs.partial_u(g)).values
-    vu = cs.partial_u(cs.partial_v(g)).values
+    uv = cs.d_v(cs.d_u(g.values, g), g)
+    vu = cs.d_u(cs.d_v(g.values, g), g)
     assert np.max(np.abs(uv - vu)) < 1e-10
 
 
 def test_operations_are_pure():
     g = grid_from_fn(lambda u, v: np.sin(u) + np.cos(v), (0, 1), (0, 2), 15)
-    a = cs.partial_u(g).values
-    b = cs.partial_u(g).values
+    a = cs.d_u(g.values, g)
+    b = cs.d_u(g.values, g)
     assert np.array_equal(a, b)
-    c = cs.cumulative_integral_v(g, cs.BaseIndex(1, 7)).values
-    d = cs.cumulative_integral_v(g, cs.BaseIndex(1, 7)).values
+    c = _signed_cumtrapz(g.values, g.dv, 7, axis=1)
+    d = _signed_cumtrapz(g.values, g.dv, 7, axis=1)
     assert np.array_equal(c, d)
 
 
@@ -158,7 +166,7 @@ def test_path_exponent_second_order_default(axis):
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_path_exponent_fourth_order_stencils(axis):
-    assert min(observed_orders(_path_exponent_errors(axis, (_deriv4, _cumint4)))) >= 3.5
+    assert min(observed_orders(_path_exponent_errors(axis, (FOURTH_ORDER,)))) >= 3.5
 
 
 def test_path_exponent_matches_cumulative_integrals():
@@ -166,10 +174,20 @@ def test_path_exponent_matches_cumulative_integrals():
     g = grid_from_fn(lambda u, v: np.sin(2 * u) + u * v * v, (0, 1), (0, 2), 21, 17)
     gap = 1.0 + 0.1 * g.values
     base = cs.BaseIndex(6, 11)
-    line = cs.cumulative_integral_v(g.like(cs.partial_v(g).values / gap), base).values
-    want = (cs.cumulative_integral_u(g.like(cs.partial_u(g).values / gap), base).values
+    line = _signed_cumtrapz(cs.d_v(g.values, g) / gap, g.dv, base.j0, axis=1)
+    want = (_signed_cumtrapz(cs.d_u(g.values, g) / gap, g.du, base.i0, axis=0)
             + line[base.i0][None, :])
     assert np.array_equal(path_exponent(g.values, gap, g, base, 0), want)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_deriv4_below_five_nodes_is_the_second_order_stencil(axis):
+    rng = np.random.default_rng(3)
+    for n in (3, 4):
+        values = np.moveaxis(rng.normal(size=(n, 6)), 0, axis)
+        assert np.array_equal(_deriv4(values, 0.1, axis), _diff(values, 0.1, axis))
+    with pytest.raises(DimensionError):
+        _deriv4(np.moveaxis(rng.normal(size=(2, 6)), 0, axis), 0.1, axis)
 
 
 def _pchip_cases():

@@ -257,7 +257,7 @@ class TestFrameMarch:
         ax = E.u_axis
         h = ax[1] - ax[0]
         spline = CubicSpline(ax, cu, axis=0)
-        mid = reconstruction._midpoint_coefficients(cu, ax)
+        mid = reconstruction._midpoint_coefficients(cu)
         scale = np.max(np.abs(cu))
         # a step from k to k + 1 uses mid[k]; a step from k to k - 1 uses mid[k - 1]
         assert np.max(np.abs(mid - spline(ax[:-1] + 0.5 * h))) <= 1e-14 * scale
@@ -276,7 +276,7 @@ class TestFrameMarch:
         ax = np.ravel(u if axis == 0 else v)
         h = ax[1] - ax[0]
         spline = CubicSpline(ax, coef, axis=0)
-        mid = reconstruction._midpoint_coefficients(coef, ax)
+        mid = reconstruction._midpoint_coefficients(coef)
         scale = np.max(np.abs(coef))
         assert np.max(np.abs(mid - spline(ax[:-1] + 0.5 * h))) <= 1e-14 * scale
         assert np.max(np.abs(mid - spline(ax[1:] - 0.5 * h))) <= 1e-14 * scale
