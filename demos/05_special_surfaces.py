@@ -15,19 +15,19 @@ sech2 = (1.0 / np.cosh(u) ** 2)[:, None] * np.ones((n, n))
 
 print("=== minimal surfaces: log(nu) equation ===")
 nu = cs.Grid2.from_axes(u, v, sech2)
-rep = cs.minimal_natural_residual(nu)
+rep = cs.minimal_natural_residual(nu, 1.0, 1.0)
 print(f"catenoid curvature field: residual max {rep.max_abs:.3e} (converges ~h^2)")
-rep_const = cs.minimal_natural_residual(nu.like(np.full((n, n), 0.7)))
+rep_const = cs.minimal_natural_residual(nu.like(np.full((n, n), 0.7)), 1.0, 1.0)
 print(f"constant field 0.7: residual is exactly 2 nu = {rep_const.max_abs:.3f} "
       "(no constant solutions exist)")
 
 print()
 print("=== constant mean curvature ===")
 K_cat = cs.Grid2.from_axes(u, v, -sech2**2)
-print(f"catenoid (H = 0): residual max {cs.cmc_residual(K_cat, 0.0).max_abs:.3e}")
+print(f"catenoid (H = 0): residual max {cs.cmc_residual(K_cat, 0.0, 1.0, 1.0).max_abs:.3e}")
 K_cyl = cs.Grid2(0, 0, 0.1, 0.1, np.zeros((33, 33)))
 print(f"cylinder (K = 0, H = 1/2): residual max "
-      f"{cs.cmc_residual(K_cyl, 0.5).max_abs:.3e}")
+      f"{cs.cmc_residual(K_cyl, 0.5, 1.0, 1.0).max_abs:.3e}")
 
 print()
 print("=== flat surfaces: 1/H is linear along the rulings ===")

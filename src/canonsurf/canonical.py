@@ -5,17 +5,17 @@ monotone 1-D maps u -> ubar, v -> vbar built from path integrals of the
 curvature fields. The ubar integrand is constant in v exactly when the
 Codazzi equations hold, so its v-variation doubles as a Codazzi diagnostic.
 
-Map construction uses grid.FOURTH_ORDER (five-point differences, spline
+The canonical factors (Psi1, Psi2) come from grid.path_factors, and the
+half-gap |nu1 - nu2| / 2 = sqrt(H^2 - K) from InvariantGrid.half_gap. Map
+construction uses grid.FOURTH_ORDER (five-point differences, spline
 quadrature): the maps feed resampling, and second-order map errors would
 dominate every downstream comparison. Verification (verify_canonical)
-deliberately sticks to the shared second-order substrate so it stays an
-independent check.
+deliberately sticks to grid.SECOND_ORDER so it stays an independent check.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +29,12 @@ from .errors import (
 )
 from .grid import (
     FOURTH_ORDER,
+    SECOND_ORDER,
     BaseIndex,
     Grid2,
     _cumint4,
     invert_monotone_map,
-    path_exponent,
+    path_factors,
     pchip,
     same_geometry,
 )
@@ -41,6 +42,7 @@ from .invariants import require_umbilic_free
 from .reports import make_report
 
 DISCRIMINANT_RTOL = 1e-12
+CODAZZI_TOL = 0.1  # largest map-integrand variation build_canonical_maps accepts
 AFFINE_MAX_SAMPLES = 33  # the affine fit keeps every (n // 33)-th node of an n-node axis
 AFFINE_MIN_OVERLAP = 0.25  # share of A's samples a choice must map into B's domain
 AFFINE_TIE_RTOL = 1e-12  # seed distances and choice scores this close to the least tie
@@ -90,12 +92,18 @@ class InvariantGrid:
         else:
             require_positive_discriminant(self.field1.values, self.field2.values)
 
+    def half_gap(self) -> np.ndarray:
+        """|nu1 - nu2| / 2, which is sqrt(H^2 - K): the weight of the kh-mode constants."""
+        if self.mode == "nu":
+            return 0.5 * np.abs(self.field1.values - self.field2.values)
+        K, H = self.field1.values, self.field2.values
+        return np.sqrt(H * H - K)
+
     def nu_arrays(self):
         """(nu1, nu2) arrays; KH-mode uses the magnitude convention H +- sqrt(H^2-K)."""
         if self.mode == "nu":
             return self.field1.values, self.field2.values
-        K, H = self.field1.values, self.field2.values
-        root = np.sqrt(H * H - K)
+        H, root = self.field2.values, self.half_gap()
         return H + root, H - root
 
     def kh_arrays(self):
@@ -108,8 +116,7 @@ class InvariantGrid:
         """The same data in kh mode; a, b gain the sqrt(H^2 - K) weight of the base node."""
         if self.mode == "kh":
             return self
-        i0, j0 = self.base.i0, self.base.j0
-        s0 = 0.5 * abs(float(self.field1.values[i0, j0] - self.field2.values[i0, j0]))
+        s0 = float(self.half_gap()[self.base.i0, self.base.j0])
         K, H = self.kh_arrays()
         like = self.geometry.like
         return InvariantGrid("kh", like(K), like(H), self.a * s0, self.b * s0, self.base)
@@ -147,15 +154,16 @@ def _map_1d(integrand_2d: np.ndarray, sqrt_base: float, h: float, k0: int,
     return samples, variation
 
 
-def build_canonical_maps(E: Grid2, G: Grid2, nu1: Grid2, nu2: Grid2, base: BaseIndex,
-                         codazzi_tol: float | None = 0.1) -> CanonicalMaps:
+def build_canonical_maps(E: Grid2, G: Grid2, nu1: Grid2, nu2: Grid2,
+                         base: BaseIndex) -> CanonicalMaps:
     """Monotone maps to canonical principal parameters from a principal chart.
 
-    The ubar integrand sqrt(E) exp(path integral) is evaluated on the whole
-    grid, its variation across v is reported (and must shrink as O(h^2) on
+    The ubar integrand sqrt(E) / Psi1 is evaluated on the whole grid, its
+    variation across v is reported (and must shrink as O(h^2) on
     Codazzi-compatible data), and the map is the cumulative integral of its
-    v-average along the base row. Raises CodazziViolation when the variation
-    exceeds codazzi_tol, MonotonicityError when an integrand is not positive.
+    v-average along the base row; vbar likewise from sqrt(G) / Psi2. Raises
+    CodazziViolation when a variation exceeds CODAZZI_TOL, MonotonicityError
+    when an integrand is not positive.
     """
     same_geometry(E, G, nu1, nu2)
     base.validate(E)
@@ -165,17 +173,13 @@ def build_canonical_maps(E: Grid2, G: Grid2, nu1: Grid2, nu2: Grid2, base: BaseI
     a = float(E.values[i0, j0])
     b = float(G.values[i0, j0])
 
-    # ubar: exponent = int_v (nu1)_v/gap + int_u (nu1)_u/gap on the base row
-    expo_u = path_exponent(nu1.values, gap, E, base, 1, FOURTH_ORDER)
-    ubar, var_u = _map_1d(np.sqrt(E.values) * np.exp(expo_u), math.sqrt(a), E.du, i0,
+    psi1, psi2 = path_factors(nu1.values, nu2.values, gap, E, base, FOURTH_ORDER)
+    ubar, var_u = _map_1d(np.sqrt(E.values) / psi1, math.sqrt(a), E.du, i0,
                           reduce_axis=1, what="ubar")
-
-    # vbar: exponent = -int_u (nu2)_u/gap - int_v (nu2)_v/gap on the base column
-    expo_v = -path_exponent(nu2.values, gap, E, base, 0, FOURTH_ORDER)
-    vbar, var_v = _map_1d(np.sqrt(G.values) * np.exp(expo_v), math.sqrt(b), E.dv, j0,
+    vbar, var_v = _map_1d(np.sqrt(G.values) / psi2, math.sqrt(b), E.dv, j0,
                           reduce_axis=0, what="vbar")
 
-    if codazzi_tol is not None and max(var_u, var_v) > codazzi_tol:
+    if max(var_u, var_v) > CODAZZI_TOL:
         raise CodazziViolation(
             f"map integrand varies by {max(var_u, var_v):.3e} along the direction it "
             "must be constant in; the input violates the Codazzi equations")
@@ -203,11 +207,8 @@ def _source_axes(maps: CanonicalMaps, u_axis: np.ndarray, v_axis: np.ndarray):
     # clamp roundoff overshoot of the reconstructed axis endpoints
     ub = np.clip(u_axis, maps.ubar_samples[0], maps.ubar_samples[-1])
     vb = np.clip(v_axis, maps.vbar_samples[0], maps.vbar_samples[-1])
-    u_src = invert_monotone_map(maps.u_samples, maps.ubar_samples, ub)
-    v_src = invert_monotone_map(maps.v_samples, maps.vbar_samples, vb)
-    u_src = np.clip(u_src, maps.u_samples[0], maps.u_samples[-1])
-    v_src = np.clip(v_src, maps.v_samples[0], maps.v_samples[-1])
-    return u_src, v_src
+    return (invert_monotone_map(maps.u_samples, maps.ubar_samples, ub),
+            invert_monotone_map(maps.v_samples, maps.vbar_samples, vb))
 
 
 def resample_to_canonical(maps: CanonicalMaps, nu1: Grid2, nu2: Grid2) -> InvariantGrid:
@@ -250,10 +251,10 @@ def verify_canonical(inv: InvariantGrid, E: Grid2, G: Grid2):
     """
     same_geometry(inv.field1, E, G)
     nu1, nu2 = inv.nu_arrays()
-    gap = nu1 - nu2
     geo = inv.geometry
-    r1 = np.sqrt(E.values / inv.a) * np.exp(path_exponent(nu1, gap, geo, inv.base, 1)) - 1.0
-    r2 = np.sqrt(G.values / inv.b) * np.exp(-path_exponent(nu2, gap, geo, inv.base, 0)) - 1.0
+    psi1, psi2 = path_factors(nu1, nu2, nu1 - nu2, geo, inv.base, SECOND_ORDER)
+    r1 = np.sqrt(E.values / inv.a) / psi1 - 1.0
+    r2 = np.sqrt(G.values / inv.b) / psi2 - 1.0
     return make_report("canonical-E", geo.like(r1)), make_report("canonical-G", geo.like(r2))
 
 
@@ -281,10 +282,10 @@ def _law_factors(inv: InvariantGrid):
     """Interpolants of the canonical factors (Psi1, Psi2) of inv, one pair per labeling.
 
     The factors use the fourth-order stencils of the maps. In kh mode both
-    carry sqrt(s / s_base), s = |nu1 - nu2| / 2, which takes the weight of
-    the base node out of the constants a, b; and since the magnitude
-    convention may have exchanged the direction labels, the pair of the
-    exchanged labeling (nu2, nu1) is returned as well.
+    carry sqrt(s / s_base), s the half-gap, which takes the weight of the
+    base node out of the constants a, b; and since the magnitude convention
+    may have exchanged the direction labels, the pair of the exchanged
+    labeling (nu2, nu1) is returned as well.
     """
     from scipy.interpolate import RectBivariateSpline
 
@@ -294,16 +295,11 @@ def _law_factors(inv: InvariantGrid):
     weight = 1.0
     if inv.mode == "kh":
         labelings.append((nu2, nu1))
-        s = np.abs(nu1 - nu2)
+        s = inv.half_gap()
         weight = np.sqrt(s / s[inv.base.i0, inv.base.j0])
-    pairs = []
-    for f1, f2 in labelings:
-        gap = f1 - f2
-        psi1 = np.exp(-path_exponent(f1, gap, g, inv.base, 1, FOURTH_ORDER))
-        psi2 = np.exp(path_exponent(f2, gap, g, inv.base, 0, FOURTH_ORDER))
-        pairs.append(tuple(RectBivariateSpline(g.u_axis, g.v_axis, weight * p)
-                           for p in (psi1, psi2)))
-    return pairs
+    return [tuple(RectBivariateSpline(g.u_axis, g.v_axis, weight * p)
+                  for p in path_factors(f1, f2, f1 - f2, g, inv.base, FOURTH_ORDER))
+            for f1, f2 in labelings]
 
 
 def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> AffineMatch:
@@ -431,18 +427,15 @@ def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> Affi
                 for f in (f1b, f2b)]
         return np.vstack(rows + [np.diag(AFFINE_ANCHOR / cell)])
 
-    # the module attribute, read at call time, so a caller may replace it
-    fit = sys.modules[__name__].least_squares(residual, q0, jac=jacobian, method="lm")
+    fit = least_squares(residual, q0, jac=jacobian, method="lm")
     (lam, mu, c1, c2), image, _ = affine(fit.x, choice)
     return AffineMatch(lam, mu, c1, c2, choice[0] == (1, 0), rms(image, t, inside(image)))
 
 
-def __getattr__(name):
-    # scipy.optimize costs about a second to import, so least_squares is
-    # imported on first access and then cached as an ordinary module attribute
-    if name == "least_squares":
-        from scipy.optimize import least_squares
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on the first call: it costs
+    about a second to import, and only the affine fit needs it. A module
+    global, so a caller may replace it."""
+    from scipy.optimize import least_squares as fit
 
-        globals()[name] = least_squares
-        return least_squares
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return fit(*args, **kwargs)

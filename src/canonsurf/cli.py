@@ -71,9 +71,7 @@ def _entry_from_args(args):
     if name == "revolution":
         if not args.profile:
             raise ValueError("--surface revolution needs --profile FILE")
-        with open(args.profile, "r", encoding="utf-8") as fh:
-            prof = json.load(fh)
-        return make_revolution_entry(prof["t"], prof["rho"], prof["z"])
+        return make_revolution_entry(*formats.read_profile(args.profile))
     if name not in CATALOG_NAMES:
         raise UsageError(f"unknown surface {name!r}; choose from "
                          f"{', '.join(CATALOG_NAMES)} or revolution")
@@ -330,15 +328,15 @@ def cmd_special(args) -> int:
         reports, skipped = [special_surfaces.weingarten_residual(wd)], []
     else:
         inv = formats.read_invariant_grid(args.input)
-        K, H = (inv.geometry.like(f) for f in inv.kh_arrays())
+        kh = inv.to_kh()
+        K, H = kh.field1, kh.field2
         h_const = args.mean_curvature
         if h_const is None:
             h_const = float(np.mean(H.values))
         classes = {
-            "cmc": lambda: special_surfaces.cmc_residual(K, h_const, *_kh_constants(inv)),
+            "cmc": lambda: special_surfaces.cmc_residual(K, h_const, kh.a, kh.b),
             "minimal": lambda: special_surfaces.minimal_natural_residual(
-                inv.geometry.like(0.5 * np.abs(np.subtract(*inv.nu_arrays()))),
-                *_kh_constants(inv)),
+                inv.geometry.like(inv.half_gap()), kh.a, kh.b),
             "flat": lambda: special_surfaces.flat_characterization(H).report,
         }
         # with "all", a class the data leaves undefined is listed, not fatal
@@ -359,11 +357,6 @@ def cmd_special(args) -> int:
         result["skipped"] = skipped
     _emit(result, args.output)
     return EXIT_OK
-
-
-def _kh_constants(inv):
-    kh = inv.to_kh()
-    return kh.a, kh.b
 
 
 def _add_surface_flags(p):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .canonical import InvariantGrid
 from .errors import DimensionError, NotPrincipalError, RegularityError
-from .grid import BaseIndex, Grid2, d_u, d_v, path_exponent, same_geometry
+from .grid import SECOND_ORDER, BaseIndex, Grid2, d_u, d_v, path_factors, same_geometry
 from .invariants import FormGrid, is_principal, require_umbilic_free
 from .reports import ResidualReport, make_report
 
@@ -92,20 +92,11 @@ def gauss_residual_principal(forms: FormGrid) -> ResidualReport:
     return make_report("gauss-principal", geo.like(lhs - rhs))
 
 
-def _path_factors(f1: np.ndarray, f2: np.ndarray, gap: np.ndarray,
-                  inv: InvariantGrid) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-P(f1, axis 1)), exp(P(f2, axis 0)) with P the path exponent of df / gap:
-    the canonical factor pair of either route, exactly 1 at the base node."""
-    geo, base = inv.geometry, inv.base
-    return (np.exp(-path_exponent(f1, gap, geo, base, 1)),
-            np.exp(path_exponent(f2, gap, geo, base, 0)))
-
-
 def canonical_factors(inv: InvariantGrid) -> tuple[np.ndarray, np.ndarray]:
     """(Psi1, Psi2) arrays of the (nu1, nu2) route, for a grid of either mode:
     strictly positive and exactly 1 at the base node."""
     nu1, nu2 = inv.nu_arrays()
-    return _path_factors(nu1, nu2, nu1 - nu2, inv)
+    return path_factors(nu1, nu2, nu1 - nu2, inv.geometry, inv.base, SECOND_ORDER)
 
 
 def gauss_residual_canonical(inv: InvariantGrid) -> ResidualReport:
@@ -126,9 +117,9 @@ def gauss_residual_canonical(inv: InvariantGrid) -> ResidualReport:
 def gauss_residual_canonical_kh(inv: InvariantGrid) -> ResidualReport:
     """Residual of the canonical-parameter Gauss equation in the (K, H) route."""
     K, H = inv.kh_arrays()
-    root = np.sqrt(H * H - K)
+    root = inv.half_gap()
     geo = inv.geometry
-    q1, q2 = _path_factors(H, H, 2.0 * root, inv)  # 2 root = |nu1 - nu2|
+    q1, q2 = path_factors(H, H, 2.0 * root, geo, inv.base, SECOND_ORDER)  # 2 root = |nu1 - nu2|
     lhs = 2.0 * K / root * q1 * q2
     rhs = (d_v(q1 / q2 * d_v(H + root, geo) / root, geo) / inv.b
            - d_u(q2 / q1 * d_u(H - root, geo) / root, geo) / inv.a)

@@ -1,4 +1,5 @@
-"""File formats: deterministic JSON reports, invariant-grid files, Wavefront OBJ.
+"""File formats: deterministic JSON reports, invariant-grid files, revolution
+profiles, Wavefront OBJ.
 
 All numbers are written with 17 significant digits so identical inputs give
 byte-identical files and every float survives a parse round-trip exactly.
@@ -33,14 +34,17 @@ def _check_finite(values: np.ndarray) -> None:
         raise ValueError(_NON_FINITE)
 
 
-def dumps(obj, _level: int = 0) -> str:
+def dumps(obj) -> str:
     """JSON text with fixed float formatting (17 significant digits)."""
-    pad = "  " * _level
-    inner = "  " * (_level + 1)
+    return _dumps(obj, "")
+
+
+def _dumps(obj, pad: str) -> str:
+    inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = ",\n".join(f"{inner}{json.dumps(str(k))}: {dumps(v, _level + 1)}"
+        items = ",\n".join(f"{inner}{json.dumps(str(k))}: {_dumps(v, inner)}"
                            for k, v in obj.items())
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
@@ -52,7 +56,7 @@ def dumps(obj, _level: int = 0) -> str:
             return "[]"
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in seq):
             return "[" + ", ".join(_scalar(v) for v in seq) + "]"
-        items = ",\n".join(f"{inner}{dumps(v, _level + 1)}" for v in seq)
+        items = ",\n".join(f"{inner}{_dumps(v, inner)}" for v in seq)
         return "[\n" + items + "\n" + pad + "]"
     return _scalar(obj)
 
@@ -171,13 +175,25 @@ def write_invariant_grid(inv: InvariantGrid, path: str) -> None:
     write_json(invariant_grid_to_dict(inv), path)
 
 
-def read_invariant_grid(path: str) -> InvariantGrid:
+def _read_json(path: str, what: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DimensionError(f"malformed invariant-grid file: {exc}") from exc
-    return invariant_grid_from_dict(data)
+            raise DimensionError(f"malformed {what} file: {exc}") from exc
+
+
+def read_invariant_grid(path: str) -> InvariantGrid:
+    return invariant_grid_from_dict(_read_json(path, "invariant-grid"))
+
+
+def read_profile(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, rho, z) of a revolution profile file: a JSON object whose t, rho and
+    z are flat lists of JSON numbers (no bool, no string)."""
+    data = _read_json(path, "profile")
+    if not isinstance(data, dict) or not {"t", "rho", "z"} <= data.keys():
+        raise DimensionError("malformed profile file: need an object with t, rho and z")
+    return tuple(number_list(data, key) for key in ("t", "rho", "z"))
 
 
 def write_obj(mesh: SurfaceMesh, path: str) -> None:

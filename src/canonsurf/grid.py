@@ -1,14 +1,16 @@
 """Shared numerical substrate: grids, every derivative and quadrature
-stencil, path exponents, 1-D cubic interpolants, map inversion.
+stencil, path exponents and the canonical factor pair, 1-D cubic
+interpolants, map inversion.
 
 This module alone decides the discretization, and every stencil takes and
-returns bare arrays sampled on a Grid2's nodes. The default is second order
-(central differences inside, one-sided second-order stencils on the two
-boundary layers, composite trapezoid quadrature) so that every residual in
-the package has a clean O(h^2) target; FOURTH_ORDER (five-point differences,
-not-a-knot spline quadrature) serves the canonical map construction. The
-not-a-knot spline and the monotone cubic (PCHIP) also serve resampling and
-the frame march.
+returns bare arrays sampled on a Grid2's nodes. SECOND_ORDER (central
+differences inside, one-sided second-order stencils on the two boundary
+layers, composite trapezoid quadrature) gives every residual in the package a
+clean O(h^2) target; FOURTH_ORDER (five-point differences, not-a-knot spline
+quadrature) serves the canonical map construction and the affine fit. The
+factor pair exp(-+P) of path_factors is built here only, and every caller
+names its stencil order. The not-a-knot spline and the monotone cubic (PCHIP)
+also serve resampling and the frame march.
 """
 
 from __future__ import annotations
@@ -173,11 +175,6 @@ def _signed_cumtrapz(values: np.ndarray, h: float, i0: int, axis: int) -> np.nda
     return total - anchor
 
 
-# fourth-order one-sided first-derivative weights of the first two nodes
-_D4_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_D4_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-
-
 def _deriv4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Fourth-order first derivative: five-point central inside, one-sided
     five-point on the two boundary layers; below 5 nodes it is _diff."""
@@ -185,11 +182,14 @@ def _deriv4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
         return _diff(values, h, axis)
     f = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
     out = np.empty_like(f)
-    out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
-    out[0] = np.tensordot(_D4_EDGE0, f[:5], axes=(0, 0)) / h
-    out[1] = np.tensordot(_D4_EDGE1, f[:5], axes=(0, 0)) / h
-    out[-1] = -np.tensordot(_D4_EDGE0, f[-5:][::-1], axes=(0, 0)) / h
-    out[-2] = -np.tensordot(_D4_EDGE1, f[-5:][::-1], axes=(0, 0)) / h
+    # every row weighs differences, so a constant gives exactly 0; the rows of
+    # the first two nodes of an end weigh differences from their own node, w[0]
+    # or w[1], with w the end's five nodes, inward
+    out[2:-2] = ((f[:-4] - f[4:]) + 8.0 * (f[3:-1] - f[1:-3])) / (12.0 * h)
+    for w, (k0, k1), sign in ((f[:5], (0, 1), 1.0), (f[:-6:-1], (-1, -2), -1.0)):
+        d, e = w - w[0], w - w[1]
+        out[k0] = sign * (48.0 * d[1] - 36.0 * d[2] + 16.0 * d[3] - 3.0 * d[4]) / (12.0 * h)
+        out[k1] = sign * (-3.0 * e[0] + 18.0 * e[2] - 6.0 * e[3] + e[4]) / (12.0 * h)
     return np.moveaxis(out, 0, axis)
 
 
@@ -211,7 +211,7 @@ FOURTH_ORDER = (_deriv4, _cumint4)
 
 
 def path_exponent(f: np.ndarray, gap: np.ndarray, g: Grid2, base: BaseIndex, axis: int,
-                  stencils=SECOND_ORDER) -> np.ndarray:
+                  stencils) -> np.ndarray:
     """Path integral of df / gap from the base node to every node of g.
 
     The `axis` component of df / gap is integrated over the whole grid, the
@@ -226,6 +226,16 @@ def path_exponent(f: np.ndarray, gap: np.ndarray, g: Grid2, base: BaseIndex, axi
     full = cumint(diff(f, h[axis], axis) / gap, h[axis], k0[axis], axis)
     line = np.take(diff(f, h[other], other) / gap, [k0[axis]], axis=axis)
     return full + cumint(line, h[other], k0[other], other)
+
+
+def path_factors(f1: np.ndarray, f2: np.ndarray, gap: np.ndarray, g: Grid2, base: BaseIndex,
+                 stencils) -> tuple[np.ndarray, np.ndarray]:
+    """(Psi1, Psi2) = (exp(-P1), exp(P2)), P1 the path exponent of df1 / gap over
+    axis 1 and P2 that of df2 / gap over axis 0: for f1, f2, gap = nu1, nu2,
+    nu1 - nu2 the canonical factors of E = a Psi1^2 and G = b Psi2^2, exactly
+    1 at the base node. stencils is SECOND_ORDER or FOURTH_ORDER."""
+    return (np.exp(-path_exponent(f1, gap, g, base, 1, stencils)),
+            np.exp(path_exponent(f2, gap, g, base, 0, stencils)))
 
 
 def not_a_knot_slopes(y: np.ndarray) -> np.ndarray:

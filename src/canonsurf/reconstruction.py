@@ -86,18 +86,13 @@ def coefficients_from_invariants(inv: InvariantGrid):
 
     E = E0 * Psi1^2 and G = G0 * Psi2^2 with E0 = a, G0 = b in nu mode; in KH
     mode the stored constants carry the sqrt(H^2 - K) weight, so E0 = a / s0
-    with s0 the discriminant root at the base node. Then L = nu1 E, N = nu2 G.
+    with s0 the half-gap at the base node. Then L = nu1 E, N = nu2 G.
     """
     psi1, psi2 = canonical_factors(inv)
     nu1, nu2 = inv.nu_arrays()
-    if inv.mode == "nu":
-        E0, G0 = inv.a, inv.b
-    else:
-        K, H = inv.kh_arrays()
-        s0 = float(np.sqrt(H * H - K)[inv.base.i0, inv.base.j0])
-        E0, G0 = inv.a / s0, inv.b / s0
-    E = E0 * psi1**2
-    G = G0 * psi2**2
+    s0 = 1.0 if inv.mode == "nu" else float(inv.half_gap()[inv.base.i0, inv.base.j0])
+    E = inv.a / s0 * psi1**2
+    G = inv.b / s0 * psi2**2
     if np.any(E <= 0) or np.any(G <= 0):
         raise PositivityError("reconstructed metric coefficients must stay positive")
     like = inv.geometry.like

@@ -7,10 +7,10 @@ stalls at a nonzero level otherwise, so the residuals double as detectors.
 
 The Laplacian of the CMC and minimal equations assumes canonical parameters
 with a = b = 1; other constants are absorbed by the affine parameter freedom,
-which turns the Laplacian into (1/a) d^2/du^2 + (1/b) d^2/dv^2. Here a, b
-are the kh-mode constants (InvariantGrid.to_kh().a, .b), which carry the
-sqrt(H^2 - K) weight of the base node; the metric constants a = E, b = G of
-a nu-mode grid do not fit these equations unless that weight is 1.
+which turns the Laplacian into (1/a) d^2/du^2 + (1/b) d^2/dv^2. Callers
+pass a and b: the kh-mode constants (InvariantGrid.to_kh().a, .b), which
+carry the sqrt(H^2 - K) weight of the base node; the metric constants a = E,
+b = G of a nu-mode grid do not fit these equations unless that weight is 1.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def _weighted_laplacian(values: np.ndarray, g: Grid2, a: float, b: float) -> np.
     return d_uu(values, g) / a + d_vv(values, g) / b
 
 
-def cmc_residual(K: Grid2, H: float, a: float = 1.0, b: float = 1.0) -> ResidualReport:
+def cmc_residual(K: Grid2, H: float, a: float, b: float) -> ResidualReport:
     """Residual of the constant-mean-curvature equation for the K field."""
     disc = H * H - K.values
     if np.any(disc <= 1e-12 * max(1.0, H * H, float(np.max(np.abs(K.values))))):
@@ -129,7 +129,7 @@ def cmc_residual(K: Grid2, H: float, a: float = 1.0, b: float = 1.0) -> Residual
     return make_report("cmc", K.like(res))
 
 
-def minimal_natural_residual(nu: Grid2, a: float = 1.0, b: float = 1.0) -> ResidualReport:
+def minimal_natural_residual(nu: Grid2, a: float, b: float) -> ResidualReport:
     """Residual of the natural minimal-surface equation for the positive curvature."""
     if np.any(nu.values <= 0.0):
         raise PositivityError("the minimal-surface equation needs nu > 0 everywhere")

@@ -216,12 +216,12 @@ def test_criterion_10_special_cases():
             u = np.linspace(-1, 1, n)
             v = np.linspace(0, math.pi, n)
             nu = cs.Grid2.from_axes(u, v, (1 / np.cosh(u) ** 2)[:, None] * np.ones((n, n)))
-            errs.append(cs.minimal_natural_residual(nu).max_abs)
+            errs.append(cs.minimal_natural_residual(nu, 1.0, 1.0).max_abs)
         assert 3.0 < errs[0] / errs[1] < 5.0, errs
         # cylinder: CMC equation and flat characterization vanish
         n = 33
         K = cs.Grid2(0, 0, 0.1, 0.1, np.zeros((n, n)))
-        assert cs.cmc_residual(K, 0.5).max_abs < 1e-10
+        assert cs.cmc_residual(K, 0.5, 1.0, 1.0).max_abs < 1e-10
         H = K.like(np.full((n, n), 0.5))
         flat = cs.flat_characterization(H)
         assert flat.report.max_abs < 1e-10

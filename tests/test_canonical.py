@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import canonsurf as cs
+from canonsurf import canonical
 from canonsurf.errors import CodazziViolation, MonotonicityError, UmbilicError
 from canonsurf.errors import DimensionError, DiscriminantError, RangeError
 
@@ -59,21 +60,21 @@ class TestBuildMaps:
         assert torus_vars[1] < torus_vars[0]
         assert torus_vars[0] / torus_vars[1] > 3.0
 
-    def test_codazzi_violation_detected(self):
+    def test_codazzi_violation_detected(self, monkeypatch):
         _, forms, curv, base, _ = _chart_pipeline("catenoid", (-1, 1), (0, math.pi), 65, 65)
         geo = curv.nu1
         uu = geo.u_axis[:, None]
         vv = geo.v_axis[None, :]
         bad_nu1 = geo.like(curv.nu1.values + 0.25 * np.sin(3 * uu) * np.sin(3 * vv))
         variations = []
-        for n_tol in (None,):
-            maps = cs.build_canonical_maps(forms.E, forms.G, bad_nu1, curv.nu2, base,
-                                           codazzi_tol=n_tol)
+        for n_tol in (math.inf,):
+            monkeypatch.setattr(canonical, "CODAZZI_TOL", n_tol)
+            maps = cs.build_canonical_maps(forms.E, forms.G, bad_nu1, curv.nu2, base)
             variations.append(maps.ubar_integrand_variation)
         assert variations[0] > 0.05  # refinement-independent violation
+        monkeypatch.setattr(canonical, "CODAZZI_TOL", 0.01)
         with pytest.raises(CodazziViolation):
-            cs.build_canonical_maps(forms.E, forms.G, bad_nu1, curv.nu2, base,
-                                    codazzi_tol=0.01)
+            cs.build_canonical_maps(forms.E, forms.G, bad_nu1, curv.nu2, base)
 
     def test_nonpositive_integrand_rejected(self):
         _, forms, curv, base, _ = _chart_pipeline("catenoid", (-1, 1), (0, math.pi), 17, 17)
@@ -120,6 +121,29 @@ class TestResample:
         geo = inv.geometry
         assert abs(geo.u_axis[inv.base.i0]) < 1e-12  # ubar0 = 0
         assert abs(geo.v_axis[inv.base.j0]) < 1e-12
+
+
+    def test_maps_of_another_grid_rejected(self):
+        *_, maps = _chart_pipeline("cylinder", (0, 2), (0, 2), 17, 17, r=1.0)
+        _, _, curv, _, _ = _chart_pipeline("cylinder", (0, 2), (0, 2), 21, 17, r=1.0)
+        with pytest.raises(DimensionError):
+            cs.resample_to_canonical(maps, curv.nu1, curv.nu2)
+
+    def test_companion_grids_on_a_canonical_chart(self):
+        # the catenoid chart is canonical about any base: its maps are the
+        # shifts u - u_base, v - v_base up to their fourth-order error, so E
+        # and G resampled onto the canonical grid are the chart's own cosh^2 u
+        errs = []
+        for n in (33, 65):
+            base = cs.BaseIndex(10 * (n - 1) // 32, 20 * (n - 1) // 32)
+            _, forms, curv, base, maps = _chart_pipeline("catenoid", (-1, 1), (0, math.pi),
+                                                         n, n, base=base)
+            inv = cs.resample_to_canonical(maps, curv.nu1, curv.nu2)
+            u = inv.geometry.u_axis[:, None] + forms.geometry.u_axis[base.i0]
+            for chart in (forms.E, forms.G):
+                got = cs.resample_grid(maps, chart, inv)
+                errs.append(np.max(np.abs(got.values - np.cosh(u) ** 2)))
+        assert max(errs[:2]) < 1e-5 and min(errs[:2]) / max(errs[2:]) > 12.0, errs
 
 
 class TestVerifyCanonical:
@@ -275,6 +299,13 @@ def test_invariant_grid_validation():
         cs.InvariantGrid("kh", g, g.like(np.zeros((9, 9))), 1.0, 1.0, cs.BaseIndex(4, 4))
     with pytest.raises(Exception):
         cs.InvariantGrid("nu", g, g.like(np.zeros((9, 9))), -1.0, 1.0, cs.BaseIndex(4, 4))
+
+
+def test_invariant_grid_rejects_unknown_mode():
+    # fields a kh-mode grid accepts, so only the mode check can refuse them
+    g = cs.Grid2(0, 0, 0.1, 0.1, np.zeros((9, 9)))
+    with pytest.raises(DimensionError, match="mode"):
+        cs.InvariantGrid("xy", g, g.like(np.ones((9, 9))), 1.0, 1.0, cs.BaseIndex(4, 4))
 
 
 @pytest.mark.parametrize("mode", ["nu", "kh"])

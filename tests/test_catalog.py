@@ -155,6 +155,11 @@ class TestRevolution:
         with pytest.raises(DomainError):
             cs.make_revolution_entry(t[::-1], np.ones_like(t), t)
 
+    def test_too_few_samples(self):
+        t = np.linspace(0, 1, 3)
+        with pytest.raises(DomainError, match=">= 4 samples"):
+            cs.make_revolution_entry(t, np.ones_like(t), t)
+
     @pytest.mark.parametrize("bad", ["rho", "z"])
     def test_non_finite_profile(self, bad):
         t = np.linspace(0, 1, 10)

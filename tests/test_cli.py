@@ -174,7 +174,8 @@ def test_check_malformed_grid_file_exits_3(tmp_path, text):
 def test_check_runs_without_scipy(tmp_path):
     # pytest's own process has scipy loaded, so only a fresh interpreter sees
     # the import path: canonicalize (nu and kh), check and reconstruct each
-    # leave scipy unloaded
+    # leave scipy unloaded, and so does reading canonical.least_squares, as a
+    # tracer that wraps it does
     script = """
 import contextlib, io, os, sys
 import canonsurf
@@ -197,9 +198,8 @@ for surface, ranges, mode in (
     run("check", "--input", stem + ".json")
     run("reconstruct", "--input", stem + ".json", "--output", stem + ".obj",
         "--report", stem + "-report.json")
-import scipy.optimize
-assert canonical.least_squares is scipy.optimize.least_squares
-assert not hasattr(canonical, "no_such_attribute")
+canonical.least_squares
+assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 """
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
     res = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
@@ -514,3 +514,16 @@ def test_revolution_profile(tmp_path):
     assert res.returncode == 0, res.stderr
     report = json.loads((tmp_path / "rev.json").read_text())
     assert report["H_max_abs"] < 1e-3  # spline catenoid is nearly minimal
+
+
+@pytest.mark.parametrize("profile", [
+    {"t": [0.0, 0.5, 1.0, 1.5, 2.0], "rho": [1.0, 1.1, True, 1.3, 1.4], "z": [0, 1, 2, 3, 4]},
+    [[0.0, 0.5, 1.0, 1.5, 2.0], [1.0, 1.1, 1.2, 1.3, 1.4], [0, 1, 2, 3, 4]],
+], ids=["boolean-radius", "top-level-list"])
+def test_revolution_profile_must_be_an_object_of_number_lists(tmp_path, profile):
+    ppath = tmp_path / "profile.json"
+    ppath.write_text(json.dumps(profile))
+    res = run_cli("analyze", "--surface", "revolution", "--profile", str(ppath),
+                  "--u", "0.2:1.8:9", "--v", "0:3:9")
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.startswith("canonsurf: error: "), res.stderr

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import canonsurf as cs
-from canonsurf import compatibility
-from canonsurf.errors import DimensionError, NotPrincipalError, RangeError, UmbilicError
+from canonsurf import compatibility, grid
+from canonsurf.errors import (DimensionError, NotPrincipalError, RangeError, RegularityError,
+                              UmbilicError)
 
 from helpers import (
     catenoid_invariants,
@@ -91,6 +93,15 @@ class TestCodazziGeneral:
         assert 3.0 < errs[0] / errs[1] < 5.0
 
 
+@pytest.mark.parametrize("residual", [cs.gauss_residual_general, cs.codazzi_residual_general])
+def test_general_residuals_reject_vanishing_w(residual):
+    _, forms, *_ = sample_chart("plane", (-1, 1), (-1, 1), 9)
+    W = forms.W.values.copy()
+    W[4, 4] = 0.0
+    with pytest.raises(RegularityError):
+        residual(dataclasses.replace(forms, W=forms.W.like(W)))
+
+
 class TestCodazziPrincipal:
     def test_catenoid(self):
         errs = []
@@ -146,7 +157,8 @@ class TestGaussPrincipal:
 def _phi_factors(inv):
     """(Phi1, Phi2) of the (K, H) route, as gauss_residual_canonical_kh builds them."""
     K, H = inv.kh_arrays()
-    return compatibility._path_factors(H, H, 2.0 * np.sqrt(H * H - K), inv)
+    return grid.path_factors(H, H, 2.0 * np.sqrt(H * H - K), inv.geometry, inv.base,
+                             grid.SECOND_ORDER)
 
 
 class TestCanonicalFactors:
@@ -192,8 +204,8 @@ class TestCanonicalFactors:
 
     def test_each_route_integrates_only_its_own_factors(self, monkeypatch):
         calls = []
-        path_exponent = compatibility.path_exponent
-        monkeypatch.setattr(compatibility, "path_exponent",
+        path_exponent = grid.path_exponent
+        monkeypatch.setattr(grid, "path_exponent",
                             lambda *args: calls.append(1) or path_exponent(*args))
 
         def count(fn, inv):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import canonsurf as cs
-from canonsurf.errors import DimensionError, MonotonicityError, RangeError
-from canonsurf.grid import (FOURTH_ORDER, _cumint4, _deriv4, _diff, _signed_cumtrapz,
-                            path_exponent, pchip)
+from canonsurf.errors import DimensionError, MonotonicityError, RangeError, ShapeMismatchError
+from canonsurf.grid import (FOURTH_ORDER, SECOND_ORDER, _cumint4, _deriv4, _diff,
+                            _signed_cumtrapz, not_a_knot_slopes, path_exponent, pchip,
+                            same_geometry)
 
 from helpers import grid_from_fn, observed_orders
 
@@ -23,6 +24,33 @@ def test_grid_invariants():
     g = cs.Grid2(1.0, 2.0, 0.5, 0.25, np.zeros((4, 5)))
     assert np.allclose(g.u_axis, [1.0, 1.5, 2.0, 2.5])
     assert np.allclose(g.v_axis, 2.0 + 0.25 * np.arange(5))
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3, 3), (4, 4, 2)])
+def test_grid_rejects_values_that_are_neither_scalar_nor_3_vector(shape):
+    with pytest.raises(DimensionError):
+        cs.Grid2(0, 0, 0.1, 0.1, np.zeros(shape))
+
+
+def test_like_rejects_another_shape():
+    g = cs.Grid2(0, 0, 0.1, 0.1, np.zeros((4, 5)))
+    with pytest.raises(ShapeMismatchError):
+        g.like(np.zeros((5, 4)))
+
+
+@pytest.mark.parametrize("i0,j0", [(4, 0), (0, 5), (-1, 2)])
+def test_base_index_outside_the_grid_rejected(i0, j0):
+    with pytest.raises(DimensionError):
+        cs.BaseIndex(i0, j0).validate(cs.Grid2(0, 0, 0.1, 0.1, np.zeros((4, 5))))
+
+
+def test_same_geometry_rejects_other_shapes_and_geometry():
+    g = cs.Grid2(0, 0, 0.1, 0.1, np.zeros((4, 5)))
+    with pytest.raises(ShapeMismatchError, match="shapes differ"):
+        same_geometry(g, cs.Grid2(0, 0, 0.1, 0.1, np.zeros((5, 4))))
+    for other in ((1e-3, 0, 0.1, 0.1), (0, 0, 0.1, 0.2)):
+        with pytest.raises(ShapeMismatchError, match="geometry differs"):
+            same_geometry(g, cs.Grid2(*other, np.zeros((4, 5))))
 
 
 def test_grid_values_immutable():
@@ -153,7 +181,7 @@ def _path_exponent_errors(axis, stencils):
         f = np.sin(u)[:, None] * np.cos(v)[None, :] + 0.5 * u[:, None]
         g = cs.Grid2.from_axes(u, v, f)
         base = cs.BaseIndex((n - 1) // 4, 3 * (n - 1) // 4)
-        got = path_exponent(f, np.exp(f), g, base, axis, *stencils)
+        got = path_exponent(f, np.exp(f), g, base, axis, stencils)
         assert got[base.i0, base.j0] == 0.0
         errs.append(np.max(np.abs(got - (np.exp(-f[base.i0, base.j0]) - np.exp(-f)))))
     return errs
@@ -161,12 +189,12 @@ def _path_exponent_errors(axis, stencils):
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_path_exponent_second_order_default(axis):
-    assert min(observed_orders(_path_exponent_errors(axis, ()))) >= 1.8
+    assert min(observed_orders(_path_exponent_errors(axis, SECOND_ORDER))) >= 1.8
 
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_path_exponent_fourth_order_stencils(axis):
-    assert min(observed_orders(_path_exponent_errors(axis, (FOURTH_ORDER,)))) >= 3.5
+    assert min(observed_orders(_path_exponent_errors(axis, FOURTH_ORDER))) >= 3.5
 
 
 def test_path_exponent_matches_cumulative_integrals():
@@ -177,7 +205,7 @@ def test_path_exponent_matches_cumulative_integrals():
     line = _signed_cumtrapz(cs.d_v(g.values, g) / gap, g.dv, base.j0, axis=1)
     want = (_signed_cumtrapz(cs.d_u(g.values, g) / gap, g.du, base.i0, axis=0)
             + line[base.i0][None, :])
-    assert np.array_equal(path_exponent(g.values, gap, g, base, 0), want)
+    assert np.array_equal(path_exponent(g.values, gap, g, base, 0, SECOND_ORDER), want)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -188,6 +216,19 @@ def test_deriv4_below_five_nodes_is_the_second_order_stencil(axis):
         assert np.array_equal(_deriv4(values, 0.1, axis), _diff(values, 0.1, axis))
     with pytest.raises(DimensionError):
         _deriv4(np.moveaxis(rng.normal(size=(2, 6)), 0, axis), 0.1, axis)
+
+
+def test_deriv4_is_exactly_zero_on_constants():
+    # every row weighs differences, so no roundoff is left over
+    rng = np.random.default_rng(11)
+    for c in rng.normal(scale=10.0, size=20):
+        for axis in (0, 1):
+            assert np.all(_deriv4(np.full((9, 6), c), 0.1, axis) == 0.0), c
+
+
+def test_not_a_knot_slopes_need_three_nodes():
+    with pytest.raises(DimensionError):
+        not_a_knot_slopes(np.zeros((2, 4)))
 
 
 def _pchip_cases():
@@ -301,6 +342,10 @@ class TestInvertMonotoneMap:
         want = np.array([brentq(lambda s: interp(s) - y, x[0], x[-1], xtol=1e-300,
                                 rtol=4 * np.finfo(float).eps) for y in targets])
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+
+    def test_unequal_lengths(self):
+        with pytest.raises(DimensionError):
+            cs.invert_monotone_map(np.arange(5.0), np.arange(4.0), 1.5)
 
     def test_non_monotone(self):
         x = np.linspace(0, 1, 11)

@@ -134,6 +134,13 @@ class TestIntegrateFrame:
         with pytest.raises(IntegrationError):
             cs.integrate_frame(E, G, L, N, bad, inv.base)
 
+    def test_left_handed_frame_rejected(self):
+        inv = constant_invariants(1.0, 0.0, 9, 0.2, 0.2)
+        E, G, L, N = cs.coefficients_from_invariants(inv)
+        mirrored = cs.FrameState(np.zeros(3), *np.diag([1.0, 1.0, -1.0]))
+        with pytest.raises(IntegrationError, match="right-handed"):
+            cs.integrate_frame(E, G, L, N, mirrored, inv.base)
+
 
 def svd_polar_factor(frames):
     """Reference: the nearest orthonormal triple U Vt from a batched SVD."""

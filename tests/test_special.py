@@ -102,6 +102,13 @@ class TestWeingarten:
             cs.WeingartenData(np.linspace(0.6, 1.0, 11), np.linspace(0.6, 1.0, 11),
                               -np.linspace(0.6, 1.0, 11), g, 1.0, 1.0, cs.BaseIndex(4, 4))
 
+    @pytest.mark.parametrize("t,match", [(np.linspace(0.0, 1.0, 4), ">= 5"),
+                                         (np.linspace(1.0, 0.0, 11), "strictly increasing")])
+    def test_short_or_decreasing_t_rejected(self, t, match):
+        g = cs.Grid2(0, 0, 0.1, 0.1, np.full((9, 9), 0.5))
+        with pytest.raises(RangeError, match=match):
+            cs.WeingartenData(t, t + 1.0, -t, g, 1.0, 1.0, cs.BaseIndex(4, 4))
+
     def test_non_finite_samples(self):
         g = cs.Grid2(0, 0, 0.1, 0.1, np.full((9, 9), 0.5))
         t = np.linspace(0.0, 1.0, 11)
@@ -121,7 +128,7 @@ class TestCMC:
     def test_cylinder_constants_zero(self):
         n = 33
         K = cs.Grid2(0, 0, 0.1, 0.1, np.zeros((n, n)))
-        rep = cs.cmc_residual(K, 0.5)
+        rep = cs.cmc_residual(K, 0.5, 1.0, 1.0)
         assert rep.max_abs < 1e-14
 
     def test_catenoid_closed_form_convergence(self):
@@ -130,27 +137,27 @@ class TestCMC:
             u = np.linspace(-1, 1, n)
             v = np.linspace(0, math.pi, n)
             K = cs.Grid2.from_axes(u, v, (-1.0 / np.cosh(u) ** 4)[:, None] * np.ones((n, n)))
-            errs.append(cs.cmc_residual(K, 0.0).max_abs)
+            errs.append(cs.cmc_residual(K, 0.0, 1.0, 1.0).max_abs)
         assert observed_orders(errs)[0] >= 1.9
 
     def test_pseudosphere_detection_case(self):
         n = 17
         K = cs.Grid2(0, 0, 0.1, 0.1, np.full((n, n), -1.0))
-        rep = cs.cmc_residual(K, 0.0)
+        rep = cs.cmc_residual(K, 0.0, 1.0, 1.0)
         assert np.max(np.abs(rep.residual.values - 4.0)) < 1e-12
 
     def test_discriminant_guard(self):
         n = 9
         K = cs.Grid2(0, 0, 0.1, 0.1, np.full((n, n), 0.25))
         with pytest.raises(DiscriminantError):
-            cs.cmc_residual(K, 0.5)
+            cs.cmc_residual(K, 0.5, 1.0, 1.0)
 
 
 class TestMinimalNatural:
     def test_catenoid_convergence(self):
         errs = []
         for n in (65, 129, 257):
-            errs.append(cs.minimal_natural_residual(_catenoid_nu_grid(n)).max_abs)
+            errs.append(cs.minimal_natural_residual(_catenoid_nu_grid(n), 1.0, 1.0).max_abs)
         for o in observed_orders(errs):
             assert o >= 1.9
 
@@ -158,20 +165,20 @@ class TestMinimalNatural:
         n = 17
         for c in (0.5, 2.0):
             nu = cs.Grid2(0, 0, 0.1, 0.1, np.full((n, n), c))
-            rep = cs.minimal_natural_residual(nu)
+            rep = cs.minimal_natural_residual(nu, 1.0, 1.0)
             assert np.max(np.abs(rep.residual.values - 2.0 * c)) < 1e-12
 
     def test_positivity_guard(self):
         n = 9
         nu = cs.Grid2(0, 0, 0.1, 0.1, np.full((n, n), -0.1))
         with pytest.raises(PositivityError):
-            cs.minimal_natural_residual(nu)
+            cs.minimal_natural_residual(nu, 1.0, 1.0)
 
     def test_consistency_with_cmc(self):
         # for minimal data the CMC residual is exactly twice this residual
         nu = _catenoid_nu_grid(65)
-        r_min = cs.minimal_natural_residual(nu)
-        r_cmc = cs.cmc_residual(nu.like(-nu.values**2), 0.0)
+        r_min = cs.minimal_natural_residual(nu, 1.0, 1.0)
+        r_cmc = cs.cmc_residual(nu.like(-nu.values**2), 0.0, 1.0, 1.0)
         ratio = r_cmc.max_abs / r_min.max_abs
         assert abs(ratio - 2.0) < 1e-6
         assert ratio < 4.0
