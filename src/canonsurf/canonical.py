@@ -53,10 +53,11 @@ def require_positive_discriminant(K: np.ndarray, H: np.ndarray) -> np.ndarray:
     disc = H * H - K
     floor = DISCRIMINANT_RTOL * np.maximum(1.0, np.maximum(H * H, np.abs(K)))
     if np.any(disc <= floor):
-        worst = np.unravel_index(int(np.argmin(disc)), disc.shape)
+        worst = np.unravel_index(int(np.argmin(disc - floor)), disc.shape)
         raise DiscriminantError(
-            f"H^2 - K = {disc[worst]:.3e} at node {tuple(int(w) for w in worst)} "
-            "is not strictly positive")
+            f"H^2 - K = {disc[worst]:.3e} at node {tuple(int(w) for w in worst)} is not above "
+            f"{floor[worst]:.3e} = {DISCRIMINANT_RTOL:g} * max(1, H^2, |K|), the floor for its "
+            "cancellation error of about eps * H^2 (nu mode has no such floor)")
     return disc
 
 

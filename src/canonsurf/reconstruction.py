@@ -4,16 +4,16 @@ From an InvariantGrid the first- and second-form coefficients E, G, L, N are
 rebuilt (F = M = 0 by construction), and the orthonormal frame
 (xu/sqrt(E), xv/sqrt(G), n) is integrated over the grid: first along the base
 row in u, then along every column in v, with a classical fourth-order stepper.
-The frame system is linear, so one RK4 step of the unit state maps the whole
-state: x' = x + p F and F' = Q F. These step propagators are formed for a
-block of steps on every line at once, one array per matrix entry, without
-the products with the unit state's zeros. Each Q is pulled to its polar
-factor, the nearest orthonormal matrix, by one Newton-Schulz step (two when
-the block's drift exceeds NEWTON_SCHULZ_ONE_STEP); for an orthonormal frame
-that equals projecting the stepped frame. What remains sequential is one
-small matrix product per step. The stepper's node coefficients are the grid
-values; its midpoint coefficients are the not-a-knot cubic spline's, from one
-tridiagonal solve per axis in numpy.
+The frame system is linear, so one RK4 step maps the whole state: x' = x + p F
+and F' = Q F. The rotation part of its generator is skew and nonzero only in
+the tangent's row and column, so the 12 entries of [p; Q] have a closed form
+in a few sums and products of the coefficients, formed for a block of steps
+on every line at once. Each Q is pulled to its polar factor, the nearest
+orthonormal matrix, by one Newton-Schulz step (two when the block's drift
+exceeds NEWTON_SCHULZ_ONE_STEP); for an orthonormal frame that equals
+projecting the stepped frame. What remains sequential is one homogeneous
+product [[1, p], [0, Q]] [x; F] per step. Node coefficients are the grid
+values; midpoint ones the not-a-knot cubic spline's (grid.not_a_knot_slopes).
 """
 
 from __future__ import annotations
@@ -48,7 +48,10 @@ FRAME_DRIFT_LIMIT = 1e-6
 # one Newton-Schulz step leaves an error of about 0.4 drift^2, below roundoff
 # from this drift on down; a larger drift gets a second step
 NEWTON_SCHULZ_ONE_STEP = 1e-8
-MARCH_BLOCK = 32  # steps whose propagators are formed together: cache-sized temporaries
+# step-line pairs whose step maps are formed together: cache-sized temporaries,
+# and a one-line march forms all its steps at once
+MARCH_STEP_LINES = 1 << 14
+INITIAL_FRAME_TOL = 1e-10  # largest orthonormality defect of an accepted initial frame
 
 
 @dataclass(frozen=True)
@@ -99,32 +102,6 @@ def coefficients_from_invariants(inv: InvariantGrid):
     return like(E), like(G), like(nu1 * E), like(nu2 * G)
 
 
-def _scaled(s, x):
-    """s * x, where None stands for an exact zero of the unit state."""
-    return None if x is None else s * x
-
-
-def _plus(x, y):
-    """x + y, where None stands for an exact zero of the unit state."""
-    return x if y is None else y if x is None else x + y
-
-
-def _frame_rate(col, coef, tangent: int):
-    """Rate of one column (x, e1, e2, n) of the frame state; coef holds (a, b, c, -b, -c).
-
-    The columns of the state evolve independently, each entry is an array or
-    None for an exact zero, and no product with a zero is formed.
-    """
-    a, b, c, neg_b, neg_c = coef
-    other = 3 - tangent
-    d = [None] * 4
-    d[0] = _scaled(a, col[tangent])
-    d[tangent] = _plus(_scaled(neg_b, col[other]), _scaled(c, col[3]))
-    d[other] = _scaled(b, col[tangent])
-    d[3] = _scaled(neg_c, col[tangent])
-    return d
-
-
 def _gram_deviation(f):
     """Entries of F F^T - I, as a symmetric nested 3x3 list, of the entries f[i][j]."""
     dev = [[None] * 3 for _ in range(3)]
@@ -135,14 +112,18 @@ def _gram_deviation(f):
     return dev
 
 
-def _newton_schulz_step(f, dev):
-    """Entries of F - 0.5 (F F^T - I) F, from the entries of F and of its Gram deviation."""
-    return [[f[i][j] - 0.5 * (dev[i][0] * f[0][j] + dev[i][1] * f[1][j] + dev[i][2] * f[2][j])
+def _newton_schulz_step(f, dev, out):
+    """Entries of F - 0.5 (F F^T - I) F, from those of F and its Gram deviation, written
+    to the (3, 3, ...) array out, or to new arrays when out is None."""
+    return [[np.subtract(f[i][j], 0.5 * (dev[i][0] * f[0][j] + dev[i][1] * f[1][j]
+                                         + dev[i][2] * f[2][j]),
+                         out=None if out is None else out[i, j, ...])
              for j in range(3)] for i in range(3)]
 
 
-def _polar_entries(f):
-    """Polar factor, the nearest orthonormal matrix, of the 3x3 matrix of stacks f[i][j].
+def _polar_entries(f, out) -> None:
+    """Polar factor, the nearest orthonormal matrix, of the 3x3 matrix of stacks f[i][j],
+    written to the (3, 3, ...) array out.
 
     Newton-Schulz converges quadratically (Bjorck & Bowie 1971; Higham 1986):
     one step from a drift max|F F^T - I| of NEWTON_SCHULZ_ONE_STEP or less
@@ -154,16 +135,17 @@ def _polar_entries(f):
         raise IntegrationError(
             f"frame drift {drift:.3e} exceeds {FRAME_DRIFT_LIMIT}; grid is too coarse "
             "for the stepper")
-    f = _newton_schulz_step(f, dev)
     if drift > NEWTON_SCHULZ_ONE_STEP:
-        f = _newton_schulz_step(f, _gram_deviation(f))
-    return f
+        f = _newton_schulz_step(f, dev, None)
+        dev = _gram_deviation(f)
+    _newton_schulz_step(f, dev, out)
 
 
 def _polar_factor(frames: np.ndarray) -> np.ndarray:
     """Nearest orthonormal triples of a (..., 3, 3) stack."""
-    f = _polar_entries(np.moveaxis(frames, (-2, -1), (0, 1)))
-    return np.moveaxis(np.array(f), (0, 1), (-2, -1))
+    out = np.empty(frames.shape)
+    _polar_entries(np.moveaxis(frames, (-2, -1), (0, 1)), np.moveaxis(out, (-2, -1), (0, 1)))
+    return out
 
 
 def _midpoint_coefficients(coef_values: np.ndarray) -> np.ndarray:
@@ -177,32 +159,42 @@ def _midpoint_coefficients(coef_values: np.ndarray) -> np.ndarray:
     return 0.5 * (y[:-1] + y[1:]) + 0.125 * (s[:-1] - s[1:])
 
 
-def _step_propagators(c0, cm, c1, h: float, tangent: int) -> list:
-    """Step maps [p; Q] from (steps, 3, lines) coefficients, as a nested 4x3 list of
-    (steps, lines) entries.
+def _step_maps(k0, km, k1, h: float, tangent: int, step: np.ndarray) -> list:
+    """One RK4 step of the frame system in closed form, from (steps, 3, lines) coefficients.
 
-    The frame rate is linear in the state, so one RK4 step of the unit state
-    [0; I] gives the whole step: x' = x + p F and F' = Q F. The state's
-    columns evolve independently, each entry is its own array with the lines
-    as the innermost memory axis, and the unit state's exact zeros are never
-    multiplied: the first stage has 9 of them in 12 entries.
+    The rate is Y' = A Y with A = [[0, a e_t^T], [0, M]] and M = u e_t^T - e_t u^T,
+    u = b e_o - c e_n; the step is Phi = I + h/6 (A0 + 4 Am + A1)
+    + h^2/6 (Am A0 + Am^2 + A1 Am) + h^3/12 (Am^2 A0 + A1 Am^2) + h^4/24 A1 Am^2 A0.
+    As M_i M_j = -u_i u_j^T - (u_i . u_j) e_t e_t^T, every entry follows from
+    b0 + 4 bm + b1, c0 + 4 cm + c1, w = um . u0, r = um . um and z = u1 . um.
+    Writes p to step[:, 0, 1:] of the (steps, 4, 4, lines) step array and
+    returns Q as a nested 3x3 list of (steps, lines) entries.
     """
-    coefs = [(a, b, c, -b, -c) for a, b, c in (np.moveaxis(k, 1, 0) for k in (c0, cm, c1))]
-    out = [[None] * 3 for _ in range(4)]
-    for j in range(3):
-        unit = [None] * 4
-        unit[j + 1] = 1.0
-        k1 = _frame_rate(unit, coefs[0], tangent)
-        k2 = _frame_rate([_plus(u, _scaled(0.5 * h, k)) for u, k in zip(unit, k1)],
-                         coefs[1], tangent)
-        k3 = _frame_rate([_plus(u, _scaled(0.5 * h, k)) for u, k in zip(unit, k2)],
-                         coefs[1], tangent)
-        k4 = _frame_rate([_plus(u, _scaled(h, k)) for u, k in zip(unit, k3)],
-                         coefs[2], tangent)
-        for r in range(4):  # k4 has no zero entry left
-            slope = _plus(_plus(_plus(k1[r], _scaled(2.0, k2[r])), _scaled(2.0, k3[r])), k4[r])
-            out[r][j] = _plus(unit[r], _scaled(h / 6.0, slope))
-    return out
+    (a0, b0, c0), (am, bm, cm), (a1, b1, c1) = (np.moveaxis(k, 1, 0) for k in (k0, km, k1))
+    h1, h2, h3, h4 = h / 6.0, h * h / 6.0, h**3 / 12.0, h**4 / 24.0
+    w = bm * b0 + cm * c0
+    r = bm * bm + cm * cm
+    z = b1 * bm + c1 * cm
+    hB = h1 * (b0 + 4.0 * bm + b1)
+    hC = h1 * (c0 + 4.0 * cm + c1)
+    b0m, c0m = b0 + bm, c0 + cm
+    ra1, rb1, rc1 = r * a1, r * b1, r * c1
+    t, o, n = tangent - 1, 2 - tangent, 2  # rows of e_t, e_o and the normal in F
+    p = step[:, 0, 1:]
+    np.subtract(h1 * (a0 + 4.0 * am + a1), h3 * (am * w + ra1), out=p[:, t])
+    np.subtract(h4 * (ra1 * b0), h2 * (am * b0m + a1 * bm), out=p[:, o])
+    np.subtract(h2 * (am * c0m + a1 * cm), h4 * (ra1 * c0), out=p[:, n])
+    q = [[None] * 3 for _ in range(3)]
+    q[t][t] = (1.0 - h2 * (w + r + z)) + h4 * (w * z)
+    q[t][o] = h3 * (r * b0 + z * bm) - hB
+    q[t][n] = hC - h3 * (r * c0 + z * cm)
+    q[o][t] = hB - h3 * (w * bm + rb1)
+    q[n][t] = h3 * (w * cm + rc1) - hC
+    q[o][o] = (1.0 - h2 * (bm * (b0m + b1))) + h4 * (rb1 * b0)
+    q[o][n] = h2 * (bm * c0m + b1 * cm) - h4 * (rb1 * c0)
+    q[n][o] = h2 * (cm * b0m + c1 * bm) - h4 * (rc1 * b0)
+    q[n][n] = (1.0 - h2 * (cm * (c0m + c1))) + h4 * (rc1 * c0)
+    return q
 
 
 def _march(y0: np.ndarray, coef_values: np.ndarray, axis_coords: np.ndarray,
@@ -216,27 +208,31 @@ def _march(y0: np.ndarray, coef_values: np.ndarray, axis_coords: np.ndarray,
     h = axis_coords[1] - axis_coords[0]
     node = np.ascontiguousarray(np.moveaxis(coef_values.reshape(n, -1, 3), -1, 1))
     mid = _midpoint_coefficients(node)  # (n - 1, 3, lines)
+    lines = node.shape[-1]
+    block = max(1, MARCH_STEP_LINES // lines)
     out = np.empty((n,) + y0.shape, dtype=float)
     out[k0] = y0
     start = y0.copy()
     start[..., 1:, :] = _polar_factor(y0[..., 1:, :])
+    # step maps [[1, p], [0, Q]] stored (steps, 4, 4, lines), so entries are contiguous
+    steps = np.zeros((min(block, n - 1), 4, 4, lines))
+    steps[:, 0, 0] = 1.0
     for direction in (1, -1):
-        steps = np.arange(k0, n - 1) if direction == 1 else np.arange(k0, 0, -1)
+        # the backward march is a forward one along the reversed axis, where the
+        # step from k to k + 1 crosses interval k of the reversed midpoint table
+        nodes, mids, states = ((node, mid, out) if direction == 1 else
+                               (node[::-1], mid[::-1], out[::-1]))
         y = start
-        for b in range(0, steps.size, MARCH_BLOCK):
-            ks = steps[b:b + MARCH_BLOCK]
-            # the step from k to k + direction crosses interval min(k, k + direction)
-            p, *q = _step_propagators(node[ks], mid[np.minimum(ks, ks + direction)],
-                                      node[ks + direction], direction * h, tangent)
+        for b in range(k0 if direction == 1 else n - 1 - k0, n - 1, block):
+            e = min(b + block, n - 1)
+            block_steps = steps[:e - b]
+            q = _step_maps(nodes[b:e], mids[b:e], nodes[b + 1:e + 1], direction * h, tangent,
+                           block_steps)
             # polar(Q F) = polar(Q) F for orthonormal F, so each Q is projected once
-            prop = np.empty(ks.shape + node.shape[-1:] + (4, 3))
-            for r, row in enumerate([p, *_polar_entries(q)]):
-                for j, entry in enumerate(row):
-                    prop[..., r, j] = entry
-            for step, k in zip(prop.reshape(ks.shape + y0.shape), ks):
-                nxt = out[k + direction]
-                np.matmul(step, y[..., 1:, :], out=nxt)  # [p F; Q F]
-                nxt[..., 0, :] += y[..., 0, :]
+            _polar_entries(q, np.moveaxis(block_steps[:, 1:, 1:], 0, 2))
+            maps = np.moveaxis(block_steps, -1, 1).reshape((-1,) + y0.shape[:-2] + (4, 4))
+            for step, nxt in zip(maps, states[b + 1:e + 1]):
+                np.matmul(step, y, out=nxt)
                 y = nxt
     return out
 
@@ -256,7 +252,7 @@ def _frame_coefficients(E: Grid2, G: Grid2, L: Grid2, N: Grid2, init: FrameState
     """Validate the march inputs; return the u- and v-line coefficient grids."""
     same_geometry(E, G, L, N)
     base.validate(E)
-    if init.orthonormality_defect() > 1e-10:
+    if init.orthonormality_defect() > INITIAL_FRAME_TOL:
         raise IntegrationError("initial frame is not orthonormal")
     if np.linalg.det(np.array([init.e1, init.e2, init.n])) <= 0:
         raise IntegrationError("initial frame must be right-handed")

@@ -301,6 +301,21 @@ def test_invariant_grid_validation():
         cs.InvariantGrid("nu", g, g.like(np.zeros((9, 9))), -1.0, 1.0, cs.BaseIndex(4, 4))
 
 
+def test_to_kh_names_the_discriminant_floor_a_small_gap_misses():
+    # a gap of 5e-7 clears the umbilic test, but H^2 - K = (5e-7 / 2)^2 = 6.25e-14
+    # lies below the kh floor 1e-12 * max(1, H^2, |K|) = 1e-12
+    g = cs.Grid2(0, 0, 0.1, 0.1, np.ones((17, 17)))
+    inv = cs.InvariantGrid("nu", g, g.like(np.full((17, 17), 1.0 - 5e-7)), 1.0, 1.0,
+                           cs.BaseIndex(8, 8))
+    with pytest.raises(DiscriminantError) as err:
+        inv.to_kh()
+    msg = str(err.value)
+    disc = float(msg.split("H^2 - K = ")[1].split()[0])
+    assert abs(disc - 6.25e-14) <= 4 * np.finfo(float).eps  # cancellation, about eps H^2
+    assert "not above 1.000e-12 = 1e-12 * max(1, H^2, |K|), the floor" in msg
+    assert "cancellation error of about eps * H^2" in msg
+
+
 def test_invariant_grid_rejects_unknown_mode():
     # fields a kh-mode grid accepts, so only the mode check can refuse them
     g = cs.Grid2(0, 0, 0.1, 0.1, np.zeros((9, 9)))

@@ -215,17 +215,22 @@ def unit_state_rk4_step(c0, cm, c1, h, tangent):
 
 class TestFrameMarch:
     @pytest.mark.parametrize("tangent", [1, 2])
-    @pytest.mark.parametrize("h", [0.07, -0.07])
-    @pytest.mark.parametrize("steps", [1, 7, reconstruction.MARCH_BLOCK])
+    @pytest.mark.parametrize("h", [0.07, -0.07, 0.7, -0.7])
+    @pytest.mark.parametrize("steps", [1, 7, 32])
     @pytest.mark.parametrize("lines", [1, 65])
     def test_step_propagators_are_one_rk4_step_of_the_unit_state(self, tangent, h, steps, lines):
-        # skipping the unit state's exact zeros changes no bit on finite coefficients
+        # the closed form sums the stages in another order, so it agrees to
+        # roundoff; at h = 0.7 a wrong h^3 or h^4 term would be far above it
         rng = np.random.default_rng(100 * steps + lines)
         c0, cm, c1 = (rng.standard_normal((steps, 3, lines)) for _ in range(3))
-        got = np.array(reconstruction._step_propagators(c0, cm, c1, h, tangent))
-        assert got.shape == (4, 3, steps, lines)
+        step = np.full((steps, 4, 4, lines), np.nan)
+        q = reconstruction._step_maps(c0, cm, c1, h, tangent, step)
+        p = np.moveaxis(step[:, :1, 1:], -1, 1)  # (steps, lines, 1, 3)
+        assert np.all(np.isnan(step[:, 1:])) and np.all(np.isnan(step[:, 0, 0]))
+        got = np.concatenate([p, np.moveaxis(np.array(q), (0, 1), (-2, -1))], axis=-2)
         want = unit_state_rk4_step(c0, cm, c1, h, tangent)
-        assert np.array_equal(np.moveaxis(got, (0, 1), (-2, -1)), want)
+        assert got.shape == want.shape == (steps, lines, 4, 3)
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
     @pytest.mark.parametrize("scale, newton_schulz_steps", [(1.0, 1), (1.2, 2)])
     def test_polar_factor_about_the_one_step_threshold(self, scale, newton_schulz_steps,
@@ -289,13 +294,16 @@ class TestFrameMarch:
         assert np.max(np.abs(mid - spline(ax[1:] - 0.5 * h))) <= 1e-14 * scale
 
     @pytest.mark.parametrize("k0", [0, 44])
-    def test_march_from_either_end_matches_reference(self, k0):
-        # 44 steps: one full block of propagators and a partial one. The
-        # initial frame is off orthonormal by 5e-12 (1e-10 is accepted): left
-        # unprojected it would put every later frame off by as much, while its
-        # projection moves the first step's position by about h times as much
+    def test_march_from_either_end_matches_reference(self, k0, monkeypatch):
+        # a budget of 32 steps on 45 lines: the base row (one line) forms its 44
+        # steps in one block, and the march over 45 lines a full block of 32 steps
+        # and a partial one of 12. The initial frame is off orthonormal by
+        # 5e-12 (1e-10 is accepted): left unprojected it would put every later
+        # frame off by as much, while its projection moves the first step's
+        # position by about h times as much
         n = 45
-        assert (n - 1) % reconstruction.MARCH_BLOCK != 0
+        monkeypatch.setattr(reconstruction, "MARCH_STEP_LINES", 32 * n)
+        assert (n - 1) % (reconstruction.MARCH_STEP_LINES // n) != 0
         inv, _, _ = torus_invariants(n)
         E, G, L, N = cs.coefficients_from_invariants(inv)
         R = random_rotation(3)
@@ -322,6 +330,28 @@ class TestFrameMarch:
         ref = cs.integrate_frame(E, G, L, N, init, inv.base)
         assert np.max(np.abs(mesh.positions.values - ref.positions.values)) < 1e-12
         assert np.max(np.abs(mesh.normals.values - ref.normals.values)) < 1e-12
+
+    def test_non_square_grid_matches_reference(self, monkeypatch):
+        # 33 x 21 nodes about an off-centre base: the marches over 33 and over
+        # 21 lines get different block lengths
+        entry = cs.make_entry("catenoid")
+        jets = cs.sample_surface(entry, -1.0, 2.0 / 32, 33, 0.0, math.pi / 20, 21)
+        forms = cs.fundamental_forms_grid(jets)
+        curv = cs.curvatures_grid(forms, principal_chart=entry.principal)
+        base = cs.BaseIndex(9, 14)
+        inv = cs.InvariantGrid("nu", curv.nu1, curv.nu2, float(forms.E.values[9, 14]),
+                               float(forms.G.values[9, 14]), base)
+        E, G, L, N = cs.coefficients_from_invariants(inv)
+        init = random_frame(5)
+        mesh = cs.integrate_frame(E, G, L, N, init, base)
+        gap = cs.path_consistency_diagnostic(E, G, L, N, init, base)
+        monkeypatch.setattr(reconstruction, "_march", reference_march)
+        ref = cs.integrate_frame(E, G, L, N, init, base)
+        ref_gap = cs.path_consistency_diagnostic(E, G, L, N, init, base)
+        assert mesh.positions.values.shape == (33, 21, 3)
+        assert np.max(np.abs(mesh.positions.values - ref.positions.values)) < 1e-12
+        assert np.max(np.abs(mesh.normals.values - ref.normals.values)) < 1e-12
+        assert abs(gap - ref_gap) < 1e-12
 
     def test_overflowing_coefficients_hit_drift_guard(self):
         # 8 nodes a side skips the floor test; the frame rates overflow to NaN
