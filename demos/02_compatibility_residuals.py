@@ -56,7 +56,7 @@ v = curv.nu1.v_axis[None, :]
 fake = curv.nu1.like(curv.nu1.values * (1 + 0.05 * np.sin(3 * u) * np.sin(2 * v)))
 bad = cs.InvariantGrid("nu", fake, curv.nu2, 1.0, 1.0, base)
 check = cs.compatibility_floor(bad)
-print(f"perturbed catenoid: residual {check.fine_max_abs:.3e} at full resolution, "
+print(f"perturbed catenoid: residual {check.fine.max_abs:.3e} at full resolution, "
       f"{check.coarse_max_abs:.3e} subsampled")
 print(f"improvement ratio {check.ratio:.2f} -> compatible: {check.compatible}")
 good = cs.compatibility_floor(cs.InvariantGrid("nu", curv.nu1, curv.nu2, 1.0, 1.0, base))

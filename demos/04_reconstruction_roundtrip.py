@@ -20,7 +20,7 @@ for n in (65, 129):
     curv = cs.curvatures_grid(cs.fundamental_forms_grid(jets), principal_chart=True)
     inv = cs.InvariantGrid("nu", curv.nu1, curv.nu2, 1.0, 1.0,
                            cs.BaseIndex(n // 2, n // 2))
-    mesh = cs.reconstruct(inv, check_compatibility=False)
+    mesh = cs.reconstruct(inv)
     _, _, rms = cs.align_rigid(mesh, cs.SurfaceMesh(jets.x))
     E, G, L, N = cs.coefficients_from_invariants(inv)
     gap = cs.path_consistency_diagnostic(E, G, L, N, cs.identity_frame(), inv.base)
@@ -40,8 +40,8 @@ for _ in range(2):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     frames.append(cs.FrameState(rng.normal(size=3), q[0], q[1], q[2]))
-m1 = cs.reconstruct(inv, initial_frame=frames[0], check_compatibility=False)
-m2 = cs.reconstruct(inv, initial_frame=frames[1], check_compatibility=False)
+m1 = cs.reconstruct(inv, initial_frame=frames[0])
+m2 = cs.reconstruct(inv, initial_frame=frames[1])
 _, _, rms = cs.align_rigid(m1, m2)
 print(f"two random initial frames, after Procrustes alignment: rms = {rms:.3e}")
 
@@ -51,7 +51,7 @@ n = 129
 g = cs.Grid2(0.0, 0.0, math.pi / (n - 1), 2.0 / (n - 1), np.full((n, n), 1.0))
 inv = cs.InvariantGrid("nu", g, g.like(np.zeros((n, n))), 1.0, 1.0,
                        cs.BaseIndex(n // 2, n // 2))
-mesh = cs.reconstruct(inv, check_compatibility=False)
+mesh = cs.reconstruct(inv)
 pts = mesh.positions.values.reshape(-1, 3)
 print("reconstructed", len(pts), "mesh points; exporting OBJ")
 path = os.path.join(tempfile.gettempdir(), "canonsurf_cylinder.obj")

@@ -15,6 +15,7 @@ from .canonical import (
 from .compatibility import (
     FloorCheck,
     canonical_factors,
+    canonical_residual,
     codazzi_residual_general,
     codazzi_residual_principal,
     compatibility_floor,

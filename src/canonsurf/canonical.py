@@ -113,14 +113,20 @@ class InvariantGrid:
         n1, n2 = self.field1.values, self.field2.values
         return n1 * n2, 0.5 * (n1 + n2)
 
+    def kh_constants(self) -> tuple[float, float]:
+        """(a, b) in kh mode: a nu grid's constants times sqrt(H^2 - K) at the base node."""
+        if self.mode == "kh":
+            return self.a, self.b
+        s0 = float(self.half_gap()[self.base.i0, self.base.j0])
+        return self.a * s0, self.b * s0
+
     def to_kh(self) -> "InvariantGrid":
-        """The same data in kh mode; a, b gain the sqrt(H^2 - K) weight of the base node."""
+        """The same data in kh mode, with the constants of kh_constants()."""
         if self.mode == "kh":
             return self
-        s0 = float(self.half_gap()[self.base.i0, self.base.j0])
         K, H = self.kh_arrays()
         like = self.geometry.like
-        return InvariantGrid("kh", like(K), like(H), self.a * s0, self.b * s0, self.base)
+        return InvariantGrid("kh", like(K), like(H), *self.kh_constants(), self.base)
 
     @property
     def geometry(self) -> Grid2:

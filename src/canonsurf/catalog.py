@@ -170,6 +170,8 @@ def make_entry(name: str, **params) -> CatalogEntry:
     entry = _make_entry(name, params)
     if params:
         raise DomainError(f"unknown parameter(s) for '{name}': {sorted(params)}")
+    _require(all(map(math.isfinite, entry.parameters.values())),
+             f"'{name}' needs finite parameters, got {entry.parameters}")
     return entry
 
 

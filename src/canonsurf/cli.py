@@ -13,12 +13,13 @@ import math
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
 from . import canonical, compatibility, formats, invariants, reconstruction, special_surfaces
 from .catalog import CATALOG_NAMES, make_entry, make_revolution_entry, sample_surface
-from .errors import CanonsurfError, IncompatibleInvariantsError, UmbilicError
+from .errors import CanonsurfError, CompatibilityWarning, UmbilicError
 from .grid import BaseIndex, Grid2
 from .reports import interior
 
@@ -168,8 +169,7 @@ def _invariant_grid_from_chart(forms, curv, base, mode):
     if mode == "nu":
         return inv
     # the chart's own K and H: nu1 * nu2 and (nu1 + nu2) / 2 differ from them at roundoff
-    kh = inv.to_kh()
-    return canonical.InvariantGrid("kh", curv.K, curv.H, kh.a, kh.b, base)
+    return canonical.InvariantGrid("kh", curv.K, curv.H, *inv.kh_constants(), base)
 
 
 def _canonicalize(entry, u_range, v_range, base_text: str | None, mode: str):
@@ -205,17 +205,17 @@ def cmd_canonicalize(args) -> int:
 
 
 def _check_report(inv):
-    rep = compatibility._canonical_residual(inv)
+    # the floor test's full-grid residual is the reported one, not evaluated again
+    floor = compatibility.compatibility_floor(inv)
+    rep = floor.fine if floor else compatibility.canonical_residual(inv)
     result = {
         "format": "check-report/1",
         "mode": inv.mode,
         "grid": _grid_block(inv.geometry),
         "residuals": [rep.to_dict()],
     }
-    # the floor test reuses the full-grid residual rather than evaluating it again
-    floor = compatibility._floor_check(inv, rep)
     result["floor_check"] = None if floor is None else {
-        "fine_max_abs": floor.fine_max_abs,
+        "fine_max_abs": floor.fine.max_abs,
         "coarse_max_abs": floor.coarse_max_abs,
         "ratio": None if math.isinf(floor.ratio) else floor.ratio,
         "compatible": floor.compatible,
@@ -232,7 +232,10 @@ def cmd_check(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     inv = formats.read_invariant_grid(args.input)
-    mesh = reconstruction.reconstruct(inv, strict=args.strict)
+    with warnings.catch_warnings():
+        if args.strict:
+            warnings.simplefilter("error", CompatibilityWarning)
+        mesh = reconstruction.reconstruct(inv)
     formats.write_obj(mesh, _out_path(args.output))
     print(f"mesh written to {_out_path(args.output)} "
           f"({inv.geometry.nu * inv.geometry.nv} vertices)")
@@ -284,7 +287,7 @@ def cmd_roundtrip(args) -> int:
             inv,
             canonical.resample_grid(maps, forms.E, inv),
             canonical.resample_grid(maps, forms.G, inv))
-        mesh = reconstruction.reconstruct(inv, check_compatibility=False)
+        mesh = reconstruction.reconstruct(inv)
         truth = reconstruction.SurfaceMesh(canonical.resample_grid(maps, jets.x, inv))
         _, _, rms = reconstruction.align_rigid(mesh, truth)
         levels.append({
@@ -328,15 +331,15 @@ def cmd_special(args) -> int:
         reports, skipped = [special_surfaces.weingarten_residual(wd)], []
     else:
         inv = formats.read_invariant_grid(args.input)
-        kh = inv.to_kh()
-        K, H = kh.field1, kh.field2
+        K, H = (inv.geometry.like(f) for f in inv.kh_arrays())
+        a, b = inv.kh_constants()
         h_const = args.mean_curvature
         if h_const is None:
             h_const = float(np.mean(H.values))
         classes = {
-            "cmc": lambda: special_surfaces.cmc_residual(K, h_const, kh.a, kh.b),
+            "cmc": lambda: special_surfaces.cmc_residual(K, h_const, a, b),
             "minimal": lambda: special_surfaces.minimal_natural_residual(
-                inv.geometry.like(inv.half_gap()), kh.a, kh.b),
+                inv.geometry.like(inv.half_gap()), a, b),
             "flat": lambda: special_surfaces.flat_characterization(H).report,
         }
         # with "all", a class the data leaves undefined is listed, not fatal
@@ -428,7 +431,7 @@ def main(argv=None) -> int:
     except UmbilicError as exc:
         print(f"canonsurf: umbilic: {exc}", file=sys.stderr)
         return EXIT_UMBILIC
-    except IncompatibleInvariantsError as exc:
+    except CompatibilityWarning as exc:
         print(f"canonsurf: incompatible invariants: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
     except (CanonsurfError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

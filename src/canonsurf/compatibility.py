@@ -23,6 +23,10 @@ from .reports import ResidualReport, make_report
 # then keeps at least four nodes a side.
 FLOOR_MIN_NODES = 9
 FLOOR_MIN_RATIO = 1.5  # least coarse/fine residual ratio of compatible data
+# a fine residual within this many roundoff units of its stencils is compatible:
+# on exact data (a canonical cone or cylinder in kh mode) the residual is
+# roundoff, which grows as 1/h^2 and so never shrinks under refinement
+FLOOR_ROUNDOFF_UNITS = 1e3
 
 
 def _det3(r0, r1, r2):
@@ -126,11 +130,18 @@ def gauss_residual_canonical_kh(inv: InvariantGrid) -> ResidualReport:
     return make_report("gauss-canonical-kh", geo.like(lhs - rhs))
 
 
+def canonical_residual(inv: InvariantGrid) -> ResidualReport:
+    """The canonical-parameter Gauss residual in the grid's own route (nu or kh)."""
+    if inv.mode == "nu":
+        return gauss_residual_canonical(inv)
+    return gauss_residual_canonical_kh(inv)
+
+
 @dataclass(frozen=True)
 class FloorCheck:
     """Outcome of the residual floor test at two grid resolutions."""
 
-    fine_max_abs: float
+    fine: ResidualReport
     coarse_max_abs: float
     ratio: float
     compatible: bool
@@ -147,10 +158,13 @@ def _subsample(inv: InvariantGrid) -> InvariantGrid:
                          BaseIndex(inv.base.i0 // 2, inv.base.j0 // 2))
 
 
-def _canonical_residual(inv: InvariantGrid) -> ResidualReport:
-    if inv.mode == "nu":
-        return gauss_residual_canonical(inv)
-    return gauss_residual_canonical_kh(inv)
+def _roundoff(inv: InvariantGrid) -> float:
+    """Roundoff of the canonical residual's second differences:
+    eps * max|nu_i| / min|nu1 - nu2| * (1/(a du^2) + 1/(b dv^2))."""
+    nu1, nu2 = inv.nu_arrays()
+    g = inv.geometry
+    scale = max(np.max(np.abs(nu1)), np.max(np.abs(nu2))) / np.min(np.abs(nu1 - nu2))
+    return float(np.finfo(float).eps * scale * (1.0 / (inv.a * g.du**2) + 1.0 / (inv.b * g.dv**2)))
 
 
 def compatibility_floor(inv: InvariantGrid) -> FloorCheck | None:
@@ -158,19 +172,16 @@ def compatibility_floor(inv: InvariantGrid) -> FloorCheck | None:
 
     Discretization error drops by about 4 when the grid is refined, so data
     whose residual shrinks by less than FLOOR_MIN_RATIO from the subsampled
-    grid to the full grid is declared incompatible. A grid with fewer than
-    FLOOR_MIN_NODES nodes a side gives None: no test is run. An overflowing
-    residual gives no verdict: make_report raises RangeError.
+    grid to the full grid is declared incompatible, unless the full grid's
+    residual is within FLOOR_ROUNDOFF_UNITS of its stencils' roundoff. A grid
+    with fewer than FLOOR_MIN_NODES nodes a side gives None: no test is run.
+    An overflowing residual gives no verdict: make_report raises RangeError.
     """
     if min(inv.geometry.nu, inv.geometry.nv) < FLOOR_MIN_NODES:
         return None
-    return _floor_check(inv, _canonical_residual(inv))
-
-
-def _floor_check(inv: InvariantGrid, fine: ResidualReport) -> FloorCheck | None:
-    """compatibility_floor(inv), given the full grid's canonical residual."""
-    if min(inv.geometry.nu, inv.geometry.nv) < FLOOR_MIN_NODES:
-        return None
-    coarse = _canonical_residual(_subsample(inv)).max_abs
+    fine = canonical_residual(inv)
+    coarse = canonical_residual(_subsample(inv)).max_abs
     ratio = coarse / fine.max_abs if fine.max_abs > 0 else float("inf")
-    return FloorCheck(fine.max_abs, coarse, ratio, bool(ratio >= FLOOR_MIN_RATIO))
+    compatible = (ratio >= FLOOR_MIN_RATIO
+                  or fine.max_abs <= FLOOR_ROUNDOFF_UNITS * _roundoff(inv))
+    return FloorCheck(fine, coarse, ratio, bool(compatible))

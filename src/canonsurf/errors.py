@@ -61,9 +61,5 @@ class ZeroMeanCurvatureError(CanonsurfError):
     """Mean curvature vanishes where the flat-surface test needs 1/H."""
 
 
-class IncompatibleInvariantsError(CanonsurfError):
-    """Invariant data fails the compatibility floor test in strict mode."""
-
-
 class CompatibilityWarning(UserWarning):
     """Invariant data looks incompatible; reconstruction proceeds anyway."""

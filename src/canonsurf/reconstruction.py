@@ -28,7 +28,6 @@ from .catalog import JetGrid
 from .compatibility import canonical_factors, compatibility_floor
 from .errors import (
     CompatibilityWarning,
-    IncompatibleInvariantsError,
     IntegrationError,
     PositivityError,
     ShapeMismatchError,
@@ -327,22 +326,17 @@ def finite_difference_jets(mesh: SurfaceMesh) -> JetGrid:
     return JetGrid(x, *(x.like(d) for d in (xu, d_v(p, x), d_uu(p, x), d_v(xu, x), d_vv(p, x))))
 
 
-def reconstruct(inv: InvariantGrid, initial_frame: FrameState | None = None,
-                strict: bool = False, check_compatibility: bool = True) -> SurfaceMesh:
+def reconstruct(inv: InvariantGrid, initial_frame: FrameState | None = None) -> SurfaceMesh:
     """Reconstruct the surface mesh determined by an invariant grid.
 
-    When the compatibility floor test fails, a CompatibilityWarning is issued
-    and the reconstruction proceeds anyway (the diagnostics quantify the
-    failure); with strict=True an IncompatibleInvariantsError is raised
-    instead.
+    The compatibility floor test runs first; when it fails, a
+    CompatibilityWarning is issued before any frame is marched, and the
+    reconstruction proceeds (the diagnostics quantify the failure).
     """
-    floor = compatibility_floor(inv) if check_compatibility else None
+    floor = compatibility_floor(inv)
     if floor is not None and not floor.compatible:
-        msg = (f"invariant data looks incompatible: residual only improves by "
-               f"{floor.ratio:.2f}x under refinement")
-        if strict:
-            raise IncompatibleInvariantsError(msg)
-        warnings.warn(msg, CompatibilityWarning)
+        warnings.warn(f"invariant data looks incompatible: residual only improves by "
+                      f"{floor.ratio:.2f}x under refinement", CompatibilityWarning)
     E, G, L, N = coefficients_from_invariants(inv)
     init = initial_frame if initial_frame is not None else identity_frame()
     return integrate_frame(E, G, L, N, init, inv.base)

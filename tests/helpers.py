@@ -90,6 +90,20 @@ def cone_invariants(n, alpha=0.6, u_range=(0.0, 2.0), v_range=(0.5, 2.5)):
     return cs.InvariantGrid("nu", curv.nu1, curv.nu2, a, b, base), jets, forms
 
 
+def fabricated_invariants(n, seed):
+    """Smooth, umbilic-free nu-mode fields (nu1 < 0 < nu2) that satisfy no Gauss equation."""
+    rng = np.random.default_rng(seed)
+    eps = rng.uniform(0.03, 0.08)
+    k1, k2 = (int(k) for k in rng.integers(2, 4, size=2))
+    p1, p2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
+    u = np.linspace(-1.0, 1.0, n)
+    v = np.linspace(0.0, math.pi, n)
+    sech2 = (1.0 / np.cosh(u) ** 2)[:, None] * np.ones((1, n))
+    nu1 = -sech2 * (1.0 + eps * np.sin(k1 * u + p1)[:, None] * np.sin(k2 * v + p2)[None, :])
+    g = cs.Grid2.from_axes(u, v, nu1)
+    return cs.InvariantGrid("nu", g, g.like(sech2), 1.0, 1.0, cs.BaseIndex(n // 2, n // 2))
+
+
 def overflowing_invariants(n=33, scale=1e160):
     """Finite nu-mode fields +-scale whose canonical Gauss residual overflows to inf."""
     g = cs.Grid2(0.0, 0.0, 0.1, 0.1, np.full((n, n), scale))

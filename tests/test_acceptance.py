@@ -145,7 +145,7 @@ def test_criterion_06_reconstruction_roundtrip():
         for n in (65, 129, 257):
             t0 = time.perf_counter()
             inv, jets, _ = catenoid_invariants(n)
-            mesh = cs.reconstruct(inv, check_compatibility=False)
+            mesh = cs.reconstruct(inv)
             _, _, rms = cs.align_rigid(mesh, cs.SurfaceMesh(jets.x))
             errs.append(rms)
             f2 = cs.fundamental_forms_grid(cs.finite_difference_jets(mesh))
@@ -166,8 +166,8 @@ def test_criterion_06_reconstruction_roundtrip():
 def test_criterion_07_uniqueness_up_to_position():
     def body():
         inv, _, _ = catenoid_invariants(129)
-        m1 = cs.reconstruct(inv, initial_frame=random_frame(21), check_compatibility=False)
-        m2 = cs.reconstruct(inv, initial_frame=random_frame(22), check_compatibility=False)
+        m1 = cs.reconstruct(inv, initial_frame=random_frame(21))
+        m2 = cs.reconstruct(inv, initial_frame=random_frame(22))
         _, _, rms = cs.align_rigid(m1, m2)
         assert rms < 1e-8, rms
 
@@ -178,7 +178,7 @@ def test_criterion_08_cylinder_from_constants():
     def body():
         n = 129
         inv = constant_invariants(1.0, 0.0, n, math.pi / (n - 1), 2.0 / (n - 1))
-        mesh = cs.reconstruct(inv, check_compatibility=False)
+        mesh = cs.reconstruct(inv)
         dist = best_fit_axis_distances(mesh)
         assert np.max(np.abs(dist - 1.0)) < 1e-6, np.max(np.abs(dist - 1.0))
 

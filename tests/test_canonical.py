@@ -307,6 +307,8 @@ def test_to_kh_names_the_discriminant_floor_a_small_gap_misses():
     g = cs.Grid2(0, 0, 0.1, 0.1, np.ones((17, 17)))
     inv = cs.InvariantGrid("nu", g, g.like(np.full((17, 17), 1.0 - 5e-7)), 1.0, 1.0,
                            cs.BaseIndex(8, 8))
+    # the kh constants need only the base node's gap
+    assert inv.kh_constants() == pytest.approx((2.5e-7, 2.5e-7), rel=1e-9)
     with pytest.raises(DiscriminantError) as err:
         inv.to_kh()
     msg = str(err.value)
@@ -355,5 +357,6 @@ def test_to_kh_weights_constants_at_base():
     assert kh.mode == "kh" and kh.base == inv.base
     assert np.array_equal(kh.field1.values, n1 * n2)
     assert np.array_equal(kh.field2.values, 0.5 * (n1 + n2))
-    assert (kh.a, kh.b) == (inv.a * s0, inv.b * s0)
+    assert (kh.a, kh.b) == (inv.a * s0, inv.b * s0) == inv.kh_constants()
+    assert kh.kh_constants() == (kh.a, kh.b)
     assert kh.to_kh() is kh

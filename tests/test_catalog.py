@@ -76,6 +76,19 @@ def test_unknown_surface_and_params():
         cs.make_entry("torus", R=1.0, r=2.0)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("sphere", {"R": math.inf}),
+    ("cylinder", {"r": math.inf}),
+    ("cone", {"alpha": math.inf}),
+    ("torus", {"R": math.inf, "r": 1.0}),
+    ("torus", {"R": 2.0, "r": math.nan}),
+], ids=["sphere-R", "cylinder-r", "cone-alpha", "torus-R", "torus-r-nan"])
+def test_non_finite_parameters_are_refused(name, params):
+    # an infinite radius passed the chart's inequalities and gave NaN jets
+    with pytest.raises(DomainError):
+        cs.make_entry(name, **params)
+
+
 @pytest.mark.parametrize("name,params,u_range,v_range", [
     ("plane", {}, (-1, 1), (-1, 1)),
     ("sphere", {"R": 1.0}, (-1.0, 1.0), (0.0, 2.0)),

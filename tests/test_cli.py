@@ -10,7 +10,7 @@ import pytest
 import canonsurf as cs
 from canonsurf import cli, compatibility, formats
 
-from helpers import SRC_DIR, canonical_grid, overflowing_invariants, run_cli
+from helpers import SRC_DIR, canonical_grid, fabricated_invariants, overflowing_invariants, run_cli
 
 
 def test_analyze_torus_identity(tmp_path):
@@ -26,6 +26,13 @@ def test_analyze_torus_identity(tmp_path):
     names = {r["name"] for r in report["residuals"]}
     assert {"gauss-general", "codazzi-general-1", "codazzi-general-2",
             "gauss-principal", "codazzi-principal-1", "codazzi-principal-2"} <= names
+
+
+def test_analyze_infinite_radius_exits_3(capsys):
+    # refused by make_entry before any NaN jet is sampled
+    assert cli.main(["analyze", "--surface", "sphere", "--param", "R=inf",
+                     "--u", "-1:1:9", "--v", "0:2:9"]) == 3
+    assert capsys.readouterr().err == "canonsurf: error: 'sphere' needs finite parameters, got {'R': inf}\n"
 
 
 def test_analyze_sphere_exits_2(tmp_path):
@@ -116,6 +123,26 @@ def test_check_incompatible_exits_4(tmp_path):
     formats.write_invariant_grid(inv, str(path))
     res = run_cli("check", "--input", str(path))
     assert res.returncode == 4
+
+
+@pytest.mark.parametrize("n", [17, 65, 257])
+def test_check_accepts_exact_kh_grids_at_roundoff(tmp_path, n):
+    # the kh residual of a canonical cone or cylinder is roundoff, which grows
+    # as 1/h^2; the coarse/fine ratio alone made these exit 4 at every n
+    for name, params in (("cone", {"alpha": 0.6}), ("cylinder", {})):
+        path = tmp_path / f"{name}.json"
+        formats.write_invariant_grid(
+            canonical_grid(name, (0.0, 2.0), (0.5, 2.5), n, None, "kh", **params), str(path))
+        assert cli.main(["check", "--input", str(path), "--output", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("mode", ["nu", "kh"])
+def test_check_fabricated_grids_exit_4(tmp_path, mode):
+    for n in (33, 65, 257):
+        inv = fabricated_invariants(n, seed=n)
+        path = tmp_path / f"fab{n}.json"
+        formats.write_invariant_grid(inv.to_kh() if mode == "kh" else inv, str(path))
+        assert cli.main(["check", "--input", str(path), "--output", str(tmp_path / "r.json")]) == 4
 
 
 @pytest.mark.parametrize("n", [8, 9])
@@ -226,7 +253,7 @@ def test_check_overflowing_residual_exits_3(tmp_path):
     ("catenoid", (-1.0, 1.0), (0.0, math.pi), "nu"),
     ("torus", (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi), "kh"),
 ])
-def test_check_evaluates_canonical_residual_once_per_grid(tmp_path, monkeypatch, name, u, v, mode):
+def test_check_evaluates_one_residual_per_grid(tmp_path, monkeypatch, name, u, v, mode):
     # the floor test reuses the full grid's residual: one evaluation on the
     # full grid and one on the halved grid, and the report is unchanged
     inv = canonical_grid(name, u, v, 33, None, mode)
@@ -240,7 +267,7 @@ def test_check_evaluates_canonical_residual_once_per_grid(tmp_path, monkeypatch,
         "format": "check-report/1", "mode": mode,
         "grid": {"counts": [g.nu, g.nv], "origin": [g.u0, g.v0], "spacing": [g.du, g.dv]},
         "residuals": [rep.to_dict()],
-        "floor_check": {"fine_max_abs": floor.fine_max_abs, "coarse_max_abs": floor.coarse_max_abs,
+        "floor_check": {"fine_max_abs": floor.fine.max_abs, "coarse_max_abs": floor.coarse_max_abs,
                         "ratio": floor.ratio, "compatible": floor.compatible},
     }
     calls = []
@@ -290,7 +317,7 @@ def test_canonicalize_then_reconstruct(tmp_path):
     assert abs(rec["base_E_minus_a"]) < 1e-2
 
 
-def test_reconstruct_strict_incompatible_exits_4(tmp_path):
+def _incompatible_grid_file(tmp_path):
     n = 65
     u = np.linspace(-1, 1, n)
     v = np.linspace(0, math.pi, n)
@@ -301,9 +328,25 @@ def test_reconstruct_strict_incompatible_exits_4(tmp_path):
                            cs.BaseIndex(n // 2, n // 2))
     path = tmp_path / "bad.json"
     formats.write_invariant_grid(inv, str(path))
-    res = run_cli("reconstruct", "--input", str(path), "--strict",
+    return str(path)
+
+
+def test_reconstruct_strict_incompatible_exits_4(tmp_path):
+    res = run_cli("reconstruct", "--input", _incompatible_grid_file(tmp_path), "--strict",
                   "--output", str(tmp_path / "m.obj"))
     assert res.returncode == 4
+    assert not (tmp_path / "m.obj").exists()
+    [line] = res.stderr.splitlines()
+    assert line.startswith("canonsurf: incompatible invariants: invariant data looks "
+                           "incompatible: residual only improves by ")
+
+
+def test_reconstruct_incompatible_warns_and_writes(tmp_path):
+    res = run_cli("reconstruct", "--input", _incompatible_grid_file(tmp_path),
+                  "--output", str(tmp_path / "m.obj"))
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "m.obj").stat().st_size > 0
+    assert "CompatibilityWarning: invariant data looks incompatible" in res.stderr
 
 
 def test_kh_mode_invariants_with_bad_discriminant_exit_3(tmp_path):
@@ -414,6 +457,25 @@ def test_special_minimal_off_centre_base_uses_kh_constants(tmp_path):
     res = run_cli("special", "--case", "minimal", "--input", str(tmp_path / "cat.json"))
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["residuals"][0]["max_abs"] < 1e-3
+
+
+def test_special_reads_small_gap_nu_grid(tmp_path):
+    # nu1 - nu2 = 5e-7 passes nu mode's umbilic test but not the kh discriminant
+    # floor; only the CMC case, which needs K < H^2 itself, refuses it
+    n = 17
+    u = np.linspace(0.0, 1.0, n)[:, None] * np.ones((n, n))
+    g = cs.Grid2(0.0, 0.0, 0.1, 0.1, 1.0 + 0.5 * np.sin(3.0 * u) + 5e-7)
+    inv = cs.InvariantGrid("nu", g, g.like(g.values - 5e-7), 1.0, 1.0, cs.BaseIndex(8, 8))
+    path = str(tmp_path / "inv.json")
+    formats.write_invariant_grid(inv, path)
+    res = run_cli("special", "--case", "all", "--input", path)
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)
+    assert report["skipped"] == [{"case": "cmc", "error": "CMC equation needs K < H^2 strictly"}]
+    assert [r["name"] for r in report["residuals"]] == ["minimal-natural", "flat-1overH-vv"]
+    res = run_cli("special", "--case", "cmc", "--input", path)
+    assert res.returncode == 3
+    assert res.stderr.splitlines() == ["canonsurf: error: CMC equation needs K < H^2 strictly"]
 
 
 def test_special_weingarten(tmp_path):

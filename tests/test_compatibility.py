@@ -10,6 +10,7 @@ from canonsurf.errors import (DimensionError, NotPrincipalError, RangeError, Reg
                               UmbilicError)
 
 from helpers import (
+    canonical_grid,
     catenoid_invariants,
     cone_invariants,
     observed_orders,
@@ -318,6 +319,25 @@ class TestFloor:
         fc = cs.compatibility_floor(inv)
         assert fc.compatible
         assert fc.ratio > 3.0
+        assert fc.fine.to_dict() == cs.canonical_residual(inv).to_dict()
+        assert fc.fine.max_abs < fc.coarse_max_abs
+
+    def test_roundoff_is_evaluated_only_when_the_ratio_fails(self, monkeypatch):
+        def unreachable(inv):
+            raise AssertionError("roundoff evaluated")
+        monkeypatch.setattr(compatibility, "_roundoff", unreachable)
+        assert cs.compatibility_floor(catenoid_invariants(33)[0]).compatible
+
+    @pytest.mark.parametrize("n", [17, 65, 257])
+    @pytest.mark.parametrize("name, params", [("cone", {"alpha": 0.6}), ("cylinder", {})])
+    def test_roundoff_residual_of_exact_kh_data_is_compatible(self, name, params, n):
+        # the kh residual of these charts is roundoff, which grows as 1/h^2, so
+        # the coarse/fine ratio alone refused them at every n
+        inv = canonical_grid(name, (0.0, 2.0), (0.5, 2.5), n, None, "kh", **params)
+        fc = cs.compatibility_floor(inv)
+        assert fc.ratio < compatibility.FLOOR_MIN_RATIO
+        assert fc.fine.max_abs < 1e-10
+        assert fc.compatible
 
     def test_incompatible_data_fails(self):
         inv, _, _ = catenoid_invariants(65)

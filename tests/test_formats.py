@@ -78,7 +78,7 @@ def test_rejects_wrong_format_tag(tmp_path):
 def test_obj_roundtrip(tmp_path):
     n = 17
     inv, jets, _ = catenoid_invariants(n)
-    mesh = cs.reconstruct(inv, check_compatibility=False)
+    mesh = cs.reconstruct(inv)
     path = tmp_path / "mesh.obj"
     formats.write_obj(mesh, str(path))
     verts, norms, faces = formats.read_obj(str(path))

@@ -123,8 +123,8 @@ def test_reconstruction_is_equivariant_under_the_initial_frame(name, mode, motio
     # the frame (t; R e1, R e2, R n) moves the whole mesh by x -> R x + t
     R, t = motion
     inv = _canonical_grid(name, None, mode)
-    mesh = cs.reconstruct(inv, check_compatibility=False)
-    moved = cs.reconstruct(inv, initial_frame=cs.FrameState(t, *R.T), check_compatibility=False)
+    mesh = cs.reconstruct(inv)
+    moved = cs.reconstruct(inv, initial_frame=cs.FrameState(t, *R.T))
     pos = mesh.positions.values
     scale = max(np.max(np.abs(pos)), np.max(np.abs(t)))
     assert np.max(np.abs(moved.positions.values - (pos @ R.T + t))) <= 1e-12 * scale

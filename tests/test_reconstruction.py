@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import canonsurf as cs
 from canonsurf import reconstruction
 from canonsurf.errors import (
     CompatibilityWarning,
-    IncompatibleInvariantsError,
     IntegrationError,
     RangeError,
     ShapeMismatchError,
@@ -27,6 +27,22 @@ def constant_invariants(nu1, nu2, n, du, dv, a=1.0, b=1.0):
     g = cs.Grid2(0.0, 0.0, du, dv, np.full((n, n), float(nu1)))
     return cs.InvariantGrid("nu", g, g.like(np.full((n, n), float(nu2))), a, b,
                             cs.BaseIndex(n // 2, n // 2))
+
+
+def reconstruct_escalated(inv):
+    """reconstruct with its CompatibilityWarning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CompatibilityWarning)
+        return cs.reconstruct(inv)
+
+
+def perturbed_catenoid(n):
+    inv, _, _ = catenoid_invariants(n)
+    geo = inv.geometry
+    uu = geo.u_axis[:, None]
+    vv = geo.v_axis[None, :]
+    bad1 = geo.like(inv.field1.values * (1 + 0.05 * np.sin(3 * uu) * np.sin(2 * vv)))
+    return cs.InvariantGrid("nu", bad1, inv.field2, inv.a, inv.b, inv.base)
 
 
 def random_frame(seed):
@@ -123,7 +139,7 @@ class TestIntegrateFrame:
     def test_cylinder_from_constants(self):
         n = 129
         inv = constant_invariants(1.0, 0.0, n, math.pi / (n - 1), 2.0 / (n - 1))
-        mesh = cs.reconstruct(inv, check_compatibility=False)
+        mesh = cs.reconstruct(inv)
         assert np.max(np.abs(best_fit_axis_distances(mesh) - 1.0)) < 1e-6
 
     def test_frame_drift_guard(self):
@@ -415,8 +431,8 @@ class TestAlignRigid:
     def test_uniqueness_up_to_position(self):
         # reconstructions from different initial frames must be congruent
         inv, _, _ = catenoid_invariants(129)
-        mesh1 = cs.reconstruct(inv, initial_frame=random_frame(11), check_compatibility=False)
-        mesh2 = cs.reconstruct(inv, initial_frame=random_frame(12), check_compatibility=False)
+        mesh1 = cs.reconstruct(inv, initial_frame=random_frame(11))
+        mesh2 = cs.reconstruct(inv, initial_frame=random_frame(12))
         _, _, rms = cs.align_rigid(mesh1, mesh2)
         assert rms < 1e-9
 
@@ -426,7 +442,7 @@ class TestReconstruct:
         errs = []
         for n in (65, 129):
             inv, jets, _ = catenoid_invariants(n)
-            mesh = cs.reconstruct(inv, check_compatibility=False)
+            mesh = cs.reconstruct(inv)
             _, _, rms = cs.align_rigid(mesh, cs.SurfaceMesh(jets.x))
             errs.append(rms)
         assert observed_orders(errs)[0] >= 1.9
@@ -434,7 +450,7 @@ class TestReconstruct:
     def test_cylinder_flatness_preserved(self):
         n = 129
         inv = constant_invariants(1.0, 0.0, n, math.pi / (n - 1), 2.0 / (n - 1))
-        mesh = cs.reconstruct(inv, check_compatibility=False)
+        mesh = cs.reconstruct(inv)
         jets = cs.finite_difference_jets(mesh)
         forms = cs.fundamental_forms_grid(jets)
         curv = cs.curvatures_grid(forms)
@@ -443,7 +459,7 @@ class TestReconstruct:
 
     def test_catenoid_minimality_preserved(self):
         inv, _, _ = catenoid_invariants(129)
-        mesh = cs.reconstruct(inv, check_compatibility=False)
+        mesh = cs.reconstruct(inv)
         forms = cs.fundamental_forms_grid(cs.finite_difference_jets(mesh))
         curv = cs.curvatures_grid(forms)
         from canonsurf.reports import interior
@@ -453,7 +469,7 @@ class TestReconstruct:
         errs = []
         for n in (65, 129):
             inv, _, _ = torus_invariants(n)
-            mesh = cs.reconstruct(inv, check_compatibility=False)
+            mesh = cs.reconstruct(inv)
             forms = cs.fundamental_forms_grid(cs.finite_difference_jets(mesh))
             from canonsurf.reports import interior
             nu1 = forms.L.values / forms.E.values
@@ -466,7 +482,7 @@ class TestReconstruct:
     def test_metric_fidelity(self):
         inv, _, _ = catenoid_invariants(65)
         E, G, L, N = cs.coefficients_from_invariants(inv)
-        mesh = cs.reconstruct(inv, check_compatibility=False)
+        mesh = cs.reconstruct(inv)
         pos = mesh.positions.values
         du = inv.geometry.du
         # segment lengths along u vs the trapezoid of sqrt(E)
@@ -479,7 +495,7 @@ class TestReconstruct:
         errs = []
         for n in (65, 129):
             inv, _, _ = torus_invariants(n)
-            mesh = cs.reconstruct(inv, check_compatibility=False)
+            mesh = cs.reconstruct(inv)
             forms = cs.fundamental_forms_grid(cs.finite_difference_jets(mesh))
             i0, j0 = inv.base.i0, inv.base.j0
             errs.append(max(abs(forms.E.values[i0, j0] - inv.a),
@@ -488,16 +504,18 @@ class TestReconstruct:
         assert 3.0 < errs[0] / errs[1] < 5.0
 
     def test_incompatible_warning_and_strict(self):
-        inv, _, _ = catenoid_invariants(65)
-        geo = inv.geometry
-        uu = geo.u_axis[:, None]
-        vv = geo.v_axis[None, :]
-        bad1 = geo.like(inv.field1.values * (1 + 0.05 * np.sin(3 * uu) * np.sin(2 * vv)))
-        bad = cs.InvariantGrid("nu", bad1, inv.field2, inv.a, inv.b, inv.base)
+        bad = perturbed_catenoid(65)
         with pytest.warns(CompatibilityWarning):
             cs.reconstruct(bad)
-        with pytest.raises(IncompatibleInvariantsError):
-            cs.reconstruct(bad, strict=True)
+        with pytest.raises(CompatibilityWarning, match="only improves by 0.9"):
+            reconstruct_escalated(bad)
+
+    def test_escalated_warning_is_raised_before_any_march(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the frame was marched")
+        monkeypatch.setattr(reconstruction, "integrate_frame", unreachable)
+        with pytest.raises(CompatibilityWarning):
+            reconstruct_escalated(perturbed_catenoid(33))
 
     @pytest.mark.parametrize("n, floor_runs", [(8, False), (9, True)])
     def test_floor_test_minimum_grid(self, n, floor_runs):
@@ -506,27 +524,27 @@ class TestReconstruct:
         bad1 = inv.geometry.like(inv.field1.values * (1 + 1e-3 * noise))
         bad = cs.InvariantGrid("nu", bad1, inv.field2, inv.a, inv.b, inv.base)
         if floor_runs:
-            with pytest.raises(IncompatibleInvariantsError):
-                cs.reconstruct(bad, strict=True)
+            with pytest.raises(CompatibilityWarning):
+                reconstruct_escalated(bad)
         else:
-            assert cs.reconstruct(bad, strict=True).positions.nu == n
+            assert reconstruct_escalated(bad).positions.nu == n
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_overflowing_residual_raises(self, strict):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RangeError, match="not finite"):
-                cs.reconstruct(overflowing_invariants(), strict=strict)
+                (reconstruct_escalated if strict else cs.reconstruct)(overflowing_invariants())
 
     def test_two_random_frames_give_same_shape(self):
         inv, _, _ = torus_invariants(65)
-        m1 = cs.reconstruct(inv, initial_frame=random_frame(5), check_compatibility=False)
-        m2 = cs.reconstruct(inv, initial_frame=random_frame(6), check_compatibility=False)
+        m1 = cs.reconstruct(inv, initial_frame=random_frame(5))
+        m2 = cs.reconstruct(inv, initial_frame=random_frame(6))
         _, _, rms = cs.align_rigid(m1, m2)
         assert rms < 1e-9
 
     def test_reconstruction_is_bit_deterministic(self):
         inv, _, _ = catenoid_invariants(33)
-        m1 = cs.reconstruct(inv, check_compatibility=False)
-        m2 = cs.reconstruct(inv, check_compatibility=False)
+        m1 = cs.reconstruct(inv)
+        m2 = cs.reconstruct(inv)
         assert np.array_equal(m1.positions.values, m2.positions.values)
         assert np.array_equal(m1.normals.values, m2.normals.values)
