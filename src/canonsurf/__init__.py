@@ -31,7 +31,6 @@ from .grid import (
     d_uu,
     d_v,
     d_vv,
-    invert_monotone_map,
 )
 from .invariants import (
     CurvatureGrid,

@@ -33,10 +33,10 @@ from .grid import (
     BaseIndex,
     Grid2,
     _cumint4,
-    invert_monotone_map,
     path_factors,
-    pchip,
     same_geometry,
+    spline_at,
+    spline_inverse_at,
 )
 from .invariants import require_umbilic_free
 from .reports import make_report
@@ -47,6 +47,10 @@ AFFINE_MAX_SAMPLES = 33  # the affine fit keeps every (n // 33)-th node of an n-
 AFFINE_MIN_OVERLAP = 0.25  # share of A's samples a choice must map into B's domain
 AFFINE_TIE_RTOL = 1e-12  # seed distances and choice scores this close to the least tie
 AFFINE_ANCHOR = 1e-8  # weight of the rows that hold q at its seed, per grid cell
+# a base image this many steps from a node of the axis through the map's ends
+# lies on it: the map samples carry roundoff, which must not shift the origin
+# by a roundoff-sized remainder and drop a node
+AXIS_SNAP = 1e-9
 
 
 def require_positive_discriminant(K: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -198,24 +202,24 @@ def _canonical_axis(bar_samples: np.ndarray, n: int):
     lo, hi = float(bar_samples[0]), float(bar_samples[-1])
     d = (hi - lo) / (n - 1)
     k = -lo / d
-    if abs(k - round(k)) < 1e-9:
+    if abs(k - round(k)) < AXIS_SNAP:
         return lo, d, n, int(round(k))
     origin = lo + (-lo) % d
     return origin, d, n - 1, int(round(-origin / d))
 
 
-def _resample_2d(maps: CanonicalMaps, values: np.ndarray, u_src: np.ndarray,
-                 v_src: np.ndarray) -> np.ndarray:
-    along_u = np.swapaxes(pchip(maps.u_samples, values, u_src), 0, 1)
-    return np.swapaxes(pchip(maps.v_samples, along_u, v_src), 0, 1)
+def _resample_2d(values: np.ndarray, pos_u: np.ndarray, pos_v: np.ndarray) -> np.ndarray:
+    # values at the fractional node positions pos_u x pos_v, by the not-a-knot
+    # spline along u, then along v
+    along_u = np.swapaxes(spline_at(values, pos_u), 0, 1)
+    return np.swapaxes(spline_at(along_u, pos_v), 0, 1)
 
 
 def _source_axes(maps: CanonicalMaps, u_axis: np.ndarray, v_axis: np.ndarray):
-    # clamp roundoff overshoot of the reconstructed axis endpoints
+    # source node positions; clamp roundoff overshoot of the axis endpoints
     ub = np.clip(u_axis, maps.ubar_samples[0], maps.ubar_samples[-1])
     vb = np.clip(v_axis, maps.vbar_samples[0], maps.vbar_samples[-1])
-    return (invert_monotone_map(maps.u_samples, maps.ubar_samples, ub),
-            invert_monotone_map(maps.v_samples, maps.vbar_samples, vb))
+    return spline_inverse_at(maps.ubar_samples, ub), spline_inverse_at(maps.vbar_samples, vb)
 
 
 def resample_to_canonical(maps: CanonicalMaps, nu1: Grid2, nu2: Grid2) -> InvariantGrid:
@@ -223,8 +227,8 @@ def resample_to_canonical(maps: CanonicalMaps, nu1: Grid2, nu2: Grid2) -> Invari
 
     The output grid covers the image of the maps, keeps (very nearly) the
     input resolution, and places the image of the base point exactly on a
-    node. Fields are interpolated with monotone piecewise cubics through the
-    inverse maps.
+    node. Fields are interpolated with the not-a-knot spline of the source
+    grid at the node positions the inverse maps give.
     """
     same_geometry(nu1, nu2)
     if maps.ubar_samples.size != nu1.nu or maps.vbar_samples.size != nu1.nv:
@@ -235,9 +239,8 @@ def resample_to_canonical(maps: CanonicalMaps, nu1: Grid2, nu2: Grid2) -> Invari
         raise RangeError("canonical image too small to carry a grid")
     u_axis = uo + du * np.arange(n_u)
     v_axis = vo + dv * np.arange(n_v)
-    u_src, v_src = _source_axes(maps, u_axis, v_axis)
-    f1 = _resample_2d(maps, nu1.values, u_src, v_src)
-    f2 = _resample_2d(maps, nu2.values, u_src, v_src)
+    pos = _source_axes(maps, u_axis, v_axis)
+    f1, f2 = (_resample_2d(f.values, *pos) for f in (nu1, nu2))
     make = lambda vals: Grid2(uo, vo, du, dv, vals)
     return InvariantGrid("nu", make(f1), make(f2), maps.a, maps.b, BaseIndex(i0, j0))
 
@@ -245,8 +248,7 @@ def resample_to_canonical(maps: CanonicalMaps, nu1: Grid2, nu2: Grid2) -> Invari
 def resample_grid(maps: CanonicalMaps, g: Grid2, like: InvariantGrid) -> Grid2:
     """Resample a companion scalar grid (e.g. E or G) onto `like`'s canonical grid."""
     target = like.geometry
-    u_src, v_src = _source_axes(maps, target.u_axis, target.v_axis)
-    return target.like(_resample_2d(maps, g.values, u_src, v_src))
+    return target.like(_resample_2d(g.values, *_source_axes(maps, target.u_axis, target.v_axis)))
 
 
 def verify_canonical(inv: InvariantGrid, E: Grid2, G: Grid2):

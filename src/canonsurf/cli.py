@@ -232,10 +232,11 @@ def cmd_check(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     inv = formats.read_invariant_grid(args.input)
-    with warnings.catch_warnings():
-        if args.strict:
-            warnings.simplefilter("error", CompatibilityWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error" if args.strict else "always", CompatibilityWarning)
         mesh = reconstruction.reconstruct(inv)
+    for w in caught:
+        print(f"canonsurf: warning: {w.message}", file=sys.stderr)
     formats.write_obj(mesh, _out_path(args.output))
     print(f"mesh written to {_out_path(args.output)} "
           f"({inv.geometry.nu * inv.geometry.nv} vertices)")

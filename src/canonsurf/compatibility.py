@@ -27,6 +27,7 @@ FLOOR_MIN_RATIO = 1.5  # least coarse/fine residual ratio of compatible data
 # on exact data (a canonical cone or cylinder in kh mode) the residual is
 # roundoff, which grows as 1/h^2 and so never shrinks under refinement
 FLOOR_ROUNDOFF_UNITS = 1e3
+W_MIN = 1e-14  # least area element sqrt(EG - F^2) of a regular chart
 
 
 def _det3(r0, r1, r2):
@@ -37,13 +38,18 @@ def _det3(r0, r1, r2):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def _area_element(forms: FormGrid) -> np.ndarray:
+    W = forms.W.values
+    if np.any(W < W_MIN):
+        raise RegularityError("W = sqrt(EG - F^2) vanishes somewhere on the grid")
+    return W
+
+
 def gauss_residual_general(forms: FormGrid) -> ResidualReport:
     """K - (Gauss equation right-hand side) for an arbitrary chart."""
     E, F, G = forms.E.values, forms.F.values, forms.G.values
     L, M, N = forms.L.values, forms.M.values, forms.N.values
-    W = forms.W.values
-    if np.any(W < 1e-14):
-        raise RegularityError("W = sqrt(EG - F^2) vanishes somewhere on the grid")
+    W = _area_element(forms)
     geo = forms.geometry
     E_u, E_v = d_u(E, geo), d_v(E, geo)
     F_u, F_v = d_u(F, geo), d_v(F, geo)
@@ -58,9 +64,7 @@ def codazzi_residual_general(forms: FormGrid):
     """Residuals of the two general Codazzi equations."""
     E, F, G = forms.E.values, forms.F.values, forms.G.values
     L, M, N = forms.L.values, forms.M.values, forms.N.values
-    W = forms.W.values
-    if np.any(W < 1e-14):
-        raise RegularityError("W = sqrt(EG - F^2) vanishes somewhere on the grid")
+    W = _area_element(forms)
     geo = forms.geometry
     mean_term = E * N - 2.0 * F * M + G * L
     r1 = (2.0 * W * W * (d_v(L, geo) - d_u(M, geo))

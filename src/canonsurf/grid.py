@@ -1,6 +1,6 @@
 """Shared numerical substrate: grids, every derivative and quadrature
 stencil, path exponents and the canonical factor pair, 1-D cubic
-interpolants, map inversion.
+interpolants and their inverse.
 
 This module alone decides the discretization, and every stencil takes and
 returns bare arrays sampled on a Grid2's nodes. SECOND_ORDER (central
@@ -9,8 +9,9 @@ layers, composite trapezoid quadrature) gives every residual in the package a
 clean O(h^2) target; FOURTH_ORDER (five-point differences, not-a-knot spline
 quadrature) serves the canonical map construction and the affine fit. The
 factor pair exp(-+P) of path_factors is built here only, and every caller
-names its stencil order. The not-a-knot spline and the monotone cubic (PCHIP)
-also serve resampling and the frame march.
+names its stencil order. The not-a-knot spline also resamples fields and
+inverts sampled maps (spline_at, spline_inverse_at); the monotone cubic (PCHIP)
+serves the non-uniform samples of the Weingarten residual.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, MonotonicityError, RangeError, ShapeMismatchError
+from .errors import DimensionError, MonotonicityError, ShapeMismatchError
 
 GEOMETRY_RTOL = 1e-12  # same_geometry's tolerance on origins and spacings
-INVERSION_RTOL = 1e-12  # invert_monotone_map's bisection tolerance
 
 
 def _frozen_array(a) -> np.ndarray:
@@ -331,12 +331,6 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return c
 
 
-def _cubic(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    # the power sum of scipy's PPoly, so PCHIP values agree with it bitwise
-    s2 = s * s
-    return c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
-
-
 def pchip(x, y, xq) -> np.ndarray:
     """Monotone piecewise cubic (PCHIP) through (x, y) along axis 0 of y,
     evaluated at the 1-D points xq; outside [x_0, x_n-1] the end cubics
@@ -345,54 +339,44 @@ def pchip(x, y, xq) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     xq = np.asarray(xq, dtype=float)
-    c = _pchip_coefficients(x, y)
     k = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+    c = _pchip_coefficients(x, y)[:, k]
     s = (xq - x[k]).reshape(xq.shape + (1,) * (y.ndim - 1))
-    return _cubic(c[:, k], s)
+    # the power sum of scipy's PPoly, so PCHIP values agree with it bitwise
+    s2 = s * s
+    return c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
 
 
-def _check_strictly_increasing(a: np.ndarray, what: str) -> None:
-    if np.any(np.diff(a) <= 0):
-        raise MonotonicityError(f"{what} samples are not strictly increasing")
+def _hermite(y0, y1, m0, m1, t: np.ndarray) -> np.ndarray:
+    # the cubic on [0, 1] in t with end values y0, y1 and end slopes m0, m1,
+    # all per query point along axis 0; outside [0, 1] it extrapolates
+    t = t.reshape(t.shape + (1,) * (np.ndim(y0) - 1))
+    u = 1.0 - t
+    return (y0 * ((1.0 + 2.0 * t) * u * u) + y1 * (t * t * (3.0 - 2.0 * t))
+            + (m0 * u - m1 * t) * (t * u))
 
 
-def invert_monotone_map(x_samples, y_samples, y):
-    """Solve map(x) = y for a map given by strictly increasing samples.
+def spline_at(y, pos) -> np.ndarray:
+    """The not-a-knot spline through uniformly spaced samples y along axis 0
+    (any trailing shape) at the 1-D fractional node positions pos, 2.5 lying
+    midway between nodes 2 and 3; the end cubics extrapolate."""
+    y, pos = np.asarray(y, dtype=float), np.asarray(pos, dtype=float)
+    s = not_a_knot_slopes(y)
+    k = np.clip(np.floor(pos).astype(int), 0, y.shape[0] - 2)
+    return _hermite(y[k], y[k + 1], s[k], s[k + 1], pos - k)
 
-    The sampled map is interpolated with a monotone piecewise cubic (PCHIP)
-    and inverted by bisection to relative tolerance INVERSION_RTOL. Accepts a
-    scalar or an array of target values y.
-    """
-    xs = np.asarray(x_samples, dtype=float)
-    ys = np.asarray(y_samples, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-        raise DimensionError("map samples must be two equal-length 1-D arrays")
-    _check_strictly_increasing(xs, "x")
-    _check_strictly_increasing(ys, "y")
 
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    if np.any(y_arr < ys[0]) or np.any(y_arr > ys[-1]):
-        raise RangeError(f"target outside sampled range [{ys[0]}, {ys[-1]}]")
-
-    # bracket each target between consecutive samples, then bisect; the
-    # bracket never leaves its interval, whose cubic is gathered once
-    hi_idx = np.clip(np.searchsorted(ys, y_arr, side="left"), 1, xs.size - 1)
-    cubic = _pchip_coefficients(xs, ys)[:, hi_idx - 1]
-    x_left = xs[hi_idx - 1]
-    lo = x_left.copy()
-    hi = xs[hi_idx].copy()
-    exact = ys[hi_idx] == y_arr
-    lo[exact] = xs[hi_idx][exact]
-    hi[exact] = xs[hi_idx][exact]
-    span = xs[-1] - xs[0]
-    max_iter = max(1, int(np.ceil(np.log2(max(span, 1.0) / INVERSION_RTOL))) + 60)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        width = hi - lo
-        if np.all(width <= INVERSION_RTOL * np.maximum(1.0, np.abs(mid))):
-            break
-        go_right = _cubic(cubic, mid - x_left) < y_arr
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    out = 0.5 * (lo + hi)
-    return float(out[0]) if np.isscalar(y) or np.asarray(y).ndim == 0 else out
+def spline_inverse_at(y, yq) -> np.ndarray:
+    """Fractional node positions where the increasing map sampled by y at
+    uniformly spaced nodes takes the values yq (1-D arrays): the cubic through
+    (y_k, k) whose node slopes are the reciprocals of the not-a-knot spline's,
+    so it keeps the spline's fourth order. Raises MonotonicityError unless the
+    samples increase and every node slope of the spline is positive."""
+    y, yq = np.asarray(y, dtype=float), np.asarray(yq, dtype=float)
+    s = not_a_knot_slopes(y)
+    width = np.diff(y)
+    if np.any(s <= 0.0) or np.any(width <= 0.0):
+        raise MonotonicityError("the sampled map or its spline is not strictly increasing")
+    k = np.clip(np.searchsorted(y, yq, side="right") - 1, 0, y.size - 2)
+    w = width[k]  # the local t spans w in y, so k moves w / s per unit t
+    return _hermite(k, k + 1.0, w / s[k], w / s[k + 1], (yq - y[k]) / w)

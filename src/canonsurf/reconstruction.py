@@ -336,7 +336,7 @@ def reconstruct(inv: InvariantGrid, initial_frame: FrameState | None = None) -> 
     floor = compatibility_floor(inv)
     if floor is not None and not floor.compatible:
         warnings.warn(f"invariant data looks incompatible: residual only improves by "
-                      f"{floor.ratio:.2f}x under refinement", CompatibilityWarning)
+                      f"{floor.ratio:.2f}x under refinement", CompatibilityWarning, stacklevel=2)
     E, G, L, N = coefficients_from_invariants(inv)
     init = initial_frame if initial_frame is not None else identity_frame()
     return integrate_frame(E, G, L, N, init, inv.base)

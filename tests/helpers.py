@@ -43,6 +43,17 @@ def canonical_grid(name, u_range, v_range, n, base, mode, **params):
     return inv.to_kh() if mode == "kh" else inv
 
 
+def reparametrised_profile(kind, samples=8193):
+    """(t, rho, z) of the catenoid (rho = cosh s, z = s) or torus (rho = 2 + cos s,
+    z = sin s) meridian in the parameter t of s = t + 0.3 t^3, t uniform on
+    [-1, 1]: charts of surfaces of revolution that are not canonical."""
+    t = np.linspace(-1.0, 1.0, samples)
+    s = t + 0.3 * t**3
+    if kind == "catenoid":
+        return t, np.cosh(s), s
+    return t, 2.0 + np.cos(s), np.sin(s)
+
+
 def refine_sizes(n0, levels):
     return [2**k * (n0 - 1) + 1 for k in range(levels)]
 

@@ -8,7 +8,7 @@ from canonsurf import canonical
 from canonsurf.errors import CodazziViolation, MonotonicityError, UmbilicError
 from canonsurf.errors import DimensionError, DiscriminantError, RangeError
 
-from helpers import canonical_grid, catenoid_invariants, torus_invariants
+from helpers import canonical_grid, catenoid_invariants, reparametrised_profile, torus_invariants
 
 
 def _chart_pipeline(name, u_range, v_range, nu, nv, base=None, **params):
@@ -146,6 +146,26 @@ class TestResample:
         assert max(errs[:2]) < 1e-5 and min(errs[:2]) / max(errs[2:]) > 12.0, errs
 
 
+@pytest.mark.parametrize("base_frac", [None, (0.3, 0.6)], ids=["centre", "off-centre"])
+@pytest.mark.parametrize("kind, n", [("catenoid", n) for n in (33, 65, 129, 257)]
+                         + [("torus", n) for n in (65, 129, 257)])
+def test_reparametrised_charts_pass_the_floor_test(kind, n, base_frac):
+    # charts that are not canonical: the resampled fields must keep the
+    # canonical Gauss residual at its second-order truncation, which a field
+    # interpolant of lower order (PCHIP) turns into a stall
+    entry = cs.make_revolution_entry(*reparametrised_profile(kind))
+    jets = cs.sample_surface(entry, -0.9, 1.8 / (n - 1), n, 0.0, 3.0 / (n - 1), n)
+    forms = cs.fundamental_forms_grid(jets)
+    curv = cs.curvatures_grid(forms, principal_chart=True)
+    base = (cs.BaseIndex(n // 2, n // 2) if base_frac is None
+            else cs.BaseIndex(round(base_frac[0] * (n - 1)), round(base_frac[1] * (n - 1))))
+    maps = cs.build_canonical_maps(forms.E, forms.G, curv.nu1, curv.nu2, base)
+    floor = cs.compatibility_floor(cs.resample_to_canonical(maps, curv.nu1, curv.nu2))
+    assert floor.compatible, floor.ratio
+    if kind == "catenoid":
+        assert floor.ratio >= 3.5, floor.ratio
+
+
 class TestVerifyCanonical:
     def test_catenoid_standard_chart(self):
         errs = []
@@ -265,6 +285,7 @@ class TestAffineEquivalence:
             assert m.mu > 0 and abs(m.c2) < 1e-6, (m.mu, m.c2)
             misfits.append(m.misfit)
         assert all(ratio >= 2**1.8 for ratio in np.divide(misfits[:-1], misfits[1:])), misfits
+        assert misfits[1] <= 1e-11, misfits
 
     def test_one_levenberg_marquardt_start(self, monkeypatch):
         from canonsurf import canonical

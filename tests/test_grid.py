@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import canonsurf as cs
-from canonsurf.errors import DimensionError, MonotonicityError, RangeError, ShapeMismatchError
+from canonsurf.errors import DimensionError, MonotonicityError, ShapeMismatchError
 from canonsurf.grid import (FOURTH_ORDER, SECOND_ORDER, _cumint4, _deriv4, _diff,
                             _signed_cumtrapz, not_a_knot_slopes, path_exponent, pchip,
-                            same_geometry)
+                            same_geometry, spline_at, spline_inverse_at)
 
 from helpers import grid_from_fn, observed_orders
 
@@ -303,52 +303,54 @@ def test_pchip_raises_no_runtime_warning():
     assert np.all(np.isfinite(got))
 
 
-class TestInvertMonotoneMap:
-    def test_identity(self):
-        x = np.linspace(0, 1, 11)
-        assert abs(cs.invert_monotone_map(x, x, 0.37) - 0.37) < 1e-12
+def test_spline_at_reproduces_a_cubic():
+    # a cubic in the node position, with a trailing (2, 3) shape, at nodes,
+    # between them and just outside the ends
+    n = 11
+    coeffs = np.random.default_rng(5).standard_normal((4, 2, 3))
+    cubic = lambda p: sum(c * np.asarray(p)[:, None, None] ** k for k, c in enumerate(coeffs))
+    pos = np.concatenate([np.arange(n), np.linspace(-0.4, n - 0.6, 37)])
+    got = spline_at(cubic(np.arange(n)), pos)
+    assert got.shape == (pos.size, 2, 3)
+    assert np.max(np.abs(got - cubic(pos))) <= 1e-13 * np.max(np.abs(cubic(pos)))
 
-    def test_affine(self):
-        x = np.linspace(0, 1, 21)
-        assert abs(cs.invert_monotone_map(x, 2 * x + 1, 2.0) - 0.5) < 1e-12
 
-    def test_sinh(self):
-        x = np.linspace(0, 2, 201)
-        got = cs.invert_monotone_map(x, np.sinh(x), 1.0)
-        assert abs(got - math.asinh(1.0)) < 1e-8
+@pytest.mark.parametrize("n", [3, 4, 5, 17, 64])
+def test_spline_at_equals_scipy_not_a_knot(n):
+    from scipy.interpolate import CubicSpline
 
-    def test_vectorized(self):
-        x = np.linspace(0, 2, 201)
-        ys = np.array([0.0, 0.5, 1.0, np.sinh(2.0)])
-        got = cs.invert_monotone_map(x, np.sinh(x), ys)
-        assert np.max(np.abs(got - np.arcsinh(ys))) < 1e-8
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal((n, 4))
+    pos = rng.uniform(0.0, n - 1.0, 50)
+    want = CubicSpline(np.arange(n), y, axis=0)(pos)
+    assert np.max(np.abs(spline_at(y, pos) - want)) <= 1e-13 * np.max(np.abs(y))
 
-    def test_out_of_range(self):
-        x = np.linspace(0, 1, 11)
-        with pytest.raises(RangeError):
-            cs.invert_monotone_map(x, x, 1.5)
 
-    @pytest.mark.parametrize("ys_of", [np.sinh, lambda x: np.exp(3.0 * x) + x,
-                                       lambda x: x + 0.4 * np.sin(2.0 * x)])
-    def test_equals_scipy_inverse(self, ys_of):
-        from scipy.interpolate import PchipInterpolator
-        from scipy.optimize import brentq
+def test_spline_inverse_is_exact_on_affine_maps():
+    y = 2.5 * np.arange(17) - 3.0
+    yq = np.linspace(y[0], y[-1], 45)
+    assert np.max(np.abs(spline_inverse_at(y, yq) - (yq + 3.0) / 2.5)) <= 1e-13
 
-        x = np.cumsum(np.random.default_rng(2).uniform(0.5, 1.5, 40)) / 20.0 - 0.7
-        ys = ys_of(x)
-        interp = PchipInterpolator(x, ys)
-        targets = np.concatenate([ys[::7], np.linspace(ys[0], ys[-1], 57)])
-        got = cs.invert_monotone_map(x, ys, targets)
-        want = np.array([brentq(lambda s: interp(s) - y, x[0], x[-1], xtol=1e-300,
-                                rtol=4 * np.finfo(float).eps) for y in targets])
-        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
 
-    def test_unequal_lengths(self):
-        with pytest.raises(DimensionError):
-            cs.invert_monotone_map(np.arange(5.0), np.arange(4.0), 1.5)
+def test_spline_inverse_converges_at_fourth_order():
+    errors = []
+    yq = np.linspace(0.0, math.sinh(2.0), 301)
+    for n in (51, 101, 201):
+        x = np.linspace(0.0, 2.0, n)
+        pos = spline_inverse_at(np.sinh(x), yq)
+        errors.append(np.max(np.abs(x[1] * pos - np.arcsinh(yq))))
+    assert errors[-1] < 1e-9, errors
+    assert min(observed_orders(errors)) > 3.8, errors
 
-    def test_non_monotone(self):
-        x = np.linspace(0, 1, 11)
-        y = np.sin(4 * x)
-        with pytest.raises(MonotonicityError):
-            cs.invert_monotone_map(x, y, 0.2)
+
+def test_spline_inverse_rejects_a_spline_that_turns():
+    # strictly increasing samples, but the spline's slope is -0.42 at nodes 2 and 5
+    y = np.array([0.0, 1.0, 1.01, 1.02, 3.0, 3.01, 3.02, 4.0])
+    assert np.all(np.diff(y) > 0) and np.min(not_a_knot_slopes(y)) < -0.4
+    with pytest.raises(MonotonicityError):
+        spline_inverse_at(y, [0.5])
+    # and samples that fall while every spline slope stays positive
+    y = np.array([0.0, 1.0, 0.999, 2.0, 3.0, 4.0])
+    assert np.min(not_a_knot_slopes(y)) > 0
+    with pytest.raises(MonotonicityError):
+        spline_inverse_at(y, [0.5])

@@ -505,8 +505,10 @@ class TestReconstruct:
 
     def test_incompatible_warning_and_strict(self):
         bad = perturbed_catenoid(65)
-        with pytest.warns(CompatibilityWarning):
+        with pytest.warns(CompatibilityWarning) as record:
             cs.reconstruct(bad)
+        # stacklevel 2: the warning points at the caller, not into the package
+        assert [w.filename for w in record] == [__file__]
         with pytest.raises(CompatibilityWarning, match="only improves by 0.9"):
             reconstruct_escalated(bad)
 
