@@ -31,20 +31,21 @@ for n in (33, 65, 129):
     prev = g.max_abs
 
 print()
-print("=== canonical-parameter Gauss equation, catenoid ===")
-print("the standard catenoid chart is already canonical (a = b = 1)")
-print(f"{'n':>5} {'nu-form':>12} {'KH-form':>12}")
-for n in (65, 129, 257):
-    forms, curv = chart_pipeline("catenoid", (-1, 1), (0, math.pi), n)
-    base = cs.BaseIndex(n // 2, n // 2)
-    inv = cs.InvariantGrid("nu", curv.nu1, curv.nu2, 1.0, 1.0, base)
-    r_nu = cs.gauss_residual_canonical(inv)
-    K = curv.nu1.like(curv.nu1.values * curv.nu2.values)
-    H = curv.nu1.like(0.5 * (curv.nu1.values + curv.nu2.values))
-    s0 = 0.5 * abs(curv.nu1.values[base.i0, base.j0] - curv.nu2.values[base.i0, base.j0])
-    inv_kh = cs.InvariantGrid("kh", K, H, s0, s0, base)
-    r_kh = cs.gauss_residual_canonical_kh(inv_kh)
-    print(f"{n:>5} {r_nu.max_abs:>12.3e} {r_kh.max_abs:>12.3e}")
+print("=== canonical-parameter Gauss equation, catenoid and cone ===")
+print("both standard charts are already canonical; a kh grid is read back as")
+print("(nu1, nu2), so one residual judges both modes. The cone's u-curvature is")
+print("the smaller one: to_kh flips its normal to keep the larger one along u")
+print(f"{'surface':>9} {'n':>5} {'nu-form':>12} {'KH-form':>12}")
+for name, urange, vrange, params in (("catenoid", (-1, 1), (0, math.pi), {}),
+                                     ("cone", (0, 2), (0.5, 2.5), {"alpha": 0.6})):
+    for n in (65, 129, 257):
+        forms, curv = chart_pipeline(name, urange, vrange, n, **params)
+        base = cs.BaseIndex(n // 2, n // 2)
+        inv = cs.InvariantGrid("nu", curv.nu1, curv.nu2, float(forms.E.values[n // 2, n // 2]),
+                               float(forms.G.values[n // 2, n // 2]), base)
+        r_nu = cs.gauss_residual_canonical(inv)
+        r_kh = cs.gauss_residual_canonical(inv.to_kh())
+        print(f"{name:>9} {n:>5} {r_nu.max_abs:>12.3e} {r_kh.max_abs:>12.3e}")
 
 print()
 print("=== incompatible data is detected by the residual floor ===")

@@ -26,6 +26,7 @@ from .errors import (
     DiscriminantError,
     MonotonicityError,
     RangeError,
+    UmbilicError,
 )
 from .grid import (
     FOURTH_ORDER,
@@ -71,7 +72,9 @@ class InvariantGrid:
 
     mode "nu": field1 = nu1, field2 = nu2 (direction-labeled, need not be
     ordered by size). mode "kh": field1 = K, field2 = H, and a, b carry the
-    H^2 - K weighted normalization (a = E * sqrt(H^2 - K) at the base).
+    H^2 - K weighted normalization (a = E * sqrt(H^2 - K) at the base). In kh
+    mode nu1 = H + sqrt(H^2 - K), the larger curvature, lies along u; to_kh
+    picks the normal that makes it so.
     """
 
     mode: str
@@ -105,7 +108,7 @@ class InvariantGrid:
         return np.sqrt(H * H - K)
 
     def nu_arrays(self):
-        """(nu1, nu2) arrays; KH-mode uses the magnitude convention H +- sqrt(H^2-K)."""
+        """(nu1, nu2) arrays; in kh mode H +- sqrt(H^2 - K), nu1 along u."""
         if self.mode == "nu":
             return self.field1.values, self.field2.values
         H, root = self.field2.values, self.half_gap()
@@ -124,13 +127,35 @@ class InvariantGrid:
         s0 = float(self.half_gap()[self.base.i0, self.base.j0])
         return self.a * s0, self.b * s0
 
+    def nu_constants(self) -> tuple[float, float]:
+        """(a, b) in nu mode: a kh grid's constants divided by sqrt(H^2 - K) at the base node."""
+        if self.mode == "nu":
+            return self.a, self.b
+        s0 = float(self.half_gap()[self.base.i0, self.base.j0])
+        return self.a / s0, self.b / s0
+
+    def normal_sign(self) -> float:
+        """1.0 when nu1 > nu2 at every node, -1.0 when nu1 < nu2 at every node:
+        the factor on H that keeps the larger curvature along u in kh mode, since
+        flipping the normal maps (nu1, nu2) to (-nu1, -nu2) and keeps K. Raises
+        UmbilicError when the sign of nu1 - nu2 changes between nodes."""
+        nu1, nu2 = self.nu_arrays()
+        if np.all(nu1 > nu2):
+            return 1.0
+        if np.all(nu1 < nu2):
+            return -1.0
+        raise UmbilicError("nu1 - nu2 changes sign on the grid: the direction labels "
+                           "cross, so no normal puts the larger curvature along u")
+
     def to_kh(self) -> "InvariantGrid":
-        """The same data in kh mode, with the constants of kh_constants()."""
+        """The same surface in kh mode, with the constants of kh_constants() and
+        H times normal_sign()."""
         if self.mode == "kh":
             return self
         K, H = self.kh_arrays()
         like = self.geometry.like
-        return InvariantGrid("kh", like(K), like(H), *self.kh_constants(), self.base)
+        return InvariantGrid("kh", like(K), like(self.normal_sign() * H), *self.kh_constants(),
+                             self.base)
 
     @property
     def geometry(self) -> Grid2:

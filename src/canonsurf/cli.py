@@ -168,8 +168,10 @@ def _invariant_grid_from_chart(forms, curv, base, mode):
     inv = canonical.InvariantGrid("nu", curv.nu1, curv.nu2, a, b, base)
     if mode == "nu":
         return inv
-    # the chart's own K and H: nu1 * nu2 and (nu1 + nu2) / 2 differ from them at roundoff
-    return canonical.InvariantGrid("kh", curv.K, curv.H, *inv.kh_constants(), base)
+    # the chart's own K and H: nu1 * nu2 and (nu1 + nu2) / 2 differ from them at
+    # roundoff; H takes the sign of to_kh, which puts the larger curvature along u
+    H = curv.H.like(inv.normal_sign() * curv.H.values)
+    return canonical.InvariantGrid("kh", curv.K, H, *inv.kh_constants(), base)
 
 
 def _canonicalize(entry, u_range, v_range, base_text: str | None, mode: str):
@@ -207,7 +209,7 @@ def cmd_canonicalize(args) -> int:
 def _check_report(inv):
     # the floor test's full-grid residual is the reported one, not evaluated again
     floor = compatibility.compatibility_floor(inv)
-    rep = floor.fine if floor else compatibility.canonical_residual(inv)
+    rep = floor.fine if floor else compatibility.gauss_residual_canonical(inv)
     result = {
         "format": "check-report/1",
         "mode": inv.mode,

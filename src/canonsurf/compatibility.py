@@ -2,7 +2,8 @@
 
 Evaluators for the general Gauss and Codazzi equations of an arbitrary chart,
 their principal-chart forms, and the canonical-parameter equation that ties a
-pair of invariant fields (nu1, nu2) or (K, H) to an actual surface. Residuals
+pair of invariant fields (nu1, nu2) or (K, H) to an actual surface; (K, H)
+data are read as (nu1, nu2), so one equation serves both. Residuals
 converge as O(h^2) on compatible data and stall at a floor on incompatible
 data; `compatibility_floor` turns that contrast into a yes/no test.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import InvariantGrid
-from .errors import DimensionError, NotPrincipalError, RegularityError
+from .errors import NotPrincipalError, RegularityError
 from .grid import SECOND_ORDER, BaseIndex, Grid2, d_u, d_v, path_factors, same_geometry
 from .invariants import FormGrid, is_principal, require_umbilic_free
 from .reports import ResidualReport, make_report
@@ -23,10 +24,6 @@ from .reports import ResidualReport, make_report
 # then keeps at least four nodes a side.
 FLOOR_MIN_NODES = 9
 FLOOR_MIN_RATIO = 1.5  # least coarse/fine residual ratio of compatible data
-# a fine residual within this many roundoff units of its stencils is compatible:
-# on exact data (a canonical cone or cylinder in kh mode) the residual is
-# roundoff, which grows as 1/h^2 and so never shrinks under refinement
-FLOOR_ROUNDOFF_UNITS = 1e3
 W_MIN = 1e-14  # least area element sqrt(EG - F^2) of a regular chart
 
 
@@ -108,37 +105,17 @@ def canonical_factors(inv: InvariantGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_residual_canonical(inv: InvariantGrid) -> ResidualReport:
-    """Residual of the canonical-parameter Gauss equation in the nu route."""
-    if inv.mode != "nu":
-        raise DimensionError("gauss_residual_canonical expects a nu-mode grid; "
-                             "use gauss_residual_canonical_kh for KH data")
+    """Residual of the canonical-parameter Gauss equation in the nu route, for a
+    grid of either mode: kh data enter through nu_arrays() and nu_constants()."""
     nu1, nu2 = inv.nu_arrays()
+    a, b = inv.nu_constants()
     gap = nu1 - nu2
     geo = inv.geometry
     p1, p2 = canonical_factors(inv)
     lhs = nu1 * nu2 * p1 * p2
-    rhs = (d_v(d_v(nu1, geo) / gap * p1 / p2, geo) / inv.b
-           - d_u(d_u(nu2, geo) / gap * p2 / p1, geo) / inv.a)
+    rhs = (d_v(d_v(nu1, geo) / gap * p1 / p2, geo) / b
+           - d_u(d_u(nu2, geo) / gap * p2 / p1, geo) / a)
     return make_report("gauss-canonical", geo.like(lhs - rhs))
-
-
-def gauss_residual_canonical_kh(inv: InvariantGrid) -> ResidualReport:
-    """Residual of the canonical-parameter Gauss equation in the (K, H) route."""
-    K, H = inv.kh_arrays()
-    root = inv.half_gap()
-    geo = inv.geometry
-    q1, q2 = path_factors(H, H, 2.0 * root, geo, inv.base, SECOND_ORDER)  # 2 root = |nu1 - nu2|
-    lhs = 2.0 * K / root * q1 * q2
-    rhs = (d_v(q1 / q2 * d_v(H + root, geo) / root, geo) / inv.b
-           - d_u(q2 / q1 * d_u(H - root, geo) / root, geo) / inv.a)
-    return make_report("gauss-canonical-kh", geo.like(lhs - rhs))
-
-
-def canonical_residual(inv: InvariantGrid) -> ResidualReport:
-    """The canonical-parameter Gauss residual in the grid's own route (nu or kh)."""
-    if inv.mode == "nu":
-        return gauss_residual_canonical(inv)
-    return gauss_residual_canonical_kh(inv)
 
 
 @dataclass(frozen=True)
@@ -162,30 +139,19 @@ def _subsample(inv: InvariantGrid) -> InvariantGrid:
                          BaseIndex(inv.base.i0 // 2, inv.base.j0 // 2))
 
 
-def _roundoff(inv: InvariantGrid) -> float:
-    """Roundoff of the canonical residual's second differences:
-    eps * max|nu_i| / min|nu1 - nu2| * (1/(a du^2) + 1/(b dv^2))."""
-    nu1, nu2 = inv.nu_arrays()
-    g = inv.geometry
-    scale = max(np.max(np.abs(nu1)), np.max(np.abs(nu2))) / np.min(np.abs(nu1 - nu2))
-    return float(np.finfo(float).eps * scale * (1.0 / (inv.a * g.du**2) + 1.0 / (inv.b * g.dv**2)))
-
-
 def compatibility_floor(inv: InvariantGrid) -> FloorCheck | None:
     """Compare the canonical Gauss residual at full and halved resolution.
 
     Discretization error drops by about 4 when the grid is refined, so data
     whose residual shrinks by less than FLOOR_MIN_RATIO from the subsampled
-    grid to the full grid is declared incompatible, unless the full grid's
-    residual is within FLOOR_ROUNDOFF_UNITS of its stencils' roundoff. A grid
-    with fewer than FLOOR_MIN_NODES nodes a side gives None: no test is run.
-    An overflowing residual gives no verdict: make_report raises RangeError.
+    grid to the full grid is declared incompatible; an exactly zero full-grid
+    residual reads an infinite ratio. A grid with fewer than FLOOR_MIN_NODES
+    nodes a side gives None: no test is run. An overflowing residual gives no
+    verdict: make_report raises RangeError.
     """
     if min(inv.geometry.nu, inv.geometry.nv) < FLOOR_MIN_NODES:
         return None
-    fine = canonical_residual(inv)
-    coarse = canonical_residual(_subsample(inv)).max_abs
+    fine = gauss_residual_canonical(inv)
+    coarse = gauss_residual_canonical(_subsample(inv)).max_abs
     ratio = coarse / fine.max_abs if fine.max_abs > 0 else float("inf")
-    compatible = (ratio >= FLOOR_MIN_RATIO
-                  or fine.max_abs <= FLOOR_ROUNDOFF_UNITS * _roundoff(inv))
-    return FloorCheck(fine, coarse, ratio, bool(compatible))
+    return FloorCheck(fine, coarse, ratio, ratio >= FLOOR_MIN_RATIO)

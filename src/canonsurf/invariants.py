@@ -3,8 +3,8 @@
 Conventions. The unit normal is n = (xu x xv)/|xu x xv|. On a principal chart
 (F = M = 0) the principal curvatures are labeled by direction, nu1 = L/E for
 the u-lines and nu2 = N/G for the v-lines, even when nu1 < nu2. Without a
-chart (pure curvature data) the magnitude convention nu1 = H + sqrt(H^2 - K)
-is used instead.
+chart (kh-mode data) the magnitude convention nu1 = H + sqrt(H^2 - K) along u
+is used instead, with the normal chosen to make it so (InvariantGrid.to_kh).
 """
 
 from __future__ import annotations

@@ -86,15 +86,14 @@ class SurfaceMesh:
 def coefficients_from_invariants(inv: InvariantGrid):
     """(E, G, L, N) grids implied by the invariant fields and constants a, b.
 
-    E = E0 * Psi1^2 and G = G0 * Psi2^2 with E0 = a, G0 = b in nu mode; in KH
-    mode the stored constants carry the sqrt(H^2 - K) weight, so E0 = a / s0
-    with s0 the half-gap at the base node. Then L = nu1 E, N = nu2 G.
+    E = a * Psi1^2 and G = b * Psi2^2 with (a, b) = inv.nu_constants(), which
+    strips the sqrt(H^2 - K) weight of kh-mode constants. Then L = nu1 E, N = nu2 G.
     """
     psi1, psi2 = canonical_factors(inv)
     nu1, nu2 = inv.nu_arrays()
-    s0 = 1.0 if inv.mode == "nu" else float(inv.half_gap()[inv.base.i0, inv.base.j0])
-    E = inv.a / s0 * psi1**2
-    G = inv.b / s0 * psi2**2
+    a, b = inv.nu_constants()
+    E = a * psi1**2
+    G = b * psi2**2
     if np.any(E <= 0) or np.any(G <= 0):
         raise PositivityError("reconstructed metric coefficients must stay positive")
     like = inv.geometry.like

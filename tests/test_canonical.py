@@ -160,10 +160,16 @@ def test_reparametrised_charts_pass_the_floor_test(kind, n, base_frac):
     base = (cs.BaseIndex(n // 2, n // 2) if base_frac is None
             else cs.BaseIndex(round(base_frac[0] * (n - 1)), round(base_frac[1] * (n - 1))))
     maps = cs.build_canonical_maps(forms.E, forms.G, curv.nu1, curv.nu2, base)
-    floor = cs.compatibility_floor(cs.resample_to_canonical(maps, curv.nu1, curv.nu2))
+    inv = cs.resample_to_canonical(maps, curv.nu1, curv.nu2)
+    floor = cs.compatibility_floor(inv)
     assert floor.compatible, floor.ratio
     if kind == "catenoid":
         assert floor.ratio >= 3.5, floor.ratio
+    # the same grid in kh mode: oriented by to_kh, it reads the nu ratio (the
+    # catenoid's unoriented kh grid read 1.475 at 257^2)
+    kh = cs.compatibility_floor(inv.to_kh())
+    assert kh.compatible == floor.compatible
+    assert abs(kh.ratio - floor.ratio) <= 1e-6 * floor.ratio, (kh.ratio, floor.ratio)
 
 
 class TestVerifyCanonical:
@@ -262,7 +268,7 @@ class TestAffineEquivalence:
     @pytest.mark.parametrize("base_b", [(40, 40), (40, 24)])
     def test_cone_bases_off_the_centre_row(self, base_b, mode):
         # the v-slope of a base above the centre row used to start above 1 and
-        # stall; in kh mode the magnitude convention flips the cone's labels
+        # stall; in kh mode to_kh flips the cone's normal (nu1 < nu2)
         inv_a, inv_b = _canonical_pair("cone", (0, 2), (0.5, 2.5), 65, base_b, mode, alpha=0.6)
         m = cs.check_affine_equivalence(inv_a, inv_b)
         assert not m.swapped
@@ -377,7 +383,10 @@ def test_to_kh_weights_constants_at_base():
     s0 = 0.5 * abs(n1[3, 11] - n2[3, 11])
     assert kh.mode == "kh" and kh.base == inv.base
     assert np.array_equal(kh.field1.values, n1 * n2)
-    assert np.array_equal(kh.field2.values, 0.5 * (n1 + n2))
+    # nu1 < nu2 on this catenoid: to_kh flips the normal, so the larger
+    # curvature -nu1 lies along u
+    assert np.all(n1 < n2)
+    assert np.array_equal(kh.field2.values, -(0.5 * (n1 + n2)))
     assert (kh.a, kh.b) == (inv.a * s0, inv.b * s0) == inv.kh_constants()
     assert kh.kh_constants() == (kh.a, kh.b)
     assert kh.to_kh() is kh

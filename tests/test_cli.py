@@ -45,26 +45,34 @@ def test_analyze_sphere_exits_2(tmp_path):
     assert report["umbilic"]["count"] == 33 * 33
 
 
-def test_analyze_save_invariants_kh_uses_to_kh_constants(tmp_path):
-    path = tmp_path / "torus_kh.json"
-    res = run_cli("analyze", "--surface", "torus", "--param", "R=2", "--param", "r=1",
-                  "--u", "0:6.2832:17", "--v", "0:6.2832:17", "--base-index", "5,11",
+@pytest.mark.parametrize("surface, params, u, v", [
+    ("torus", {"R": 2.0, "r": 1.0}, (0.0, 6.2832), (0.0, 6.2832)),
+    ("cone", {"alpha": 0.6}, (0.0, 2.0), (0.5, 2.5)),  # nu1 < nu2: the normal flips
+])
+def test_analyze_save_invariants_kh_uses_to_kh_constants(tmp_path, surface, params, u, v):
+    path = tmp_path / f"{surface}_kh.json"
+    res = run_cli("analyze", "--surface", surface,
+                  *(arg for k, x in params.items() for arg in ("--param", f"{k}={x}")),
+                  "--u", f"{u[0]}:{u[1]}:17", "--v", f"{v[0]}:{v[1]}:17", "--base-index", "5,11",
                   "--save-invariants", str(path), "--mode", "kh",
                   "--output", str(tmp_path / "report.json"))
     assert res.returncode == 0, res.stderr
     saved = formats.read_invariant_grid(str(path))
-    entry = cs.make_entry("torus", R=2.0, r=1.0)
-    jets = cs.sample_surface(entry, 0.0, 6.2832 / 16, 17, 0.0, 6.2832 / 16, 17)
+    entry = cs.make_entry(surface, **params)
+    jets = cs.sample_surface(entry, u[0], (u[1] - u[0]) / 16, 17, v[0], (v[1] - v[0]) / 16, 17)
     forms = cs.fundamental_forms_grid(jets)
     curv = cs.curvatures_grid(forms, principal_chart=True)
     base = cs.BaseIndex(5, 11)
-    kh = cs.InvariantGrid("nu", curv.nu1, curv.nu2, float(forms.E.values[5, 11]),
-                          float(forms.G.values[5, 11]), base).to_kh()
+    inv = cs.InvariantGrid("nu", curv.nu1, curv.nu2, float(forms.E.values[5, 11]),
+                           float(forms.G.values[5, 11]), base)
+    kh = inv.to_kh()
     assert saved.mode == "kh" and saved.base == base
     assert (saved.a, saved.b) == (kh.a, kh.b)
-    # the fields are the chart's own K and H
+    # the fields are the chart's own K and H, H with to_kh's sign
+    assert inv.normal_sign() == (1.0 if surface == "torus" else -1.0)
     assert np.array_equal(saved.field1.values, curv.K.values)
-    assert np.array_equal(saved.field2.values, curv.H.values)
+    assert np.array_equal(saved.field2.values, inv.normal_sign() * curv.H.values)
+    assert np.max(np.abs(saved.field2.values - kh.field2.values)) <= 1e-14
 
 
 def test_analyze_catenoid_minimal(tmp_path):
@@ -127,9 +135,9 @@ def test_check_incompatible_exits_4(tmp_path):
 
 
 @pytest.mark.parametrize("n", [17, 65, 257])
-def test_check_accepts_exact_kh_grids_at_roundoff(tmp_path, n):
-    # the kh residual of a canonical cone or cylinder is roundoff, which grows
-    # as 1/h^2; the coarse/fine ratio alone made these exit 4 at every n
+def test_check_accepts_exact_kh_grids(tmp_path, n):
+    # to_kh flips the normal of these charts (nu1 < nu2): the cone then reads
+    # its nu-mode ratio and the cylinder an exactly zero residual
     for name, params in (("cone", {"alpha": 0.6}), ("cylinder", {})):
         path = tmp_path / f"{name}.json"
         formats.write_invariant_grid(
@@ -262,7 +270,7 @@ def test_check_evaluates_one_residual_per_grid(tmp_path, monkeypatch, name, u, v
     formats.write_invariant_grid(inv, str(path))
     inv = formats.read_invariant_grid(str(path))
     g = inv.geometry
-    rep = (cs.gauss_residual_canonical if mode == "nu" else cs.gauss_residual_canonical_kh)(inv)
+    rep = cs.gauss_residual_canonical(inv)
     floor = cs.compatibility_floor(inv)
     expected = {
         "format": "check-report/1", "mode": mode,
@@ -272,10 +280,9 @@ def test_check_evaluates_one_residual_per_grid(tmp_path, monkeypatch, name, u, v
                         "ratio": floor.ratio, "compatible": floor.compatible},
     }
     calls = []
-    for fn in ("gauss_residual_canonical", "gauss_residual_canonical_kh"):
-        real = getattr(compatibility, fn)
-        monkeypatch.setattr(compatibility, fn,
-                            lambda grid, real=real: calls.append(grid.geometry.nu) or real(grid))
+    real = compatibility.gauss_residual_canonical
+    monkeypatch.setattr(compatibility, "gauss_residual_canonical",
+                        lambda grid: calls.append(grid.geometry.nu) or real(grid))
     assert cli.main(["check", "--input", str(path), "--output", str(tmp_path / "r.json")]) == 0
     assert calls == [33, 17]
     assert (tmp_path / "r.json").read_text() == formats.dumps(expected) + "\n"

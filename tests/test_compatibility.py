@@ -6,8 +6,7 @@ import pytest
 
 import canonsurf as cs
 from canonsurf import compatibility, grid
-from canonsurf.errors import (DimensionError, NotPrincipalError, RangeError, RegularityError,
-                              UmbilicError)
+from canonsurf.errors import NotPrincipalError, RangeError, RegularityError, UmbilicError
 
 from helpers import (
     canonical_grid,
@@ -155,18 +154,11 @@ class TestGaussPrincipal:
             cs.gauss_residual_principal(cs.fundamental_forms_grid(_skew_jets(9)))
 
 
-def _phi_factors(inv):
-    """(Phi1, Phi2) of the (K, H) route, as gauss_residual_canonical_kh builds them."""
-    K, H = inv.kh_arrays()
-    return grid.path_factors(H, H, 2.0 * np.sqrt(H * H - K), inv.geometry, inv.base,
-                             grid.SECOND_ORDER)
-
-
 class TestCanonicalFactors:
     def test_constant_fields_give_unit_factors(self):
         g = cs.Grid2(0, 0, 0.1, 0.1, np.full((9, 9), 1.0))
         inv = cs.InvariantGrid("nu", g, g.like(np.zeros((9, 9))), 1.0, 1.0, cs.BaseIndex(4, 4))
-        for f in (*cs.canonical_factors(inv), *_phi_factors(inv)):
+        for f in (*cs.canonical_factors(inv), *cs.canonical_factors(inv.to_kh())):
             assert np.max(np.abs(f - 1.0)) == 0.0
 
     def test_catenoid_psi1_closed_form(self):
@@ -188,7 +180,7 @@ class TestCanonicalFactors:
 
     def test_factors_positive_and_one_at_base(self):
         for inv in (catenoid_invariants(33)[0], torus_invariants(33)[0]):
-            for f in (*cs.canonical_factors(inv), *_phi_factors(inv)):
+            for f in (*cs.canonical_factors(inv), *cs.canonical_factors(inv.to_kh())):
                 assert np.all(f > 0)
                 assert f[inv.base.i0, inv.base.j0] == 1.0
 
@@ -216,7 +208,7 @@ class TestCanonicalFactors:
 
         inv = catenoid_invariants(33)[0]
         assert count(cs.gauss_residual_canonical, inv) == 2
-        assert count(cs.gauss_residual_canonical_kh, inv.to_kh()) == 2
+        assert count(cs.gauss_residual_canonical, inv.to_kh()) == 2
         assert count(cs.compatibility_floor, inv) == 4
         assert count(cs.compatibility_floor, inv.to_kh()) == 4
         assert count(cs.reconstruct, inv) == 6
@@ -263,10 +255,15 @@ class TestGaussCanonical:
             maxes.append(cs.gauss_residual_canonical(bad).max_abs)
         assert maxes[0] / maxes[1] < 1.5  # stalls instead of converging
 
-    def test_mode_mismatch_rejected(self):
-        inv = catenoid_invariants(17)[0].to_kh()
-        with pytest.raises(DimensionError):
-            cs.gauss_residual_canonical(inv)
+    def test_kh_grid_is_read_through_nu_arrays(self):
+        # one residual for both modes: a kh grid is the nu grid of nu_arrays()
+        # with the constants of nu_constants()
+        kh = catenoid_invariants(17)[0].to_kh()
+        like = kh.geometry.like
+        nu1, nu2 = kh.nu_arrays()
+        as_nu = cs.InvariantGrid("nu", like(nu1), like(nu2), *kh.nu_constants(), kh.base)
+        assert (cs.gauss_residual_canonical(kh).to_dict()
+                == cs.gauss_residual_canonical(as_nu).to_dict())
 
     def test_orientation_flip_invariance(self):
         inv, _, _ = catenoid_invariants(65)
@@ -283,7 +280,7 @@ class TestGaussCanonicalKH:
         errs = []
         for n in (65, 129, 257):
             inv, _, _ = catenoid_invariants(n)
-            errs.append(cs.gauss_residual_canonical_kh(inv.to_kh()).max_abs)
+            errs.append(cs.gauss_residual_canonical(inv.to_kh()).max_abs)
         for order in observed_orders(errs):
             assert order >= 1.9
 
@@ -291,13 +288,13 @@ class TestGaussCanonicalKH:
         g = cs.Grid2(0, 0, 0.05, 0.05, np.zeros((33, 33)))
         inv = cs.InvariantGrid("kh", g, g.like(np.full((33, 33), 0.5)), 0.5, 0.5,
                                cs.BaseIndex(16, 16))
-        assert cs.gauss_residual_canonical_kh(inv).max_abs < 1e-14
+        assert cs.gauss_residual_canonical(inv).max_abs < 1e-14
 
     def test_torus_convergence(self):
         errs = []
         for n in (65, 129):
             inv, _, _ = torus_invariants(n)
-            errs.append(cs.gauss_residual_canonical_kh(inv.to_kh()).max_abs)
+            errs.append(cs.gauss_residual_canonical(inv.to_kh()).max_abs)
         assert errs[0] / errs[1] > 3.0
 
     def test_equivalence_of_forms(self):
@@ -306,7 +303,7 @@ class TestGaussCanonicalKH:
             for n in (65, 129, 257):
                 inv, _, _ = build(n)
                 errs_nu.append(cs.gauss_residual_canonical(inv).max_abs)
-                errs_kh.append(cs.gauss_residual_canonical_kh(inv.to_kh()).max_abs)
+                errs_kh.append(cs.gauss_residual_canonical(inv.to_kh()).max_abs)
             for a, b in zip(errs_nu, errs_kh):
                 assert max(a / b, b / a) < 10.0
             assert all(o >= 1.9 for o in observed_orders(errs_nu))
@@ -319,25 +316,23 @@ class TestFloor:
         fc = cs.compatibility_floor(inv)
         assert fc.compatible
         assert fc.ratio > 3.0
-        assert fc.fine.to_dict() == cs.canonical_residual(inv).to_dict()
+        assert fc.fine.to_dict() == cs.gauss_residual_canonical(inv).to_dict()
         assert fc.fine.max_abs < fc.coarse_max_abs
-
-    def test_roundoff_is_evaluated_only_when_the_ratio_fails(self, monkeypatch):
-        def unreachable(inv):
-            raise AssertionError("roundoff evaluated")
-        monkeypatch.setattr(compatibility, "_roundoff", unreachable)
-        assert cs.compatibility_floor(catenoid_invariants(33)[0]).compatible
 
     @pytest.mark.parametrize("n", [17, 65, 257])
     @pytest.mark.parametrize("name, params", [("cone", {"alpha": 0.6}), ("cylinder", {})])
-    def test_roundoff_residual_of_exact_kh_data_is_compatible(self, name, params, n):
-        # the kh residual of these charts is roundoff, which grows as 1/h^2, so
-        # the coarse/fine ratio alone refused them at every n
-        inv = canonical_grid(name, (0.0, 2.0), (0.5, 2.5), n, None, "kh", **params)
-        fc = cs.compatibility_floor(inv)
-        assert fc.ratio < compatibility.FLOOR_MIN_RATIO
-        assert fc.fine.max_abs < 1e-10
-        assert fc.compatible
+    def test_exact_kh_data_is_compatible_as_in_nu_mode(self, name, params, n):
+        # to_kh orients these charts (nu1 < nu2) by flipping the normal, so the
+        # kh grid describes the same surface and reads the nu grid's residual
+        inv = canonical_grid(name, (0.0, 2.0), (0.5, 2.5), n, None, "nu", **params)
+        nu, kh = cs.compatibility_floor(inv), cs.compatibility_floor(inv.to_kh())
+        assert nu.compatible and kh.compatible
+        if name == "cylinder":
+            assert nu.fine.max_abs == kh.fine.max_abs == 0.0
+            assert nu.ratio == kh.ratio == math.inf
+        else:
+            for got, want in ((kh.fine.max_abs, nu.fine.max_abs), (kh.ratio, nu.ratio)):
+                assert abs(got - want) <= 1e-8 * want, (got, want)
 
     def test_incompatible_data_fails(self):
         inv, _, _ = catenoid_invariants(65)

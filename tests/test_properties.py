@@ -1,16 +1,20 @@
 """Property tests: curvature invariants under a u<->v swap, a homothety and a rigid
-motion of the chart, the affine fit between canonical charts whose axes are listed in the other order, and
-reconstruction under a rigid motion of the initial frame."""
+motion of the chart, the affine fit between canonical charts whose axes are listed in the other order,
+reconstruction under a rigid motion of the initial frame, and the verdict and surface of
+invariant grids under a transposition or a normal flip in nu and kh modes."""
 
 import math
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import canonsurf as cs
+from canonsurf.errors import CompatibilityWarning, UmbilicError
 
-from helpers import canonical_grid
+from helpers import canonical_grid, catenoid_invariants, cone_invariants, torus_invariants
 
 N = 17
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
@@ -145,3 +149,70 @@ def test_rigid_motion_keeps_curvatures(jets, motion):
     tol = 1e-12 * scale
     assert np.max(np.abs(m.K.values - c.K.values)) <= tol * scale
     assert np.max(np.abs(m.H.values - c.H.values)) <= tol
+
+
+def _transposed(inv):
+    """The chart y(s, t) = x(t, s) of a nu grid: fields, constants and base trade axes."""
+    g = inv.geometry
+    t = lambda f: cs.Grid2(g.v0, g.u0, g.dv, g.du, f.values.T)
+    return cs.InvariantGrid("nu", t(inv.field2), t(inv.field1), inv.b, inv.a,
+                            cs.BaseIndex(inv.base.j0, inv.base.i0))
+
+
+def _flipped(inv):
+    """The same chart with the opposite normal: (nu1, nu2) -> (-nu1, -nu2)."""
+    return cs.InvariantGrid("nu", inv.field1.like(-inv.field1.values),
+                            inv.field2.like(-inv.field2.values), inv.a, inv.b, inv.base)
+
+
+def _oriented_variants(build):
+    """(label, nu grid, chart positions) of a 65^2 canonical chart, its transpose and its flip."""
+    inv, jets, _ = build(65)
+    x = jets.x.values
+    return [("chart", inv, x), ("transposed", _transposed(inv), np.swapaxes(x, 0, 1)),
+            ("flipped", _flipped(inv), x)]
+
+
+def _mirror_rms(inv, x):
+    """Align rms of inv's reconstruction against the positions x or their mirror image."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CompatibilityWarning)
+        mesh = cs.reconstruct(inv)
+    return min(cs.align_rigid(mesh, cs.SurfaceMesh(inv.geometry.like(p)))[2]
+               for p in (x, x * np.array([1.0, 1.0, -1.0])))
+
+
+ORIENTATION_CHARTS = [catenoid_invariants, torus_invariants, cone_invariants]
+
+
+@pytest.mark.parametrize("build", ORIENTATION_CHARTS)
+def test_transposed_and_flipped_grids_keep_the_verdict_in_both_modes(build):
+    # the transposed torus has nu1 < nu2: before to_kh oriented it, its kh
+    # grid described no surface and read a floor ratio of 1.000
+    want = cs.compatibility_floor(build(65)[0])
+    assert want.compatible
+    for label, inv, _ in _oriented_variants(build):
+        for grid in (inv, inv.to_kh()):
+            got = cs.compatibility_floor(grid)
+            assert got.compatible == want.compatible, (label, grid.mode, got.ratio)
+            assert abs(got.ratio - want.ratio) <= 1e-6 * want.ratio, (label, grid.mode)
+
+
+@pytest.mark.parametrize("build", ORIENTATION_CHARTS)
+def test_transposed_and_flipped_grids_reconstruct_the_same_surface(build):
+    # up to rigid motion and mirror; the march order differs with the axes, so
+    # each variant's kh mesh is held to that variant's nu-mode rms
+    for label, inv, x in _oriented_variants(build):
+        nu_rms = _mirror_rms(inv, x)
+        kh_rms = _mirror_rms(inv.to_kh(), x)
+        assert nu_rms < 0.02, (label, nu_rms)
+        assert kh_rms <= nu_rms * (1.0 + 1e-6), (label, kh_rms, nu_rms)
+
+
+def test_to_kh_refuses_labels_that_cross():
+    # nu1 - nu2 = 2 sin u changes sign between nodes, though no node is umbilic
+    u = np.linspace(-1.0, 1.0, 16)
+    g = cs.Grid2.from_axes(u, np.linspace(0.0, 1.0, 16), (2.0 + np.sin(u))[:, None] * np.ones(16))
+    inv = cs.InvariantGrid("nu", g, g.like(4.0 - g.values), 1.0, 1.0, cs.BaseIndex(8, 8))
+    with pytest.raises(UmbilicError, match="changes sign"):
+        inv.to_kh()
