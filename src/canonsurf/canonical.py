@@ -48,6 +48,7 @@ AFFINE_MAX_SAMPLES = 33  # the affine fit keeps every (n // 33)-th node of an n-
 AFFINE_MIN_OVERLAP = 0.25  # share of A's samples a choice must map into B's domain
 AFFINE_TIE_RTOL = 1e-12  # seed distances and choice scores this close to the least tie
 AFFINE_ANCHOR = 1e-8  # weight of the rows that hold q at its seed, per grid cell
+AFFINE_MIN_NODES = 4  # the affine fit's bicubic interpolants need 4 nodes per axis
 # a base image this many steps from a node of the axis through the map's ends
 # lies on it: the map samples carry roundoff, which must not shift the origin
 # by a roundoff-sized remainder and drop a node
@@ -349,13 +350,19 @@ def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> Affi
     the seed, ties going to the unswapped axes and positive slopes, and one
     Levenberg-Marquardt fit of q refines the best one.
     misfit is the RMS field discrepancy over A's samples whose image lies in
-    B's domain. Raises DimensionError when the grids' modes differ, and
-    RangeError when no choice maps a share AFFINE_MIN_OVERLAP of A's samples
-    into B's domain.
+    B's domain. Raises DimensionError when the grids' modes differ or either
+    grid has fewer than AFFINE_MIN_NODES nodes on an axis, and RangeError
+    when no choice maps a share AFFINE_MIN_OVERLAP of A's samples into B's
+    domain.
     """
     if inv_a.mode != inv_b.mode:
         raise DimensionError(f"cannot match a {inv_a.mode}-mode grid against a "
                              f"{inv_b.mode}-mode grid")
+    for name, inv in (("A", inv_a), ("B", inv_b)):
+        g = inv.geometry
+        if min(g.nu, g.nv) < AFFINE_MIN_NODES:
+            raise DimensionError(f"the affine fit needs at least {AFFINE_MIN_NODES} nodes "
+                                 f"per axis, grid {name} has {g.nu}x{g.nv}")
     ga, gb = inv_a.geometry, inv_b.geometry
     step_u = max(1, ga.nu // AFFINE_MAX_SAMPLES)
     step_v = max(1, ga.nv // AFFINE_MAX_SAMPLES)

@@ -12,10 +12,18 @@ factor pair exp(-+P) of path_factors is built here only, and every caller
 names its stencil order. The not-a-knot spline also resamples fields and
 inverts sampled maps (spline_at, spline_inverse_at); the monotone cubic (PCHIP)
 serves the non-uniform samples of the Weingarten residual.
+
+The spline's slope solve (not_a_knot_slopes) has two paths, chosen by the
+width of the right-hand side: doubling scans of a few whole-array passes on a
+narrow one (one map, one line), where a row-by-row elimination would pay
+numpy's per-call overhead at every node, and that elimination, bitwise the
+plain Thomas loop, on a wide one (3 x 513 columns in a frame march), where the
+scans' extra passes cost more than the calls.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +31,8 @@ import numpy as np
 from .errors import DimensionError, MonotonicityError, ShapeMismatchError
 
 GEOMETRY_RTOL = 1e-12  # same_geometry's tolerance on origins and spacings
+SCAN_MAX_COLUMNS = 256  # widest right-hand side not_a_knot_slopes solves by doubling scans
+SCAN_NEGLIGIBLE = 1e-18  # a doubling scan stops once every running product is below this
 
 
 def _frozen_array(a) -> np.ndarray:
@@ -238,12 +248,54 @@ def path_factors(f1: np.ndarray, f2: np.ndarray, gap: np.ndarray, g: Grid2, base
             np.exp(path_exponent(f2, gap, g, base, 0, stencils)))
 
 
+@functools.lru_cache(maxsize=64)
+def _not_a_knot_factors(m: int):
+    """Thomas elimination of the m-row not-a-knot system, stable without
+    pivoting as every row is diagonally dominant: the pivots w_i and the
+    eliminated super-diagonal c_i as Python floats, and its two sweeps as
+    doubling scans.
+
+    The forward sweep is x_i = r_i / w_i + a_i x_i-1 with a_i = -sub_i / w_i,
+    the backward one x_i += -c_i x_i+1. Level k of a scan adds to each row
+    the row k before it (k after it, backward) times the product of the k
+    multipliers between them, and the next level's products are products of
+    two of these. Every multiplier is about 0.27 in size, so the levels stop
+    once every product is below SCAN_NEGLIGIBLE (six forward and five
+    backward at m = 511). Returns w, c, the pivots as a column and the
+    (k, product column) levels of the forward and the backward sweep.
+    """
+    w, c = [4.0], [0.5]
+    for i in range(1, m):
+        w.append(4.0 - (2.0 if i == m - 1 else 1.0) * c[i - 1])
+        c.append(1.0 / w[i])
+    a = np.array([-1.0 / p for p in w[1:]])
+    a[-1] *= 2.0
+    # frozen, as every caller of the cache shares them
+    pivots = _frozen_array(w)[:, None]
+    sweeps = []
+    for product in (a, -np.array(c[:-1])):
+        levels, k = [], 1
+        while k < m and np.max(np.abs(product)) >= SCAN_NEGLIGIBLE:
+            levels.append((k, _frozen_array(product)[:, None]))
+            product = product[k:] * product[:-k]
+            k *= 2
+        sweeps.append(levels)
+    return tuple(w), tuple(c), pivots, *sweeps
+
+
 def not_a_knot_slopes(y: np.ndarray) -> np.ndarray:
     """Node slopes, times the step, of the not-a-knot cubic spline through
     uniformly spaced samples y along axis 0, for any trailing shape.
 
     Three nodes leave the cubic free by one degree; they take the parabola
-    through them.
+    through them. The tridiagonal solve takes one of two paths, chosen by the
+    number of columns (the trailing size). A Thomas elimination row by row
+    makes a few numpy calls per node, so on a narrow right-hand side the
+    per-call overhead dominates; up to SCAN_MAX_COLUMNS columns each sweep
+    runs instead as a doubling scan of a few whole-array passes (Stone,
+    J. ACM 20, 1973), equal to the elimination to roundoff. On wider ones the
+    scan's passes cost more than the loop's calls, and the loop runs, bit for
+    bit the plain Thomas elimination.
     """
     n = y.shape[0]
     if n < 3:
@@ -258,20 +310,31 @@ def not_a_knot_slopes(y: np.ndarray) -> np.ndarray:
     s = 3.0 * (d[:-1] + d[1:])
     s[0] = d[0] + 5.0 * d[1]
     s[-1] = 5.0 * d[-2] + d[-1]
-    # Thomas elimination, stable here because every row is diagonally dominant;
-    # c holds the eliminated super-diagonal
     m = n - 2
-    c = np.empty(m)
-    c[0] = 0.5
-    s[0] /= 4.0
-    for i in range(1, m):
-        sub = 2.0 if i == m - 1 else 1.0
-        w = 4.0 - sub * c[i - 1]
-        c[i] = 1.0 / w
-        s[i] -= sub * s[i - 1]
-        s[i] /= w
-    for i in range(m - 2, -1, -1):
-        s[i] -= c[i] * s[i + 1]
+    w, c, pivots, forward, backward = _not_a_knot_factors(m)
+    columns = s[0].size
+    if columns <= SCAN_MAX_COLUMNS:
+        x = s.reshape(m, columns)  # a copy when d, like y, is not contiguous
+        x /= pivots
+        for k, product in forward:
+            x[k:] += product * x[:-k]
+        for k, product in backward:
+            x[:-k] += product * x[k:]
+        s = x.reshape(s.shape)
+    else:
+        # the rows as views, and the back substitution's products in one
+        # buffer; the arithmetic is the textbook elimination's
+        rows = list(s)
+        rows[0] /= 4.0
+        for i in range(1, m - 1):
+            rows[i] -= rows[i - 1]
+            rows[i] /= w[i]
+        rows[-1] -= 2.0 * rows[-2]
+        rows[-1] /= w[-1]
+        term = np.empty_like(rows[0])
+        for i in range(m - 2, -1, -1):
+            np.multiply(rows[i + 1], c[i], out=term)
+            rows[i] -= term
     first = s[1] + 2.0 * (d[0] - d[1])
     last = s[-2] + 2.0 * (d[-1] - d[-2])
     return np.concatenate([first[None], s, last[None]])

@@ -204,6 +204,23 @@ class TestVerifyCanonical:
         assert max(r1.max_abs, r2.max_abs) < 1e-12
 
 
+@pytest.mark.parametrize("name, nu, nv", [("torus", 33, 33), ("catenoid", 17, 300)])
+def test_canonicalization_is_bit_deterministic(name, nu, nv):
+    # on the 33^2 torus every spline solve takes the doubling scans; on the
+    # 17 x 300 catenoid the solves along u have 300 columns and take the row loop
+    ranges = {"torus": ((0, 2 * math.pi), (0, 2 * math.pi)), "catenoid": ((-1, 1), (0, math.pi))}
+    _, forms, curv, base, _ = _chart_pipeline(name, *ranges[name], nu, nv)
+
+    def canonicalize():
+        maps = cs.build_canonical_maps(forms.E, forms.G, curv.nu1, curv.nu2, base)
+        inv = cs.resample_to_canonical(maps, curv.nu1, curv.nu2)
+        return (maps.ubar_samples, maps.vbar_samples, inv.field1.values, inv.field2.values,
+                cs.resample_grid(maps, forms.E, inv).values)
+
+    for first, second in zip(canonicalize(), canonicalize()):
+        assert np.array_equal(first, second)
+
+
 def test_idempotence_of_canonicalization():
     # canonicalizing the (already canonical) catenoid chart: identity maps and
     # nu fields preserved through the resampling
@@ -307,6 +324,23 @@ class TestAffineEquivalence:
         inv, _, _ = torus_invariants(33)
         with pytest.raises(DimensionError):
             cs.check_affine_equivalence(inv, inv.to_kh())
+
+    @pytest.mark.parametrize("small", ["3x9", "catenoid-4"])
+    def test_three_node_axis_rejected_in_either_position(self, small):
+        # Grid2 accepts 3 nodes on an axis; the 4-node canonical catenoid
+        # resamples to a 3-node side
+        if small == "3x9":
+            u = np.linspace(0.0, 0.2, 3)[:, None]
+            g = cs.Grid2(0, 0, 0.1, 0.1, 1.0 + 0.1 * u + 0.05 * np.linspace(0.0, 0.8, 9))
+            inv = cs.InvariantGrid("nu", g, g.like(np.full((3, 9), -1.0)), 1.0, 1.0,
+                                   cs.BaseIndex(1, 4))
+        else:
+            inv = canonical_grid("catenoid", (-1, 1), (0, math.pi), 4, None, "nu")
+        assert min(inv.geometry.nu, inv.geometry.nv) == 3
+        other, _, _ = catenoid_invariants(9)
+        for pair in ((inv, other), (other, inv)):
+            with pytest.raises(DimensionError, match="4 nodes"):
+                cs.check_affine_equivalence(*pair)
 
     def test_no_overlap_rejected(self):
         # constants 1e12 times larger stretch both slopes by 1e6, and the seed

@@ -5,8 +5,8 @@ import pytest
 
 import canonsurf as cs
 from canonsurf.errors import DimensionError, MonotonicityError, ShapeMismatchError
-from canonsurf.grid import (FOURTH_ORDER, SECOND_ORDER, _cumint4, _deriv4, _diff,
-                            _signed_cumtrapz, not_a_knot_slopes, path_exponent, pchip,
+from canonsurf.grid import (FOURTH_ORDER, SCAN_MAX_COLUMNS, SECOND_ORDER, _cumint4, _deriv4,
+                            _diff, _signed_cumtrapz, not_a_knot_slopes, path_exponent, pchip,
                             same_geometry, spline_at, spline_inverse_at)
 
 from helpers import grid_from_fn, observed_orders
@@ -231,6 +231,78 @@ def test_not_a_knot_slopes_need_three_nodes():
         not_a_knot_slopes(np.zeros((2, 4)))
 
 
+def _thomas_reference(y):
+    # the row-by-row Thomas elimination of the not-a-knot system, the
+    # arithmetic that not_a_knot_slopes keeps on a wide right-hand side
+    n = y.shape[0]
+    d = np.diff(y, axis=0)
+    s = 3.0 * (d[:-1] + d[1:])
+    s[0] = d[0] + 5.0 * d[1]
+    s[-1] = 5.0 * d[-2] + d[-1]
+    m = n - 2
+    c = np.empty(m)
+    c[0] = 0.5
+    s[0] /= 4.0
+    for i in range(1, m):
+        sub = 2.0 if i == m - 1 else 1.0
+        w = 4.0 - sub * c[i - 1]
+        c[i] = 1.0 / w
+        s[i] -= sub * s[i - 1]
+        s[i] /= w
+    for i in range(m - 2, -1, -1):
+        s[i] -= c[i] * s[i + 1]
+    first = s[1] + 2.0 * (d[0] - d[1])
+    last = s[-2] + 2.0 * (d[-1] - d[-2])
+    return np.concatenate([first[None], s, last[None]])
+
+
+def _not_a_knot_dense(y):
+    # slopes times the step from the assembled n x n system: a continuous
+    # second derivative at every interior node, a continuous third one at the
+    # first and the last interior node
+    n = y.shape[0]
+    d = np.diff(y, axis=0)
+    A = np.zeros((n, n))
+    rhs = np.empty_like(y)
+    for i in range(1, n - 1):
+        A[i, i - 1:i + 2] = (1.0, 4.0, 1.0)
+        rhs[i] = 3.0 * (d[i - 1] + d[i])
+    A[0, [0, 2]] = A[-1, [-3, -1]] = (1.0, -1.0)
+    rhs[0] = 2.0 * (d[0] - d[1])
+    rhs[-1] = 2.0 * (d[-2] - d[-1])
+    return np.linalg.solve(A, rhs.reshape(n, -1)).reshape(y.shape)
+
+
+def _random_samples(n, tail, seed):
+    # the trailing axes in reverse memory order, so a trailing shape such as
+    # (2, 3) is a view that no reshape flattens
+    y = np.random.default_rng(seed).standard_normal((n,) + tail[::-1])
+    return y.transpose((0,) + tuple(range(len(tail), 0, -1)))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 17, 64, 513])
+@pytest.mark.parametrize("tail", [(), (1,), (3, 1), (2, 3), (SCAN_MAX_COLUMNS + 1,)])
+def test_not_a_knot_slopes_equal_dense_solve_and_scipy(n, tail):
+    # up to SCAN_MAX_COLUMNS columns the sweeps run as doubling scans, wider
+    # ones as the row loop; both agree with the references to roundoff
+    from scipy.interpolate import CubicSpline
+
+    y = _random_samples(n, tail, n + len(tail))
+    got = not_a_knot_slopes(y)
+    assert got.shape == y.shape
+    h = 0.25  # a power of 2, so the nodes x are exactly uniform
+    x = h * np.arange(n)
+    for want in (_not_a_knot_dense(y), h * CubicSpline(x, y, axis=0).derivative()(x)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 17, 64, 513])
+@pytest.mark.parametrize("tail", [(SCAN_MAX_COLUMNS + 1,), (3, SCAN_MAX_COLUMNS // 2)])
+def test_wide_not_a_knot_slopes_equal_the_row_loop_bitwise(n, tail):
+    y = _random_samples(n, tail, n)
+    assert np.array_equal(not_a_knot_slopes(y), _thomas_reference(y))
+
+
 def _pchip_cases():
     # (x, y) along axis 0: monotone, non-monotone, flat runs (zero interval
     # slopes), data turning at either end (both edge clamps) and non-uniform x
@@ -277,12 +349,16 @@ def test_pchip_edge_clamps_are_exercised():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 33])
 @pytest.mark.parametrize("axis", [0, 1])
-def test_cumint4_equals_spline_antiderivative(n, axis):
+@pytest.mark.parametrize("width", [None, SCAN_MAX_COLUMNS + 1])
+def test_cumint4_equals_spline_antiderivative(n, axis, width):
+    # width: the lines integrated at once (n when None); above SCAN_MAX_COLUMNS
+    # the spline solve takes its row loop
     from scipy.interpolate import CubicSpline
 
     h = 0.07
     u = h * np.arange(n)
-    table = np.exp(0.8 * u[:, None] - 0.3 * u[None, :]) + np.sin(3.0 * u)[:, None] * u[None, :]
+    v = h * np.arange(width or n)
+    table = np.exp(0.8 * u[:, None] - 0.3 * v[None, :]) + np.sin(3.0 * u)[:, None] * v[None, :]
     values = table if axis == 0 else table.T
     scale = np.max(np.abs(values))
     anti = CubicSpline(u, np.moveaxis(values, axis, 0), axis=0).antiderivative()
@@ -316,11 +392,12 @@ def test_spline_at_reproduces_a_cubic():
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 17, 64])
-def test_spline_at_equals_scipy_not_a_knot(n):
+@pytest.mark.parametrize("width", [4, SCAN_MAX_COLUMNS + 1])
+def test_spline_at_equals_scipy_not_a_knot(n, width):
     from scipy.interpolate import CubicSpline
 
     rng = np.random.default_rng(n)
-    y = rng.standard_normal((n, 4))
+    y = rng.standard_normal((n, width))
     pos = rng.uniform(0.0, n - 1.0, 50)
     want = CubicSpline(np.arange(n), y, axis=0)(pos)
     assert np.max(np.abs(spline_at(y, pos) - want)) <= 1e-13 * np.max(np.abs(y))
