@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,6 +35,8 @@ from .grid import (
     BaseIndex,
     Grid2,
     _cumint4,
+    bicubic_at,
+    bicubic_nodes,
     path_factors,
     same_geometry,
     spline_at,
@@ -48,7 +51,10 @@ AFFINE_MAX_SAMPLES = 33  # the affine fit keeps every (n // 33)-th node of an n-
 AFFINE_MIN_OVERLAP = 0.25  # share of A's samples a choice must map into B's domain
 AFFINE_TIE_RTOL = 1e-12  # seed distances and choice scores this close to the least tie
 AFFINE_ANCHOR = 1e-8  # weight of the rows that hold q at its seed, per grid cell
-AFFINE_MIN_NODES = 4  # the affine fit's bicubic interpolants need 4 nodes per axis
+AFFINE_MIN_NODES = 4  # the fit compares cubics; a 3-node axis carries only a parabola
+AFFINE_LM_DAMPING = 1e-6  # first Levenberg-Marquardt damping, relative to J's column norms
+AFFINE_LM_TOL = 1e-8  # the fit stops once a step changes q or the cost by less than this share
+AFFINE_LM_MAX_NFEV = 300  # evaluations of the fit's residual, 100 (n + 1) for n = 2 unknowns
 # a base image this many steps from a node of the axis through the map's ends
 # lies on it: the map samples carry roundoff, which must not shift the origin
 # by a roundoff-sized remainder and drop a node
@@ -305,55 +311,23 @@ class AffineMatch:
     misfit: float
 
 
-def _field_interpolators(inv: InvariantGrid):
-    from scipy.interpolate import RectBivariateSpline
-
-    g = inv.geometry
-    return (RectBivariateSpline(g.u_axis, g.v_axis, inv.field1.values),
-            RectBivariateSpline(g.u_axis, g.v_axis, inv.field2.values))
-
-
-def _law_factors(inv: InvariantGrid):
-    """Interpolants of the canonical factors (Psi1, Psi2) of inv, one pair per labeling.
-
-    The factors use the fourth-order stencils of the maps. In kh mode both
-    carry sqrt(s / s_base), s the half-gap, which takes the weight of the
-    base node out of the constants a, b; and since the magnitude convention
-    may have exchanged the direction labels, the pair of the exchanged
-    labeling (nu2, nu1) is returned as well.
-    """
-    from scipy.interpolate import RectBivariateSpline
-
-    g = inv.geometry
-    nu1, nu2 = inv.nu_arrays()
-    labelings = [(nu1, nu2)]
-    weight = 1.0
-    if inv.mode == "kh":
-        labelings.append((nu2, nu1))
-        s = inv.half_gap()
-        weight = np.sqrt(s / s[inv.base.i0, inv.base.j0])
-    return [tuple(RectBivariateSpline(g.u_axis, g.v_axis, weight * p)
-                  for p in path_factors(f1, f2, f1 - f2, g, inv.base, FOURTH_ORDER))
-            for f1, f2 in labelings]
-
-
 def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> AffineMatch:
     """Affine map ubar = lam*u + c1, vbar = mu*v + c2 from canonical chart A onto B
     (with A's u and v exchanged when `swapped`) under which the curvature fields agree.
 
+    Both grids are read in nu mode, through nu_arrays() and nu_constants().
     The canonical transformation law ties all four numbers to the image q of
     B's base point in A: lam = sqrt(a_A / a_B) Psi1_A(q), mu = sqrt(b_A / b_B)
     Psi2_A(q) (swapped: sqrt(b_A / a_B) Psi2_A(q) and sqrt(a_A / b_B) Psi1_A(q)),
     and the offsets send q to B's base node. q is seeded at the node of A whose
-    fields come closest to B's at its base. Every discrete choice (swap, the
-    signs of lam and mu, and in kh mode the direction labeling) is scored at
-    the seed, ties going to the unswapped axes and positive slopes, and one
-    Levenberg-Marquardt fit of q refines the best one.
-    misfit is the RMS field discrepancy over A's samples whose image lies in
-    B's domain. Raises DimensionError when the grids' modes differ or either
-    grid has fewer than AFFINE_MIN_NODES nodes on an axis, and RangeError
-    when no choice maps a share AFFINE_MIN_OVERLAP of A's samples into B's
-    domain.
+    fields come closest to B's at its base. Every discrete choice (swap and the
+    signs of lam and mu) is scored at the seed, ties going to the unswapped
+    axes and positive slopes, and one Levenberg-Marquardt fit of q refines the
+    best one. misfit is the RMS discrepancy of (nu1, nu2) over A's samples
+    whose image lies in B's domain. Raises DimensionError when the grids'
+    modes differ or either grid has fewer than AFFINE_MIN_NODES nodes on an
+    axis, and RangeError when no choice maps a share AFFINE_MIN_OVERLAP of A's
+    samples into B's domain.
     """
     if inv_a.mode != inv_b.mode:
         raise DimensionError(f"cannot match a {inv_a.mode}-mode grid against a "
@@ -368,21 +342,27 @@ def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> Affi
     step_v = max(1, ga.nv // AFFINE_MAX_SAMPLES)
     nodes = np.meshgrid(ga.u_axis, ga.v_axis, indexing="ij")
     samples = [x[::step_u, ::step_v] for x in nodes]
-    fields_a = (inv_a.field1.values, inv_a.field2.values)
-    f1b, f2b = _field_interpolators(inv_b)
+    fields_a, fields_b = inv_a.nu_arrays(), inv_b.nu_arrays()
+    spline_b = bicubic_nodes(np.stack(fields_b, axis=-1))
+    # with the fourth-order stencils of the maps
+    factors_a = bicubic_nodes(np.stack(path_factors(*fields_a, fields_a[0] - fields_a[1], ga,
+                                                    inv_a.base, FOURTH_ORDER), axis=-1))
     ib, jb = inv_b.base.i0, inv_b.base.j0
     base_b = (gb.u_axis[ib], gb.v_axis[jb])
-    at_base_b = (inv_b.field1.values[ib, jb], inv_b.field2.values[ib, jb])
+    at_base_b = (fields_b[0][ib, jb], fields_b[1][ib, jb])
     lo = (gb.u_axis[0], gb.v_axis[0])
     hi = (gb.u_axis[-1], gb.v_axis[-1])
-    consts_a, consts_b = (inv_a.a, inv_a.b), (inv_b.a, inv_b.b)
+    consts_a, consts_b = inv_a.nu_constants(), inv_b.nu_constants()
     cell = np.array([ga.du, ga.dv])
     tie = AFFINE_TIE_RTOL * max(np.max(np.abs(f)) for f in fields_a)
 
-    # order[k]: the axis of A that runs along B's axis k; swapping the axes
-    # exchanges the direction-labeled curvatures, but not K and H
+    # order[k]: the axis of A that runs along B's axis k. Swapping the axes
+    # exchanges the direction-labeled curvatures; kh grids put the larger one
+    # along u in both charts, so a swapped kh pair also has opposite normals,
+    # which negate them
     def targets(order, field_pair):
-        return tuple(field_pair[k] for k in order) if inv_a.mode == "nu" else field_pair
+        sign = -1.0 if inv_a.mode == "kh" and order == (1, 0) else 1.0
+        return tuple(sign * field_pair[k] for k in order)
 
     def seed(order):
         # ties (a whole row on a surface of revolution) go to the node nearest
@@ -397,18 +377,17 @@ def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> Affi
     def affine(q, choice):
         # (lam, mu, c1, c2), the images of A's samples in B's coordinates, and
         # the derivatives of the images by q
-        order, factors, signs = choice
+        order, signs = choice
+        psi, *dpsi = (bicubic_at(factors_a, ga, q[:1], q[1:], *d)[0]
+                      for d in ((0, 0), (1, 0), (0, 1)))
         params, image, grads = [], [], []
         for k, ax in enumerate(order):
             w = signs[k] * math.sqrt(consts_a[ax] / consts_b[k])
-            psi = factors[ax]
-            slope = w * float(psi.ev(q[0], q[1]))
-            dslope = w * np.array([float(psi.ev(q[0], q[1], dx=1)),
-                                   float(psi.ev(q[0], q[1], dy=1))])
+            slope = w * float(psi[ax])
             rel = samples[ax] - q[ax]
             params += [slope, base_b[k] - slope * q[ax]]
             image.append(slope * rel + base_b[k])
-            grad = dslope[:, None, None] * rel
+            grad = w * np.array([d[ax] for d in dpsi])[:, None, None] * rel
             grad[ax] -= slope
             grads.append(grad)
         lam, c1, mu, c2 = params
@@ -419,8 +398,8 @@ def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> Affi
 
     def field_residual(image, t, mask):
         ub, vb = clipped(image, mask)
-        return np.concatenate([f1b(ub, vb, grid=False) - t[0][mask],
-                               f2b(ub, vb, grid=False) - t[1][mask]])
+        f = bicubic_at(spline_b, gb, ub, vb, 0, 0)
+        return np.concatenate([f[:, 0] - t[0][mask], f[:, 1] - t[1][mask]])
 
     def inside(image):
         return np.all([(lo[k] <= x) & (x <= hi[k]) for k, x in enumerate(image)], axis=0)
@@ -432,22 +411,20 @@ def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> Affi
         return float(np.sqrt(np.mean(r * r)))
 
     sample_fields = [f[::step_u, ::step_v] for f in fields_a]
-    labelings = _law_factors(inv_a)
     best = None
     for order in ((0, 1), (1, 0)):
         q0 = seed(order)
         t = targets(order, sample_fields)
-        for factors in labelings:
-            for signs in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-                choice = (order, factors, signs)
-                image = affine(q0, choice)[1]
-                mask = inside(image)
-                if mask.mean() < AFFINE_MIN_OVERLAP:
-                    continue
-                score = rms(image, t, mask)
-                # a tie (a direction the fields do not see) keeps the earlier choice
-                if best is None or score < best[0] - tie:
-                    best = (score, choice, q0, t, mask)
+        for signs in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+            choice = (order, signs)
+            image = affine(q0, choice)[1]
+            mask = inside(image)
+            if mask.mean() < AFFINE_MIN_OVERLAP:
+                continue
+            score = rms(image, t, mask)
+            # a tie (a direction the fields do not see) keeps the earlier choice
+            if best is None or score < best[0] - tie:
+                best = (score, choice, q0, t, mask)
     if best is None:
         raise RangeError(f"no choice of swap and signs maps {AFFINE_MIN_OVERLAP:.0%} of "
                          "A's samples into B's domain")
@@ -464,19 +441,39 @@ def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> Affi
         _, image, grads = affine(q, choice)
         ub, vb = clipped(image, mask)
         gu, gv = (g[:, mask].T for g in grads)
-        rows = [f.ev(ub, vb, dx=1)[:, None] * gu + f.ev(ub, vb, dy=1)[:, None] * gv
-                for f in (f1b, f2b)]
+        fu, fv = bicubic_at(spline_b, gb, ub, vb, 1, 0), bicubic_at(spline_b, gb, ub, vb, 0, 1)
+        rows = [fu[:, c, None] * gu + fv[:, c, None] * gv for c in (0, 1)]
         return np.vstack(rows + [np.diag(AFFINE_ANCHOR / cell)])
 
-    fit = least_squares(residual, q0, jac=jacobian, method="lm")
+    fit = least_squares(residual, q0, jacobian)
     (lam, mu, c1, c2), image, _ = affine(fit.x, choice)
     return AffineMatch(lam, mu, c1, c2, choice[0] == (1, 0), rms(image, t, inside(image)))
 
 
-def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported on the first call: it costs
-    about a second to import, and only the affine fit needs it. A module
-    global, so a caller may replace it."""
-    from scipy.optimize import least_squares as fit
-
-    return fit(*args, **kwargs)
+def least_squares(fun, x0, jac) -> SimpleNamespace:
+    """Levenberg-Marquardt minimum of |fun(x)|^2 from x0, with the Jacobian
+    jac(x) (Moré, Lecture Notes in Math. 630, 1978): each step solves [J;
+    sqrt(damping) D] step = [-r; 0] by least squares, D the column norms of J,
+    and a step that lowers the cost is taken and cuts the damping tenfold,
+    any other raises it tenfold. Returns x, nfev (evaluations of fun) and
+    status: 1 once a step moves x, or a taken step lowers the cost, by less
+    than AFFINE_LM_TOL of its size, 0 when AFFINE_LM_MAX_NFEV evaluations
+    stopped the loop. A module global, so a caller may wrap it."""
+    x = np.asarray(x0, dtype=float)
+    r = fun(x)
+    cost, nfev, damping = r @ r, 1, AFFINE_LM_DAMPING
+    while nfev < AFFINE_LM_MAX_NFEV:
+        J = jac(x)
+        lhs = np.vstack([J, np.diag(math.sqrt(damping) * np.linalg.norm(J, axis=0))])
+        step = np.linalg.lstsq(lhs, np.concatenate([-r, np.zeros(x.size)]), rcond=None)[0]
+        trial = fun(x + step)
+        nfev += 1
+        done = np.linalg.norm(step) <= AFFINE_LM_TOL * (AFFINE_LM_TOL + np.linalg.norm(x))
+        if trial @ trial < cost:
+            done = done or cost - trial @ trial <= AFFINE_LM_TOL * cost
+            x, r, cost, damping = x + step, trial, trial @ trial, damping / 10.0
+        else:
+            damping *= 10.0
+        if done:
+            return SimpleNamespace(x=x, nfev=nfev, status=1)
+    return SimpleNamespace(x=x, nfev=nfev, status=0)

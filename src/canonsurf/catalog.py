@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .grid import Grid2
+from .grid import Grid2, spline_eval, spline_slopes
 
 _INF = float("inf")
 
@@ -210,11 +210,11 @@ def _make_entry(name: str, params: dict) -> CatalogEntry:
 def make_revolution_entry(t_samples, rho_samples, z_samples) -> CatalogEntry:
     """Surface of revolution from sampled profile (t, rho(t), z(t)).
 
-    The profile is interpolated with cubic splines and the chart
-    x(u, v) = (rho(u) cos v, rho(u) sin v, z(u)) is differentiated through the
-    splines, so the jets are exact for the spline surface itself. The entry is
-    not flagged principal because the profile is user data, although F = M = 0
-    holds identically for any surface of revolution.
+    The profile is interpolated with the not-a-knot spline (grid.spline_slopes)
+    and the chart x(u, v) = (rho(u) cos v, rho(u) sin v, z(u)) is differentiated
+    through it, so the jets are exact for the spline surface itself. The entry
+    is not flagged principal because the profile is user data, although
+    F = M = 0 holds identically for any surface of revolution.
     """
     t = np.asarray(t_samples, dtype=float)
     rho = np.asarray(rho_samples, dtype=float)
@@ -227,17 +227,13 @@ def make_revolution_entry(t_samples, rho_samples, z_samples) -> CatalogEntry:
         raise DomainError("profile parameter samples must be strictly increasing")
     if np.any(rho <= 0):
         raise DomainError("profile radius must stay positive")
-    from scipy.interpolate import CubicSpline
-
-    rho_s = CubicSpline(t, rho)
-    z_s = CubicSpline(t, zz)
-    rho_d, rho_dd = rho_s.derivative(1), rho_s.derivative(2)
-    z_d, z_dd = z_s.derivative(1), z_s.derivative(2)
+    profile = np.stack([rho, zz], axis=-1)
+    slopes = spline_slopes(t, profile)
 
     def jet(u, v):
         cv, sv = np.cos(v), np.sin(v)
-        p, dp, ddp = rho_s(u), rho_d(u), rho_dd(u)
-        q, dq, ddq = z_s(u), z_d(u), z_dd(u)
+        (p, q), (dp, dq), (ddp, ddq) = (np.moveaxis(spline_eval(t, profile, slopes, u, k), -1, 0)
+                                        for k in (0, 1, 2))
         z0 = np.zeros_like(p + cv)
         x = _stack3(p * cv, p * sv, q + z0)
         xu = _stack3(dp * cv, dp * sv, dq + z0)

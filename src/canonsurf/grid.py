@@ -1,6 +1,6 @@
 """Shared numerical substrate: grids, every derivative and quadrature
-stencil, path exponents and the canonical factor pair, 1-D cubic
-interpolants and their inverse.
+stencil, path exponents and the canonical factor pair, and the package's one
+cubic, the not-a-knot spline.
 
 This module alone decides the discretization, and every stencil takes and
 returns bare arrays sampled on a Grid2's nodes. SECOND_ORDER (central
@@ -9,9 +9,10 @@ layers, composite trapezoid quadrature) gives every residual in the package a
 clean O(h^2) target; FOURTH_ORDER (five-point differences, not-a-knot spline
 quadrature) serves the canonical map construction and the affine fit. The
 factor pair exp(-+P) of path_factors is built here only, and every caller
-names its stencil order. The not-a-knot spline also resamples fields and
-inverts sampled maps (spline_at, spline_inverse_at); the monotone cubic (PCHIP)
-serves the non-uniform samples of the Weingarten residual.
+names its stencil order. The spline also resamples fields and inverts sampled
+maps (spline_at, spline_inverse_at), interpolates non-uniform samples
+(spline_slopes, spline_eval) and, as a tensor product, grids (bicubic_nodes,
+bicubic_at).
 
 The spline's slope solve (not_a_knot_slopes) has two paths, chosen by the
 width of the right-hand side: doubling scans of a few whole-array passes on a
@@ -167,9 +168,9 @@ def d_vv(values: np.ndarray, g: Grid2) -> np.ndarray:
 def _cumtrapz(values: np.ndarray, steps, axis: int) -> np.ndarray:
     """Composite trapezoid integral along axis from index 0, which holds 0.
 
-    steps is the spacing, a scalar or the 1-D array of the n - 1 steps of a
-    1-D input. The arithmetic is scipy.integrate.cumulative_trapezoid's, so
-    the results are bitwise equal to it.
+    steps is the spacing: a scalar, or the n - 1 steps of a 1-D input (a
+    column of them for a 2-D one along axis 0). The arithmetic is
+    scipy.integrate.cumulative_trapezoid's, so the results are bitwise equal to it.
     """
     f = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
     total = np.zeros_like(f)
@@ -340,83 +341,18 @@ def not_a_knot_slopes(y: np.ndarray) -> np.ndarray:
     return np.concatenate([first[None], s, last[None]])
 
 
-def _pchip_edge(h0, h1, m0, m1):
-    # one-sided three-point derivative, set to 0 when its sign differs from
-    # the end interval's and capped at 3 m0 where the data turn
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    d = np.where(np.sign(d) != np.sign(m0), 0.0, d)
-    turn = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
-    return np.where(turn, 3.0 * m0, d)
-
-
-def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Power-form coefficients c[0..3] of (t - x_k)^3..^0, per interval, of the
-    monotone piecewise cubic (PCHIP) through (x, y) along axis 0.
-
-    The node derivatives are Fritsch and Carlson's, in the Fritsch-Butland
-    form: 0 where the data turn or lie flat, else the weighted harmonic mean
-    of the neighbouring slopes; the ends take the one-sided rule of
-    _pchip_edge. Two nodes give the line.
-    """
-    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-    m = np.diff(y, axis=0)
-    m /= h
-    if y.shape[0] == 2:
-        d = np.concatenate([m, m])
-    else:
-        sign = np.sign(m)
-        flat = sign[1:] * sign[:-1] <= 0.0  # the data turn or lie flat
-        w1 = 2.0 * h[1:] + h[:-1]
-        w2 = h[1:] + 2.0 * h[:-1]
-        d = np.empty_like(y)
-        # a flat node divides by a zero slope (or by a zero mean) here and
-        # is then set to 0; a slope too small to invert gives the limit 0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            whmean = w1 / m[:-1]
-            whmean += w2 / m[1:]
-            whmean /= w1 + w2
-            np.divide(1.0, whmean, out=d[1:-1])
-        d[1:-1][flat] = 0.0
-        d[0] = _pchip_edge(h[0], h[1], m[0], m[1])
-        d[-1] = _pchip_edge(h[-1], h[-2], m[-1], m[-2])
-    # the Hermite coefficients in the order of operations of scipy's
-    # CubicHermiteSpline, with t = (d_k + d_k+1 - 2 m_k) / h_k
-    c = np.empty((4,) + m.shape)
-    t = np.add(d[:-1], d[1:], out=c[0])
-    t -= 2.0 * m
-    t /= h
-    np.subtract(m, d[:-1], out=c[1])
-    c[1] /= h
-    c[1] -= t
-    t /= h
-    c[2] = d[:-1]
-    c[3] = y[:-1]
-    return c
-
-
-def pchip(x, y, xq) -> np.ndarray:
-    """Monotone piecewise cubic (PCHIP) through (x, y) along axis 0 of y,
-    evaluated at the 1-D points xq; outside [x_0, x_n-1] the end cubics
-    extrapolate. x must be strictly increasing.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xq = np.asarray(xq, dtype=float)
-    k = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
-    c = _pchip_coefficients(x, y)[:, k]
-    s = (xq - x[k]).reshape(xq.shape + (1,) * (y.ndim - 1))
-    # the power sum of scipy's PPoly, so PCHIP values agree with it bitwise
-    s2 = s * s
-    return c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
-
-
-def _hermite(y0, y1, m0, m1, t: np.ndarray) -> np.ndarray:
+def _hermite(y0, y1, m0, m1, t: np.ndarray, order: int) -> np.ndarray:
     # the cubic on [0, 1] in t with end values y0, y1 and end slopes m0, m1,
-    # all per query point along axis 0; outside [0, 1] it extrapolates
-    t = t.reshape(t.shape + (1,) * (np.ndim(y0) - 1))
+    # or its derivative of the given order (0, 1 or 2) by t, all per query
+    # point along t's axes; outside [0, 1] it extrapolates
+    t = t.reshape(t.shape + (1,) * (np.ndim(y0) - t.ndim))
     u = 1.0 - t
-    return (y0 * ((1.0 + 2.0 * t) * u * u) + y1 * (t * t * (3.0 - 2.0 * t))
-            + (m0 * u - m1 * t) * (t * u))
+    if order == 0:
+        return (y0 * ((1.0 + 2.0 * t) * u * u) + y1 * (t * t * (3.0 - 2.0 * t))
+                + (m0 * u - m1 * t) * (t * u))
+    if order == 1:
+        return 6.0 * t * u * (y1 - y0) + m0 * u * (1.0 - 3.0 * t) + m1 * t * (3.0 * t - 2.0)
+    return (12.0 * t - 6.0) * (y0 - y1) + m0 * (6.0 * t - 4.0) + m1 * (6.0 * t - 2.0)
 
 
 def spline_at(y, pos) -> np.ndarray:
@@ -426,7 +362,7 @@ def spline_at(y, pos) -> np.ndarray:
     y, pos = np.asarray(y, dtype=float), np.asarray(pos, dtype=float)
     s = not_a_knot_slopes(y)
     k = np.clip(np.floor(pos).astype(int), 0, y.shape[0] - 2)
-    return _hermite(y[k], y[k + 1], s[k], s[k + 1], pos - k)
+    return _hermite(y[k], y[k + 1], s[k], s[k + 1], pos - k, 0)
 
 
 def spline_inverse_at(y, yq) -> np.ndarray:
@@ -442,4 +378,75 @@ def spline_inverse_at(y, yq) -> np.ndarray:
         raise MonotonicityError("the sampled map or its spline is not strictly increasing")
     k = np.clip(np.searchsorted(y, yq, side="right") - 1, 0, y.size - 2)
     w = width[k]  # the local t spans w in y, so k moves w / s per unit t
-    return _hermite(k, k + 1.0, w / s[k], w / s[k + 1], (yq - y[k]) / w)
+    return _hermite(k, k + 1.0, w / s[k], w / s[k + 1], (yq - y[k]) / w, 0)
+
+
+def spline_slopes(x, y) -> np.ndarray:
+    """Node slopes dy/dx of the not-a-knot spline through (x, y) along axis 0
+    of y (any trailing shape), for at least 4 strictly increasing nodes x, by
+    one Thomas elimination (de Boor, A Practical Guide to Splines, 1978)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.size < 4:
+        raise DimensionError("a non-uniform not-a-knot spline needs at least 4 nodes")
+    h = np.diff(x)
+    step = h.reshape((-1,) + (1,) * (y.ndim - 1))
+    d = np.diff(y, axis=0) / step
+    # rows h_i s_i-1 + 2 (h_i-1 + h_i) s_i + h_i-1 s_i+1 = 3 (h_i d_i-1 + h_i-1 d_i)
+    # for s_1..s_n-2; the first takes in s_0 = 2 d_0 - s_1 + r0 (s_1 + s_2 - 2 d_1),
+    # r0 = (h_0 / h_1)^2 (equal third derivatives at x_1), scaled by h_1 / (h_0 + h_1)
+    # to stay diagonally dominant, and the last row likewise
+    diag = 2.0 * (h[:-1] + h[1:])
+    diag[0], diag[-1] = h[0] + h[1], h[-2] + h[-1]
+    s = 3.0 * (step[1:] * d[:-1] + step[:-1] * d[1:])
+    s[0] = (h[1] ** 2 * d[0] + h[0] * (3.0 * h[1] + 2.0 * h[0]) * d[1]) / (h[0] + h[1])
+    s[-1] = (h[-2] ** 2 * d[-1] + h[-1] * (3.0 * h[-2] + 2.0 * h[-1]) * d[-2]) / (h[-2] + h[-1])
+    # the Thomas elimination, row i having h_i+1 below the diagonal and h_i above it
+    w, rows = diag.tolist(), list(s.reshape(diag.size, -1))  # rows as views of s
+    for i in range(1, len(w)):
+        lower = h[i + 1] / w[i - 1]
+        w[i] -= lower * h[i - 1]
+        rows[i] -= lower * rows[i - 1]
+    rows[-1] /= w[-1]
+    for i in range(len(w) - 2, -1, -1):
+        rows[i] -= h[i] * rows[i + 1]
+        rows[i] /= w[i]
+    first = 2.0 * d[0] - s[0] + (h[0] / h[1]) ** 2 * (s[0] + s[1] - 2.0 * d[1])
+    last = 2.0 * d[-1] - s[-1] + (h[-1] / h[-2]) ** 2 * (s[-1] + s[-2] - 2.0 * d[-2])
+    return np.concatenate([first[None], s, last[None]])
+
+
+def spline_eval(x, y, s, xq, order: int) -> np.ndarray:
+    """The cubic through (x, y) with node slopes s along axis 0 (the
+    not-a-knot spline for s = spline_slopes(x, y)), or its derivative of
+    order 1 or 2, at the points xq of any shape; the end cubics extrapolate."""
+    x, y, s, xq = (np.asarray(a, dtype=float) for a in (x, y, s, xq))
+    k = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+    h = x[k + 1] - x[k]
+    t = (xq - x[k]) / h
+    h = h.reshape(h.shape + (1,) * (y.ndim - 1))
+    return _hermite(y[k], y[k + 1], h * s[k], h * s[k + 1], t, order) / h**order
+
+
+def bicubic_nodes(values) -> np.ndarray:
+    """Node table (nu, nv, 2, 2, ...) of the tensor not-a-knot spline through
+    values sampled on a uniform grid, (nu, nv) plus any trailing shape: per node
+    [[value, v-slope], [u-slope, cross slope]], the slopes per step."""
+    y = np.asarray(values, dtype=float)
+    along_v = lambda f: np.swapaxes(not_a_knot_slopes(np.swapaxes(f, 0, 1)), 0, 1)
+    su = not_a_knot_slopes(y)
+    return np.stack([np.stack([y, along_v(y)], axis=2), np.stack([su, along_v(su)], axis=2)], 2)
+
+
+def bicubic_at(nodes: np.ndarray, g: Grid2, u, v, order_u: int, order_v: int) -> np.ndarray:
+    """The tensor spline of bicubic_nodes sampled on g's nodes, or its
+    derivative of order_u by u and order_v by v, at the parameter points
+    (u, v), 1-D arrays clamped to g's domain, as FITPACK's evaluators do."""
+    nu, nv = g.nu - 1, g.nv - 1
+    pu, pv = np.clip((u - g.u0) / g.du, 0.0, nu), np.clip((v - g.v0) / g.dv, 0.0, nv)
+    i, j = np.minimum(pu.astype(int), nu - 1), np.minimum(pv.astype(int), nv - 1)
+    # along u at the columns j and j + 1, values and v-slopes at once; then along v
+    cols = np.stack([j, j + 1], axis=1)
+    lo, hi = nodes[i[:, None], cols], nodes[i[:, None] + 1, cols]
+    r = _hermite(lo[:, :, 0], hi[:, :, 0], lo[:, :, 1], hi[:, :, 1], pu - i, order_u)
+    return (_hermite(r[:, 0, 0], r[:, 1, 0], r[:, 0, 1], r[:, 1, 1], pv - j, order_v)
+            / (g.du**order_u * g.dv**order_v))

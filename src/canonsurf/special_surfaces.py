@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiscriminantError, PositivityError, RangeError, ZeroMeanCurvatureError
-from .grid import BaseIndex, Grid2, _cumtrapz, d_u, d_uu, d_v, d_vv, pchip
+from .grid import BaseIndex, Grid2, _cumtrapz, d_u, d_uu, d_v, d_vv, spline_eval, spline_slopes
 from .reports import ResidualReport, make_report
 
 
@@ -55,8 +55,7 @@ class WeingartenData:
             raise RangeError("t samples must be strictly increasing")
         if np.any(f - g <= 0):
             raise RangeError("f - g must be strictly positive on I")
-        fp = np.gradient(f, t, edge_order=2)
-        gp = np.gradient(g, t, edge_order=2)
+        fp, gp = spline_slopes(t, np.stack([f, g], axis=1)).T
         floor = 1e-12 * max(float(np.max(np.abs(fp))), 1e-300) \
             * max(float(np.max(np.abs(gp))), 1e-300)
         if np.any(np.abs(fp * gp) <= floor):
@@ -80,22 +79,22 @@ class WeingartenData:
 def weingarten_residual(data: WeingartenData) -> ResidualReport:
     """Residual of the Weingarten form of the Gauss equation.
 
-    f, g and their derivatives come from the shared stencils on the samples;
-    the t-integrals of g'/(g-f) and f'/(f-g) are cumulative antiderivatives
-    over I composed with the nu field, measured from nu at the base point.
+    f, g and their first two derivatives come from the not-a-knot spline
+    through the samples (grid.spline_slopes); the t-integrals of g'/(g-f)
+    and f'/(f-g) are trapezoid antiderivatives over I, through the spline
+    too, composed with the nu field and measured from nu at the base point.
     """
     t, f, g = data.t_samples, data.f_samples, data.g_samples
-    fp = np.gradient(f, t, edge_order=2)
-    gp = np.gradient(g, t, edge_order=2)
-    fpp = np.gradient(fp, t, edge_order=2)
-    gpp = np.gradient(gp, t, edge_order=2)
-    anti_minus = _cumtrapz(gp / (g - f), np.diff(t), 0)  # of g'/(g-f)
-    anti_plus = _cumtrapz(fp / (f - g), np.diff(t), 0)   # of f'/(f-g)
+    fg = np.stack([f, g], axis=1)
+    fg_s = spline_slopes(t, fg)
+    # antiderivatives of g'/(g-f) and f'/(f-g)
+    anti = _cumtrapz(fg_s[:, ::-1] / (fg[:, ::-1] - fg), np.diff(t)[:, None], 0)
 
-    # every sample array at every node and, last, at the base value nu0
+    # at every node and, last, at the base value nu0
     nodes = data.nu.values
-    at = pchip(t, np.stack([f, g, fp, gp, fpp, gpp, anti_minus, anti_plus], axis=1),
-               np.append(nodes.ravel(), data.nu0))
+    xq = np.append(nodes.ravel(), data.nu0)
+    at = np.concatenate([spline_eval(t, fg, fg_s, xq, order) for order in (0, 1, 2)]
+                        + [spline_eval(t, anti, spline_slopes(t, anti), xq, 0)], axis=1)
     f_n, g_n, fp_n, gp_n, fpp_n, gpp_n, am_n, ap_n = (a[:-1].reshape(nodes.shape) for a in at.T)
     am0, ap0 = at[-1, 6:]
 

@@ -320,6 +320,18 @@ class TestAffineEquivalence:
         cs.check_affine_equivalence(inv_a, inv_b)
         assert len(calls) == 1
 
+    def test_least_squares_fits_a_linear_model_and_reports_the_cap(self, monkeypatch):
+        from canonsurf import canonical
+        design = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
+        data = np.array([1.0, 2.0, -1.0])
+        fit = canonical.least_squares(lambda x: design @ x - data, np.zeros(2), lambda x: design)
+        want = np.linalg.lstsq(design, data, rcond=None)[0]
+        assert fit.status == 1 and np.max(np.abs(fit.x - want)) <= 1e-9, (fit, want)
+        # status 0 only when the evaluation cap stops the loop
+        monkeypatch.setattr(canonical, "AFFINE_LM_MAX_NFEV", 2)
+        fit = canonical.least_squares(lambda x: design @ x - data, np.zeros(2), lambda x: design)
+        assert (fit.status, fit.nfev) == (0, 2)
+
     def test_mixed_modes_rejected(self):
         inv, _, _ = torus_invariants(33)
         with pytest.raises(DimensionError):

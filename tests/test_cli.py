@@ -208,22 +208,42 @@ def test_check_malformed_grid_file_exits_3(tmp_path, text):
 
 
 def test_check_runs_without_scipy(tmp_path):
-    # pytest's own process has scipy loaded, so only a fresh interpreter sees
-    # the import path: canonicalize (nu and kh), check and reconstruct each
-    # leave scipy unloaded, and so does reading canonical.least_squares, as a
-    # tracer that wraps it does
+    # pytest's own process has scipy loaded, so only a fresh interpreter, in
+    # which importing scipy raises ImportError, shows that the package runs on
+    # numpy alone: the CLI commands (canonicalize, check and reconstruct in
+    # both modes, a revolution profile, the Weingarten residual, a round trip)
+    # and the affine fit of a nu pair and of a swapped kh pair
+    t = np.linspace(-1.0, 1.0, 81)
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"t": list(t), "rho": list(np.cosh(t)), "z": list(t)}))
+    n = 17
+    u = np.linspace(-1.0, 1.0, n)
+    t = np.linspace(0.3, 1.1, 101)
+    weingarten = tmp_path / "wg.json"
+    weingarten.write_text(json.dumps({
+        "format": "weingarten/1", "t": list(t), "f": list(t), "g": list(-t), "A": 1.0, "B": 1.0,
+        "nu": [n, n], "origin": [-1.0, 0.0], "spacing": [u[1] - u[0], math.pi / (n - 1)],
+        "base_index": [n // 2, n // 2],
+        "field": list(np.tile(1.0 / np.cosh(u) ** 2, n))}))
     script = """
-import contextlib, io, os, sys
-import canonsurf
-from canonsurf import canonical, cli
+import contextlib, importlib.abc, io, math, os, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+import canonsurf as cs
+from canonsurf import cli
+from helpers import canonical_grid
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(list(argv)) == 0, argv
-    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-    assert not loaded, (argv[0], loaded[:5])
 
-run_dir = sys.argv[1]
+run_dir, profile, weingarten = sys.argv[1:4]
 for surface, ranges, mode in (
         (["--surface", "catenoid"], ["--u", "-1:1:33", "--v", "0:3.141592653589793:21",
                                      "--base-index", "9,14"], "nu"),
@@ -234,12 +254,28 @@ for surface, ranges, mode in (
     run("check", "--input", stem + ".json")
     run("reconstruct", "--input", stem + ".json", "--output", stem + ".obj",
         "--report", stem + "-report.json")
-canonical.least_squares
+run("analyze", "--surface", "revolution", "--profile", profile, "--u", "-0.9:0.9:33",
+    "--v", "0:3:33")
+run("special", "--case", "weingarten", "--input", weingarten)
+run("roundtrip", "--surface", "catenoid", "--u", "-1:1:17", "--v", "0:3:17", "--refine", "1")
+
+def transposed(inv):
+    g = inv.geometry
+    t = lambda f: cs.Grid2(g.v0, g.u0, g.dv, g.du, f.values.T)
+    return cs.InvariantGrid("nu", t(inv.field2), t(inv.field1), inv.b, inv.a,
+                            cs.BaseIndex(inv.base.j0, inv.base.i0))
+
+ranges = ((0.0, 2.0), (0.5, 2.5))
+inv_a = canonical_grid("cone", *ranges, 33, None, "nu", alpha=0.6)
+inv_b = canonical_grid("cone", *ranges, 33, cs.BaseIndex(20, 12), "nu", alpha=0.6)
+for pair, swapped in (((inv_a, inv_b), False), ((inv_a.to_kh(), transposed(inv_b).to_kh()), True)):
+    m = cs.check_affine_equivalence(*pair)
+    assert m.swapped == swapped and m.misfit <= 1e-6, (pair[0].mode, m)
 assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 """
-    env = dict(os.environ, PYTHONPATH=SRC_DIR)
-    res = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
-                         text=True, env=env)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC_DIR, os.path.dirname(__file__)]))
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path), str(profile),
+                          str(weingarten)], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     for mode in ("nu", "kh"):
         assert formats.read_invariant_grid(str(tmp_path / f"{mode}.json")).mode == mode

@@ -6,8 +6,9 @@ import pytest
 import canonsurf as cs
 from canonsurf.errors import DimensionError, MonotonicityError, ShapeMismatchError
 from canonsurf.grid import (FOURTH_ORDER, SCAN_MAX_COLUMNS, SECOND_ORDER, _cumint4, _deriv4,
-                            _diff, _signed_cumtrapz, not_a_knot_slopes, path_exponent, pchip,
-                            same_geometry, spline_at, spline_inverse_at)
+                            _diff, _signed_cumtrapz, bicubic_at, bicubic_nodes, not_a_knot_slopes,
+                            path_exponent, same_geometry, spline_at, spline_eval,
+                            spline_inverse_at, spline_slopes)
 
 from helpers import grid_from_fn, observed_orders
 
@@ -303,48 +304,95 @@ def test_wide_not_a_knot_slopes_equal_the_row_loop_bitwise(n, tail):
     assert np.array_equal(not_a_knot_slopes(y), _thomas_reference(y))
 
 
-def _pchip_cases():
-    # (x, y) along axis 0: monotone, non-monotone, flat runs (zero interval
-    # slopes), data turning at either end (both edge clamps) and non-uniform x
+@pytest.mark.parametrize("n", [4, 5, 33, 513])
+@pytest.mark.parametrize("tail", [(), (8,)])
+def test_non_uniform_spline_equals_scipy_not_a_knot(n, tail):
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.2, 1.0, n)) - 1.0
+    y = rng.standard_normal((n,) + tail)
+    inside = x[:-1] + np.diff(x) * rng.uniform(0.0, 1.0, n - 1)
+    xq = np.concatenate([x, inside, [x[0] - 0.1, x[-1] + 0.1]])
+    want = CubicSpline(x, y, axis=0)
+    s = spline_slopes(x, y)
+    for order in (0, 1, 2):
+        got = spline_eval(x, y, s, xq, order)
+        assert got.shape == xq.shape + tail
+        scale = np.max(np.abs(want(xq, order)))
+        assert np.max(np.abs(got - want(xq, order))) <= 1e-13 * scale, order
+
+
+def _shaped_cases():
+    # (x, y) along axis 0 on non-uniform nodes: monotone, non-monotone, flat
+    # runs (zero interval slopes), data turning at either end and a steep edge
     rng = np.random.default_rng(11)
-    for n in (2, 3, 4, 33):
+    for n in (4, 5, 33):
         x = np.cumsum(rng.uniform(0.2, 1.0, n)) - 1.0
         t = np.linspace(0.0, 1.0, n)
         yield n, "monotone", x, np.exp(2.0 * t) + t
         yield n, "non-monotone", x, np.sin(7.0 * t) + 0.3 * rng.standard_normal(n)
         yield n, "flat-runs", x, np.floor(3.0 * t) + (t > 0.5)
         ends = rng.standard_normal(n)
-        ends[:3], ends[-3:] = [0.0, 1.0, 0.8][:n], [0.8, 1.0, 0.0][-min(n, 3):]
+        ends[:3], ends[-3:] = [0.0, 1.0, 0.8], [0.8, 1.0, 0.0]
         yield n, "edge-turns", x, ends
         yield n, "steep-edge", x, np.where(t < 0.1, 10.0 * t, 1.0 + 0.01 * t) - 4.0 * (t == 1.0)
 
 
-@pytest.mark.parametrize("n, kind, x, y", list(_pchip_cases()),
-                         ids=[f"{c[0]}-{c[1]}" for c in _pchip_cases()])
-def test_pchip_equals_scipy(n, kind, x, y):
-    from scipy.interpolate import PchipInterpolator
+@pytest.mark.parametrize("n, kind, x, y", list(_shaped_cases()),
+                         ids=[f"{c[0]}-{c[1]}" for c in _shaped_cases()])
+def test_non_uniform_spline_equals_scipy_on_shaped_data(n, kind, x, y):
+    from scipy.interpolate import CubicSpline
 
     inside = x[:-1] + np.diff(x) * np.linspace(0.1, 0.9, n - 1)
     xq = np.concatenate([x, [x[0], x[-1]], inside])
     table = np.stack([y, y**2 - 1.0, -3.0 * y], axis=1)
     for data in (y, table):
-        got = pchip(x, data, xq)
-        want = PchipInterpolator(x, data, axis=0)(xq)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(data))
+        want = CubicSpline(x, data, axis=0)
+        s = spline_slopes(x, data)
+        for order in (0, 1, 2):
+            got = spline_eval(x, data, s, xq, order)
+            assert got.shape == want(xq, order).shape
+            scale = np.max(np.abs(want(xq, order)))
+            assert np.max(np.abs(got - want(xq, order))) <= 1e-13 * scale, order
 
 
-def test_pchip_edge_clamps_are_exercised():
-    # the ends of these data take 0 (the one-sided estimate has the wrong
-    # sign) and 3 m0 (the data turn and the estimate exceeds it)
-    from scipy.interpolate import PchipInterpolator
+def test_non_uniform_spline_needs_four_nodes():
+    with pytest.raises(DimensionError):
+        spline_slopes([0.0, 0.5, 2.0], [1.0, 0.0, 1.0])
 
-    x = np.array([0.0, 1.0, 1.5, 4.0])
-    for y, d0 in ((np.array([0.0, 0.1, 2.0, 2.5]), 0.0),
-                  (np.array([0.0, 1.0, -1.0, -2.0]), 3.0)):
-        assert PchipInterpolator(x, y).derivative()(0.0) == d0
-        s = 1e-3
-        assert abs((pchip(x, y, [s])[0] - y[0]) / s - d0) < 1e-2
+
+def test_non_uniform_spline_raises_no_runtime_warning():
+    # flat runs and turning data, on nodes whose steps vary by a factor 20
+    x = np.array([0.0, 0.05, 0.1, 1.0, 1.2, 1.25, 2.0, 2.1, 3.0])
+    y = np.array([0.0, 0.0, 1.0, 1.0, 0.5, 0.5, 2.0, -1.0, -1.0])
+    xq = np.linspace(0.0, 3.0, 41)
+    with np.errstate(all="raise"):
+        table = np.stack([y, -y, np.zeros_like(y)], axis=1)
+        s = spline_slopes(x, table)
+        got = [spline_eval(x, table, s, xq, order) for order in (0, 1, 2)]
+    assert all(np.all(np.isfinite(g)) for g in got)
+    assert np.all(s[:, 2] == 0.0) and np.all(got[0][:, 2] == 0.0)
+
+
+@pytest.mark.parametrize("nu, nv", [(23, 31), (5, 6), (33, 17)])
+def test_bicubic_equals_scipy_rect_bivariate_spline(nu, nv):
+    # a non-square grid, points inside and beyond its edges (both clamp)
+    from scipy.interpolate import RectBivariateSpline
+
+    rng = np.random.default_rng(3)
+    u, v = np.linspace(0.0, 1.3, nu), np.linspace(-0.5, 2.0, nv)
+    values = np.sin(3.0 * u)[:, None] * np.cos(2.0 * v)[None, :] + u[:, None] ** 2 * v[None, :]
+    want = RectBivariateSpline(u, v, values)
+    g = cs.Grid2.from_axes(u, v, values)
+    nodes = bicubic_nodes(np.stack([values, -2.0 * values], axis=-1))
+    pu, pv = rng.uniform(-0.1, 1.4, 500), rng.uniform(-0.6, 2.1, 500)
+    for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        got = bicubic_at(nodes, g, pu, pv, dx, dy)
+        ref = want.ev(pu, pv, dx=dx, dy=dy)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(got[:, 0] - ref)) <= 1e-13 * scale, (dx, dy)
+        assert np.max(np.abs(got[:, 1] + 2.0 * ref)) <= 2e-13 * scale, (dx, dy)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 33])
@@ -367,16 +415,6 @@ def test_cumint4_equals_spline_antiderivative(n, axis, width):
         got = _cumint4(values, h, i0, axis)
         assert np.all(np.take(got, i0, axis=axis) == 0.0)
         assert np.max(np.abs(got - want)) <= 1e-14 * scale
-
-
-def test_pchip_raises_no_runtime_warning():
-    # flat runs and turning data make scipy divide by zero slopes, which it
-    # hides; the numpy code must not divide by them at all
-    x = np.linspace(0.0, 1.0, 9)
-    y = np.array([0.0, 0.0, 1.0, 1.0, 0.5, 0.5, 2.0, -1.0, -1.0])
-    with np.errstate(all="raise"):
-        got = pchip(x, np.stack([y, -y], axis=1), np.linspace(0.0, 1.0, 41))
-    assert np.all(np.isfinite(got))
 
 
 def test_spline_at_reproduces_a_cubic():

@@ -91,17 +91,13 @@ def _canonical_grid(name, base, mode):
        st.integers(AFFINE_N // 4, 3 * AFFINE_N // 4), st.integers(AFFINE_N // 4, 3 * AFFINE_N // 4))
 def test_swapped_chart_reports_swapped(name, mode, i, j):
     # B is canonical about another base and lists its axes in the other order;
-    # the direction-labeled curvatures and the constants a, b trade places with them
+    # the direction-labeled curvatures and the constants a, b trade places with
+    # them, and B's kh grid is the oriented one of that chart (to_kh)
     centre = AFFINE_N // 2
     inv_a = _canonical_grid(name, cs.BaseIndex(centre, centre), mode)
-    inv_b = _canonical_grid(name, cs.BaseIndex(i, j), mode)
-    f1, f2 = inv_b.field1.values.T, inv_b.field2.values.T
-    if mode == "nu":
-        f1, f2 = f2, f1
-    g = inv_b.geometry
-    t = cs.Grid2(g.v0, g.u0, g.dv, g.du, f1)
-    swapped = cs.InvariantGrid(mode, t, t.like(f2), inv_b.b, inv_b.a,
-                               cs.BaseIndex(inv_b.base.j0, inv_b.base.i0))
+    swapped = _transposed(_canonical_grid(name, cs.BaseIndex(i, j), "nu"))
+    if mode == "kh":
+        swapped = swapped.to_kh()
     m = cs.check_affine_equivalence(inv_a, swapped)
     assert m.swapped
     assert m.misfit <= 1e-6, m.misfit
