@@ -14,12 +14,15 @@ maps (spline_at, spline_inverse_at), interpolates non-uniform samples
 (spline_slopes, spline_eval) and, as a tensor product, grids (bicubic_nodes,
 bicubic_at).
 
-The spline's slope solve (not_a_knot_slopes) has two paths, chosen by the
-width of the right-hand side: doubling scans of a few whole-array passes on a
-narrow one (one map, one line), where a row-by-row elimination would pay
-numpy's per-call overhead at every node, and that elimination, bitwise the
-plain Thomas loop, on a wide one (3 x 513 columns in a frame march), where the
-scans' extra passes cost more than the calls.
+The spline's slopes on uniform nodes (not_a_knot_slopes) and on non-uniform
+ones (spline_slopes) come from one Thomas elimination: _elimination factors
+rows scaled to a unit sub-diagonal (once per size for uniform nodes), and
+_solve takes one of two paths, chosen by the width of the right-hand side:
+doubling scans of a few whole-array passes on a narrow one (one map, one line,
+one profile), where a row-by-row elimination would pay numpy's per-call
+overhead at every node, and that elimination, bitwise the plain Thomas loop,
+on a wide one (3 x 513 columns in a frame march), where the scans' extra
+passes cost more than the calls.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .errors import DimensionError, MonotonicityError, ShapeMismatchError
 
 GEOMETRY_RTOL = 1e-12  # same_geometry's tolerance on origins and spacings
-SCAN_MAX_COLUMNS = 256  # widest right-hand side not_a_knot_slopes solves by doubling scans
+SCAN_MAX_COLUMNS = 256  # widest right-hand side _solve solves by doubling scans
 SCAN_NEGLIGIBLE = 1e-18  # a doubling scan stops once every running product is below this
 
 
@@ -249,34 +252,32 @@ def path_factors(f1: np.ndarray, f2: np.ndarray, gap: np.ndarray, g: Grid2, base
             np.exp(path_exponent(f2, gap, g, base, 0, stencils)))
 
 
-@functools.lru_cache(maxsize=64)
-def _not_a_knot_factors(m: int):
-    """Thomas elimination of the m-row not-a-knot system, stable without
-    pivoting as every row is diagonally dominant: the pivots w_i and the
-    eliminated super-diagonal c_i as Python floats, and its two sweeps as
-    doubling scans.
+def _elimination(diag, sup):
+    """Thomas elimination of a tridiagonal system whose rows are scaled to a
+    unit sub-diagonal, diagonally dominant so that it needs no pivoting, from
+    its m diagonal entries diag and m - 1 super-diagonal ones sup (floats).
 
-    The forward sweep is x_i = r_i / w_i + a_i x_i-1 with a_i = -sub_i / w_i,
-    the backward one x_i += -c_i x_i+1. Level k of a scan adds to each row
-    the row k before it (k after it, backward) times the product of the k
+    The forward sweep is x_i = r_i / w_i + a_i x_i-1 with a_i = -1 / w_i, the
+    backward one x_i += -c_i x_i+1. As doubling scans, level k adds to each
+    row the row k before it (after it, backward) times the product of the k
     multipliers between them, and the next level's products are products of
-    two of these. Every multiplier is about 0.27 in size, so the levels stop
-    once every product is below SCAN_NEGLIGIBLE (six forward and five
-    backward at m = 511). Returns w, c, the pivots as a column and the
-    (k, product column) levels of the forward and the backward sweep.
+    two of these. Dominance keeps every multiplier below 1 in size (about
+    0.27 on uniform nodes), so the levels stop once every product is below
+    SCAN_NEGLIGIBLE (six forward and five backward at m = 511, uniform).
+    Returns the pivots w_i and the eliminated super-diagonal c_i as Python
+    floats, the pivots as a column and the (k, product column) levels of the
+    forward and the backward scan.
     """
-    w, c = [4.0], [0.5]
-    for i in range(1, m):
-        w.append(4.0 - (2.0 if i == m - 1 else 1.0) * c[i - 1])
-        c.append(1.0 / w[i])
-    a = np.array([-1.0 / p for p in w[1:]])
-    a[-1] *= 2.0
-    # frozen, as every caller of the cache shares them
+    w, c = [diag[0]], []
+    for d_i, sup_i in zip(diag[1:], sup):
+        c.append(sup_i / w[-1])
+        w.append(d_i - c[-1])
+    # frozen, as the callers of the uniform cache share them
     pivots = _frozen_array(w)[:, None]
     sweeps = []
-    for product in (a, -np.array(c[:-1])):
+    for product in (-1.0 / pivots[1:, 0], -np.array(c)):
         levels, k = [], 1
-        while k < m and np.max(np.abs(product)) >= SCAN_NEGLIGIBLE:
+        while k < len(w) and np.max(np.abs(product)) >= SCAN_NEGLIGIBLE:
             levels.append((k, _frozen_array(product)[:, None]))
             product = product[k:] * product[:-k]
             k *= 2
@@ -284,20 +285,47 @@ def _not_a_knot_factors(m: int):
     return tuple(w), tuple(c), pivots, *sweeps
 
 
+@functools.lru_cache(maxsize=64)
+def _not_a_knot_factors(m: int):
+    """_elimination of not_a_knot_slopes' m rows, the last halved to a unit
+    sub-diagonal: exact in binary, so pivots and slopes keep their bits."""
+    return _elimination([4.0] * (m - 1) + [2.0], [2.0] + [1.0] * (m - 2))
+
+
+def _solve(factors, s: np.ndarray) -> np.ndarray:
+    """Solution, along axis 0, of the system that _elimination factored for
+    the right-hand side s (any trailing shape, overwritten): by the doubling
+    scans up to SCAN_MAX_COLUMNS columns (the trailing size), equal to the
+    elimination to roundoff, and by the row loop, bit for bit the plain
+    Thomas elimination, on wider ones."""
+    w, c, pivots, forward, backward = factors
+    m, columns = s.shape[0], s[0].size
+    if columns <= SCAN_MAX_COLUMNS:
+        x = s.reshape(m, columns)  # a copy when s is not contiguous
+        x /= pivots
+        for k, product in forward:
+            x[k:] += product * x[:-k]
+        for k, product in backward:
+            x[:-k] += product * x[k:]
+        return x.reshape(s.shape)
+    # the rows as views, and the back substitution's products in one buffer
+    rows = list(s)
+    rows[0] /= w[0]
+    for i in range(1, m):
+        rows[i] -= rows[i - 1]
+        rows[i] /= w[i]
+    term = np.empty_like(rows[0])
+    for i in range(m - 2, -1, -1):
+        np.multiply(rows[i + 1], c[i], out=term)
+        rows[i] -= term
+    return s
+
+
 def not_a_knot_slopes(y: np.ndarray) -> np.ndarray:
     """Node slopes, times the step, of the not-a-knot cubic spline through
-    uniformly spaced samples y along axis 0, for any trailing shape.
-
-    Three nodes leave the cubic free by one degree; they take the parabola
-    through them. The tridiagonal solve takes one of two paths, chosen by the
-    number of columns (the trailing size). A Thomas elimination row by row
-    makes a few numpy calls per node, so on a narrow right-hand side the
-    per-call overhead dominates; up to SCAN_MAX_COLUMNS columns each sweep
-    runs instead as a doubling scan of a few whole-array passes (Stone,
-    J. ACM 20, 1973), equal to the elimination to roundoff. On wider ones the
-    scan's passes cost more than the loop's calls, and the loop runs, bit for
-    bit the plain Thomas elimination.
-    """
+    uniformly spaced samples y along axis 0, for any trailing shape; three
+    nodes leave the cubic free by one degree and take the parabola through
+    them."""
     n = y.shape[0]
     if n < 3:
         raise DimensionError("a not-a-knot spline needs at least 3 samples")
@@ -307,35 +335,12 @@ def not_a_knot_slopes(y: np.ndarray) -> np.ndarray:
     d = np.diff(y, axis=0)
     # rows s_i-1 + 4 s_i + s_i+1 = 3 (d_i-1 + d_i) for s_1..s_n-2, with the
     # not-a-knot ends s_0 = s_2 + 2 (d_0 - d_1) and s_n-1 = s_n-3 + 2 (d_n-2 - d_n-3)
-    # substituted into the first and last rows: off-diagonals 2 there, else 1
+    # substituted into the first and last rows: off-diagonals 2 there, else 1;
+    # the last row is halved to a unit sub-diagonal
     s = 3.0 * (d[:-1] + d[1:])
     s[0] = d[0] + 5.0 * d[1]
-    s[-1] = 5.0 * d[-2] + d[-1]
-    m = n - 2
-    w, c, pivots, forward, backward = _not_a_knot_factors(m)
-    columns = s[0].size
-    if columns <= SCAN_MAX_COLUMNS:
-        x = s.reshape(m, columns)  # a copy when d, like y, is not contiguous
-        x /= pivots
-        for k, product in forward:
-            x[k:] += product * x[:-k]
-        for k, product in backward:
-            x[:-k] += product * x[k:]
-        s = x.reshape(s.shape)
-    else:
-        # the rows as views, and the back substitution's products in one
-        # buffer; the arithmetic is the textbook elimination's
-        rows = list(s)
-        rows[0] /= 4.0
-        for i in range(1, m - 1):
-            rows[i] -= rows[i - 1]
-            rows[i] /= w[i]
-        rows[-1] -= 2.0 * rows[-2]
-        rows[-1] /= w[-1]
-        term = np.empty_like(rows[0])
-        for i in range(m - 2, -1, -1):
-            np.multiply(rows[i + 1], c[i], out=term)
-            rows[i] -= term
+    s[-1] = 0.5 * (5.0 * d[-2] + d[-1])
+    s = _solve(_not_a_knot_factors(n - 2), s)
     first = s[1] + 2.0 * (d[0] - d[1])
     last = s[-2] + 2.0 * (d[-1] - d[-2])
     return np.concatenate([first[None], s, last[None]])
@@ -384,7 +389,7 @@ def spline_inverse_at(y, yq) -> np.ndarray:
 def spline_slopes(x, y) -> np.ndarray:
     """Node slopes dy/dx of the not-a-knot spline through (x, y) along axis 0
     of y (any trailing shape), for at least 4 strictly increasing nodes x, by
-    one Thomas elimination (de Boor, A Practical Guide to Splines, 1978)."""
+    _elimination and _solve (de Boor, A Practical Guide to Splines, 1978)."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.size < 4:
         raise DimensionError("a non-uniform not-a-knot spline needs at least 4 nodes")
@@ -400,16 +405,9 @@ def spline_slopes(x, y) -> np.ndarray:
     s = 3.0 * (step[1:] * d[:-1] + step[:-1] * d[1:])
     s[0] = (h[1] ** 2 * d[0] + h[0] * (3.0 * h[1] + 2.0 * h[0]) * d[1]) / (h[0] + h[1])
     s[-1] = (h[-2] ** 2 * d[-1] + h[-1] * (3.0 * h[-2] + 2.0 * h[-1]) * d[-2]) / (h[-2] + h[-1])
-    # the Thomas elimination, row i having h_i+1 below the diagonal and h_i above it
-    w, rows = diag.tolist(), list(s.reshape(diag.size, -1))  # rows as views of s
-    for i in range(1, len(w)):
-        lower = h[i + 1] / w[i - 1]
-        w[i] -= lower * h[i - 1]
-        rows[i] -= lower * rows[i - 1]
-    rows[-1] /= w[-1]
-    for i in range(len(w) - 2, -1, -1):
-        rows[i] -= h[i] * rows[i + 1]
-        rows[i] /= w[i]
+    # row i has h_i+1 below the diagonal and h_i above it; divided by h_i+1
+    # (the first row by h_1), every row has a unit sub-diagonal
+    s = _solve(_elimination((diag / h[1:]).tolist(), (h[:-2] / h[1:-1]).tolist()), s / step[1:])
     first = 2.0 * d[0] - s[0] + (h[0] / h[1]) ** 2 * (s[0] + s[1] - 2.0 * d[1])
     last = 2.0 * d[-1] - s[-1] + (h[-1] / h[-2]) ** 2 * (s[-1] + s[-2] - 2.0 * d[-2])
     return np.concatenate([first[None], s, last[None]])

@@ -304,23 +304,53 @@ def test_wide_not_a_knot_slopes_equal_the_row_loop_bitwise(n, tail):
     assert np.array_equal(not_a_knot_slopes(y), _thomas_reference(y))
 
 
-@pytest.mark.parametrize("n", [4, 5, 33, 513])
-@pytest.mark.parametrize("tail", [(), (8,)])
-def test_non_uniform_spline_equals_scipy_not_a_knot(n, tail):
+def _non_uniform_nodes(kind, n, rng):
+    # random steps, steps falling geometrically from 1 to 1e-3, or random
+    # steps with a single 1e-4 interval at the first or the last end
+    if kind == "geometric":
+        return np.concatenate([[0.0], np.cumsum(np.geomspace(1.0, 1e-3, n - 1))])
+    h = rng.uniform(0.2, 1.0, n - 1)
+    if kind == "short-first":
+        h[0] = 1e-4
+    elif kind == "short-last":
+        h[-1] = 1e-4
+    return np.concatenate([[0.0], np.cumsum(h)]) - 1.0
+
+
+@pytest.mark.parametrize("kind", ["random", "geometric", "short-first", "short-last"])
+@pytest.mark.parametrize("n", [4, 5, 33, 513, 8193])
+@pytest.mark.parametrize("tail", [(), (8,), (SCAN_MAX_COLUMNS + 1,)])
+def test_non_uniform_spline_equals_scipy_not_a_knot(n, tail, kind):
+    # up to SCAN_MAX_COLUMNS columns the solve runs as doubling scans, wider
+    # ones as the row loop. On graded nodes only the node slopes are compared:
+    # a cubic on a 1e-4 interval, extrapolated 0.1 beyond it, is evaluated
+    # by the Hermite and scipy's power form 1e-9 apart, in any solve's slopes
     from scipy.interpolate import CubicSpline
 
     rng = np.random.default_rng(n)
-    x = np.cumsum(rng.uniform(0.2, 1.0, n)) - 1.0
+    x = _non_uniform_nodes(kind, n, rng)
     y = rng.standard_normal((n,) + tail)
     inside = x[:-1] + np.diff(x) * rng.uniform(0.0, 1.0, n - 1)
     xq = np.concatenate([x, inside, [x[0] - 0.1, x[-1] + 0.1]])
     want = CubicSpline(x, y, axis=0)
     s = spline_slopes(x, y)
-    for order in (0, 1, 2):
+    assert np.max(np.abs(s - want(x, 1))) <= 1e-13 * np.max(np.abs(want(x, 1)))
+    for order in (0, 1, 2) if kind == "random" else ():
         got = spline_eval(x, y, s, xq, order)
         assert got.shape == xq.shape + tail
         scale = np.max(np.abs(want(xq, order)))
         assert np.max(np.abs(got - want(xq, order))) <= 1e-13 * scale, order
+
+
+@pytest.mark.parametrize("n", [4, 5, 17, 513])
+@pytest.mark.parametrize("tail", [(), (2,), (SCAN_MAX_COLUMNS + 1,)])
+def test_non_uniform_spline_on_uniform_nodes_equals_the_uniform_one(n, tail):
+    # the two front ends of the one elimination: unit steps make the
+    # non-uniform slopes the uniform ones, which are per step
+    y = _random_samples(n, tail, n)
+    want = not_a_knot_slopes(y)
+    got = spline_slopes(np.arange(n, dtype=float), y)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _shaped_cases():

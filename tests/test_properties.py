@@ -1,5 +1,6 @@
 """Property tests: curvature invariants under a u<->v swap, a homothety and a rigid
-motion of the chart, the affine fit between canonical charts whose axes are listed in the other order,
+motion of the chart, the affine fit between canonical charts whose axes are listed in the other order
+and between two parametrisations of one surface of revolution,
 reconstruction under a rigid motion of the initial frame, and the verdict and surface of
 invariant grids under a transposition or a normal flip in nu and kh modes."""
 
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 import canonsurf as cs
 from canonsurf.errors import CompatibilityWarning, UmbilicError
 
-from helpers import canonical_grid, catenoid_invariants, cone_invariants, torus_invariants
+from helpers import (canonical_grid, catenoid_invariants, cone_invariants, reparametrised_profile,
+                     torus_invariants)
 
 N = 17
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
@@ -102,6 +104,41 @@ def test_swapped_chart_reports_swapped(name, mode, i, j):
     assert m.swapped
     assert m.misfit <= 1e-6, m.misfit
     assert abs(abs(m.lam) - 1.0) < 1e-3 and abs(abs(m.mu) - 1.0) < 1e-3, (m.lam, m.mu)
+
+
+def _canonical_chart(entry, u_range, n, base_frac):
+    # an n x n chart of a surface of revolution, v in [0, 3], canonicalized
+    # about the node at base_frac of its axes
+    jets = cs.sample_surface(entry, u_range[0], (u_range[1] - u_range[0]) / (n - 1), n,
+                             0.0, 3.0 / (n - 1), n)
+    forms = cs.fundamental_forms_grid(jets)
+    curv = cs.curvatures_grid(forms, principal_chart=True)
+    base = cs.BaseIndex(*(round(f * (n - 1)) for f in base_frac))
+    maps = cs.build_canonical_maps(forms.E, forms.G, curv.nu1, curv.nu2, base)
+    return cs.resample_to_canonical(maps, curv.nu1, curv.nu2), base
+
+
+@pytest.mark.parametrize("base_frac", [(0.5, 0.5), (0.3, 0.6)], ids=["centre", "off-centre"])
+@pytest.mark.parametrize("kind", ["catenoid", "torus"])
+def test_reparametrised_chart_is_affinely_equivalent_to_the_catalog_chart(kind, base_frac):
+    # A: the catalog chart in the meridian parameter s on [-1.1, 1.1]; B: the
+    # same surface in t, s = t + 0.3 t^3, on [-0.9, 0.9], whose image holds
+    # A's. The catalog chart is canonical, so canonical u is s - s_base in A
+    # and (s - s_base) / s'(t_base) in B: lam = +-1 / s'(t_base), 1 at the
+    # centre; the fields are even in s, so a mirrored fit is as good. The
+    # misfit stays at 1e-8 to 1.5e-8 from 129^2 to 257^2, so no order is asserted
+    params = {"R": 2.0, "r": 1.0} if kind == "torus" else {}
+    catalog = cs.make_entry(kind, **params)
+    reparametrised = cs.make_revolution_entry(*reparametrised_profile(kind))
+    for n, bound in ((33, 4e-6), (65, 2e-7), (129, 2e-8)):
+        inv_a, _ = _canonical_chart(catalog, (-1.1, 1.1), n, base_frac)
+        inv_b, base = _canonical_chart(reparametrised, (-0.9, 0.9), n, base_frac)
+        t = -0.9 + 1.8 * base.i0 / (n - 1)
+        m = cs.check_affine_equivalence(inv_a, inv_b)
+        assert not m.swapped
+        assert m.misfit <= bound, (n, m.misfit)
+        assert abs(abs(m.lam) - 1.0 / (1.0 + 0.9 * t**2)) <= 5e-6, (n, m.lam)
+        assert abs(m.mu - 1.0) <= 5e-6, (n, m.mu)
 
 
 @st.composite
