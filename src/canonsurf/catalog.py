@@ -1,10 +1,13 @@
 """Analytic parametric charts with exact second-order jets.
 
-Every chart returns hand-coded derivatives (the generic surface of revolution
-differentiates its profile splines), never finite differences, so catalog
-surfaces carry zero model error and downstream tests see pure discretization
-error. The unit normal is fixed everywhere as n = (xu x xv)/|xu x xv|; the
-signs of L, N and of the principal curvatures follow from that choice.
+Every chart returns hand-coded derivatives, never finite differences, so
+catalog surfaces carry zero model error and downstream tests see pure
+discretization error. All but the plane are surfaces of revolution
+x = (p cos w, p sin w, q), whose jet has one formula (`_revolution_jet`): each
+chart supplies only its meridian s -> (p, q) with its first and second
+derivatives, hand-coded or, for a sampled profile, those of its spline. The
+unit normal is fixed everywhere as n = (xu x xv)/|xu x xv|; the signs of L, N
+and of the principal curvatures follow from that choice.
 """
 
 from __future__ import annotations
@@ -92,72 +95,39 @@ def _stack3(a, b, c) -> np.ndarray:
 
 
 def _plane_jet(u, v):
-    z = np.zeros_like(np.asarray(u, dtype=float) + np.asarray(v, dtype=float))
-    return (_stack3(u + z, v + z, z), _stack3(1 + z, z, z), _stack3(z, 1 + z, z),
-            _stack3(z, z, z), _stack3(z, z, z), _stack3(z, z, z))
+    return (_stack3(u, v, 0.0), _stack3(1.0, 0.0, 0.0), _stack3(0.0, 1.0, 0.0),
+            *(_stack3(0.0, 0.0, 0.0) for _ in range(3)))
 
 
-def _sphere_jet(u, v, R):
-    cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-    z = np.zeros_like(cu + cv)
-    x = _stack3(R * cu * cv, R * cu * sv, R * su)
-    xu = _stack3(-R * su * cv, -R * su * sv, R * cu)
-    xv = _stack3(-R * cu * sv, R * cu * cv, z)
-    xuu = _stack3(-R * cu * cv, -R * cu * sv, -R * su)
-    xuv = _stack3(R * su * sv, -R * su * cv, z)
-    xvv = _stack3(-R * cu * cv, -R * cu * sv, z)
-    return x, xu, xv, xuu, xuv, xvv
+def _revolution_jet(meridian, angle_on_u: bool) -> Callable:
+    """Jet of x = (p cos w, p sin w, q), the meridian s -> (p, q) turned by the angle w.
+
+    `meridian(s)` returns (p, q), (p', q') and (p'', q''). The angle w is v and s
+    is u unless `angle_on_u` swaps them; the jet comes back in u, v order."""
+    def jet(u, v):
+        s, w = (v, u) if angle_on_u else (u, v)
+        cw, sw = np.cos(w), np.sin(w)
+        (p, q), (dp, dq), (ddp, ddq) = meridian(s)
+        # (a cos w, a sin w, b) has the w-derivative (-a sin w, a cos w, 0)
+        x, xs, xss = (_stack3(a * cw, a * sw, b) for a, b in ((p, q), (dp, dq), (ddp, ddq)))
+        xw, xsw = (_stack3(-a * sw, a * cw, 0.0) for a in (p, dp))
+        xww = _stack3(-p * cw, -p * sw, 0.0)
+        if angle_on_u:
+            return x, xw, xs, xww, xsw, xss
+        return x, xs, xw, xss, xsw, xww
+
+    return jet
 
 
-def _cylinder_jet(u, v, r):
-    cu, su = np.cos(u), np.sin(u)
-    vv = np.asarray(v, dtype=float)
-    z = np.zeros_like(cu + vv)
-    x = _stack3(r * cu, r * su, vv)
-    xu = _stack3(-r * su, r * cu, z)
-    xv = _stack3(z, z, 1 + z)
-    xuu = _stack3(-r * cu, -r * su, z)
-    return x, xu, xv, xuu, _stack3(z, z, z), _stack3(z, z, z)
+def _circle_meridian(c, r):
+    def meridian(s):
+        cs, sn = np.cos(s), np.sin(s)
+        return (c + r * cs, r * sn), (-r * sn, r * cs), (-r * cs, -r * sn)
+    return meridian
 
 
-def _cone_jet(u, v, alpha):
-    # apex at the origin, v = distance from the apex along the rulings
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    cu, su = np.cos(u), np.sin(u)
-    vv = np.asarray(v, dtype=float)
-    z = np.zeros_like(cu + vv)
-    x = _stack3(vv * sa * cu, vv * sa * su, vv * ca)
-    xu = _stack3(-vv * sa * su, vv * sa * cu, z)
-    xv = _stack3(sa * cu, sa * su, ca + z)
-    xuu = _stack3(-vv * sa * cu, -vv * sa * su, z)
-    xuv = _stack3(-sa * su, sa * cu, z)
-    return x, xu, xv, xuu, xuv, _stack3(z, z, z)
-
-
-def _torus_jet(u, v, R, r):
-    cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-    rad = R + r * cu
-    z = np.zeros_like(cu + cv)
-    x = _stack3(rad * cv, rad * sv, r * su)
-    xu = _stack3(-r * su * cv, -r * su * sv, r * cu)
-    xv = _stack3(-rad * sv, rad * cv, z)
-    xuu = _stack3(-r * cu * cv, -r * cu * sv, -r * su)
-    xuv = _stack3(r * su * sv, -r * su * cv, z)
-    xvv = _stack3(-rad * cv, -rad * sv, z)
-    return x, xu, xv, xuu, xuv, xvv
-
-
-def _catenoid_jet(u, v):
-    ch, sh, cv, sv = np.cosh(u), np.sinh(u), np.cos(v), np.sin(v)
-    uu = np.asarray(u, dtype=float)
-    z = np.zeros_like(ch + cv)
-    x = _stack3(ch * cv, ch * sv, uu + z)
-    xu = _stack3(sh * cv, sh * sv, 1 + z)
-    xv = _stack3(-ch * sv, ch * cv, z)
-    xuu = _stack3(ch * cv, ch * sv, z)
-    xuv = _stack3(-sh * sv, sh * cv, z)
-    xvv = _stack3(-ch * cv, -ch * sv, z)
-    return x, xu, xv, xuu, xuv, xvv
+def _line_meridian(p0, dp, dq):
+    return lambda s: ((p0 + s * dp, s * dq), (dp, dq), (0.0, 0.0))
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -177,33 +147,34 @@ def make_entry(name: str, **params) -> CatalogEntry:
 
 def _make_entry(name: str, params: dict) -> CatalogEntry:
     if name == "plane":
-        return CatalogEntry("plane", {}, Rect(-_INF, _INF, -_INF, _INF), True,
-                            lambda u, v: _plane_jet(u, v))
+        return CatalogEntry("plane", {}, Rect(-_INF, _INF, -_INF, _INF), True, _plane_jet)
     if name == "sphere":
         R = float(params.pop("R", 1.0))
         _require(R > 0, "sphere needs R > 0")
-        return CatalogEntry("sphere", {"R": R},
-                            Rect(-math.pi / 2, math.pi / 2, -_INF, _INF), True,
-                            lambda u, v: _sphere_jet(u, v, R))
+        return CatalogEntry("sphere", {"R": R}, Rect(-math.pi / 2, math.pi / 2, -_INF, _INF), True,
+                            _revolution_jet(_circle_meridian(0.0, R), False))
     if name == "cylinder":
         r = float(params.pop("r", 1.0))
         _require(r > 0, "cylinder needs r > 0")
         return CatalogEntry("cylinder", {"r": r}, Rect(-_INF, _INF, -_INF, _INF), True,
-                            lambda u, v: _cylinder_jet(u, v, r))
+                            _revolution_jet(_line_meridian(r, 0.0, 1.0), True))
     if name == "cone":
         alpha = float(params.pop("alpha", math.pi / 6))
         _require(0 < alpha < math.pi / 2, "cone needs half-angle 0 < alpha < pi/2")
+        # apex at the origin, v = distance from the apex along the rulings
+        meridian = _line_meridian(0.0, math.sin(alpha), math.cos(alpha))
         return CatalogEntry("cone", {"alpha": alpha}, Rect(-_INF, _INF, 0.0, _INF), True,
-                            lambda u, v: _cone_jet(u, v, alpha))
+                            _revolution_jet(meridian, True))
     if name == "torus":
         R = float(params.pop("R", 2.0))
         r = float(params.pop("r", 1.0))
         _require(R > r > 0, "torus needs R > r > 0")
         return CatalogEntry("torus", {"R": R, "r": r}, Rect(-_INF, _INF, -_INF, _INF), True,
-                            lambda u, v: _torus_jet(u, v, R, r))
+                            _revolution_jet(_circle_meridian(R, r), False))
     if name == "catenoid":
+        meridian = lambda s: ((np.cosh(s), s), (np.sinh(s), 1.0), (np.cosh(s), 0.0))
         return CatalogEntry("catenoid", {}, Rect(-_INF, _INF, -_INF, _INF), True,
-                            lambda u, v: _catenoid_jet(u, v))
+                            _revolution_jet(meridian, False))
     raise DomainError(f"unknown catalog surface '{name}'")
 
 
@@ -230,21 +201,10 @@ def make_revolution_entry(t_samples, rho_samples, z_samples) -> CatalogEntry:
     profile = np.stack([rho, zz], axis=-1)
     slopes = spline_slopes(t, profile)
 
-    def jet(u, v):
-        cv, sv = np.cos(v), np.sin(v)
-        (p, q), (dp, dq), (ddp, ddq) = (np.moveaxis(spline_eval(t, profile, slopes, u, k), -1, 0)
-                                        for k in (0, 1, 2))
-        z0 = np.zeros_like(p + cv)
-        x = _stack3(p * cv, p * sv, q + z0)
-        xu = _stack3(dp * cv, dp * sv, dq + z0)
-        xv = _stack3(-p * sv, p * cv, z0)
-        xuu = _stack3(ddp * cv, ddp * sv, ddq + z0)
-        xuv = _stack3(-dp * sv, dp * cv, z0)
-        xvv = _stack3(-p * cv, -p * sv, z0)
-        return x, xu, xv, xuu, xuv, xvv
-
+    meridian = lambda s: (np.moveaxis(spline_eval(t, profile, slopes, s, k), -1, 0)
+                          for k in (0, 1, 2))
     return CatalogEntry("revolution", {}, Rect(float(t[0]), float(t[-1]), -_INF, _INF, closed=True),
-                        False, jet)
+                        False, _revolution_jet(meridian, False))
 
 
 CATALOG_NAMES = ("plane", "sphere", "cylinder", "cone", "torus", "catenoid")

@@ -252,8 +252,7 @@ def _reconstruction_diagnostics(mesh, inv):
     E, G, L, N = reconstruction.coefficients_from_invariants(inv)
     jets = reconstruction.finite_difference_jets(mesh)
     forms = invariants.fundamental_forms_grid(jets)
-    err = lambda got, want: float(np.max(np.abs(
-        interior(got.values - want.values, 2))))
+    err = lambda got, want: float(np.max(np.abs(interior(got.values - want.values))))
     i0, j0 = inv.base.i0, inv.base.j0
     return {
         "format": "reconstruction-report/1",

@@ -148,7 +148,7 @@ def _curvature_arrays(E, F, G, L, M, N, principal_chart: bool):
     return K, H, nu1, nu2
 
 
-def curvatures(forms: FormCoefficients, principal_chart: bool = False) -> CurvaturePoint:
+def curvatures(forms: FormCoefficients, principal_chart: bool) -> CurvaturePoint:
     """Gauss, mean and principal curvatures from form coefficients.
 
     With principal_chart set, nu1 = L/E and nu2 = N/G (direction labeling);
@@ -160,7 +160,7 @@ def curvatures(forms: FormCoefficients, principal_chart: bool = False) -> Curvat
     return CurvaturePoint(*(float(q) for q in vals))
 
 
-def curvatures_grid(forms: FormGrid, principal_chart: bool = False) -> CurvatureGrid:
+def curvatures_grid(forms: FormGrid, principal_chart: bool) -> CurvatureGrid:
     vals = _curvature_arrays(forms.E.values, forms.F.values, forms.G.values,
                              forms.L.values, forms.M.values, forms.N.values, principal_chart)
     g = forms.geometry

@@ -36,16 +36,15 @@ class ResidualReport:
         }
 
 
-def interior(values: np.ndarray, margin: int) -> np.ndarray:
-    m_u = min(margin, (values.shape[0] - 1) // 2)
-    m_v = min(margin, (values.shape[1] - 1) // 2)
+def interior(values: np.ndarray) -> np.ndarray:
+    m_u, m_v = (min(DEFAULT_MARGIN, (n - 1) // 2) for n in values.shape[:2])
     return values[m_u:values.shape[0] - m_u, m_v:values.shape[1] - m_v]
 
 
 def make_report(name: str, residual: Grid2) -> ResidualReport:
     """Report of a residual grid over its interior. Finite inputs can still
     overflow a residual; a non-finite statistic raises RangeError."""
-    inner = interior(residual.values, DEFAULT_MARGIN)
+    inner = interior(residual.values)
     max_abs = float(np.max(np.abs(inner)))
     rms = float(np.sqrt(np.mean(inner * inner)))
     if not (np.isfinite(max_abs) and np.isfinite(rms)):

@@ -16,7 +16,7 @@ b = G of a nu-mode grid do not fit these equations unless that weight is 1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +42,7 @@ class WeingartenData:
     A: float
     B: float
     base: BaseIndex
+    _fg_slopes: np.ndarray = field(init=False, repr=False, compare=False)  # of the (f, g) spline
 
     def __post_init__(self):
         t = np.asarray(self.t_samples, dtype=float)
@@ -55,7 +56,8 @@ class WeingartenData:
             raise RangeError("t samples must be strictly increasing")
         if np.any(f - g <= 0):
             raise RangeError("f - g must be strictly positive on I")
-        fp, gp = spline_slopes(t, np.stack([f, g], axis=1)).T
+        object.__setattr__(self, "_fg_slopes", spline_slopes(t, np.stack([f, g], axis=1)))
+        fp, gp = self._fg_slopes.T
         floor = 1e-12 * max(float(np.max(np.abs(fp))), 1e-300) \
             * max(float(np.max(np.abs(gp))), 1e-300)
         if np.any(np.abs(fp * gp) <= floor):
@@ -86,7 +88,7 @@ def weingarten_residual(data: WeingartenData) -> ResidualReport:
     """
     t, f, g = data.t_samples, data.f_samples, data.g_samples
     fg = np.stack([f, g], axis=1)
-    fg_s = spline_slopes(t, fg)
+    fg_s = data._fg_slopes
     # antiderivatives of g'/(g-f) and f'/(f-g)
     anti = _cumtrapz(fg_s[:, ::-1] / (fg[:, ::-1] - fg), np.diff(t)[:, None], 0)
 

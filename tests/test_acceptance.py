@@ -152,8 +152,8 @@ def test_criterion_06_reconstruction_roundtrip():
             nu1fd = f2.L.values / f2.E.values
             nu2fd = f2.N.values / f2.G.values
             nu_errs.append(max(
-                np.max(np.abs(interior(nu1fd - inv.field1.values, 2))),
-                np.max(np.abs(interior(nu2fd - inv.field2.values, 2)))))
+                np.max(np.abs(interior(nu1fd - inv.field1.values))),
+                np.max(np.abs(interior(nu2fd - inv.field2.values)))))
             if n == 257:
                 t257 = time.perf_counter() - t0
         assert all(o >= 1.9 for o in observed_orders(errs)), errs
