@@ -46,7 +46,7 @@ class CodazziViolation(CanonsurfError):
 
 
 class IntegrationError(CanonsurfError):
-    """Frame drifted too far from orthonormality during integration."""
+    """Frame integration refused: a bad initial frame or a grid too coarse for the stepper."""
 
 
 class ShapeMismatchError(CanonsurfError):

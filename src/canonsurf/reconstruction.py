@@ -3,17 +3,17 @@
 From an InvariantGrid the first- and second-form coefficients E, G, L, N are
 rebuilt (F = M = 0 by construction), and the orthonormal frame
 (xu/sqrt(E), xv/sqrt(G), n) is integrated over the grid: first along the base
-row in u, then along every column in v, with a classical fourth-order stepper.
-The frame system is linear, so one RK4 step maps the whole state: x' = x + p F
-and F' = Q F. The rotation part of its generator is skew and nonzero only in
-the tangent's row and column, so the 12 entries of [p; Q] have a closed form
-in a few sums and products of the coefficients, formed for a block of steps
-on every line at once. Each Q is pulled to its polar factor, the nearest
-orthonormal matrix, by one Newton-Schulz step (two when the block's drift
-exceeds NEWTON_SCHULZ_ONE_STEP); for an orthonormal frame that equals
-projecting the stepped frame. What remains sequential is one homogeneous
-product [[1, p], [0, Q]] [x; F] per step. Node coefficients are the grid
-values; midpoint ones the not-a-knot cubic spline's (grid.not_a_knot_slopes).
+row in u, then along every column in v. The frame system is linear, so each
+step is one rigid motion of the whole state, x' = x + p F and F' = Q F: a
+fourth-order Magnus step whose rotation Q is a Cayley map, orthogonal by
+construction, so the frames stay orthonormal to roundoff with no correction.
+The 12 entries of [p; Q] have a closed form in a few sums and products of the
+node and midpoint coefficients, formed for a block of steps on every line at
+once; a step that turns the frame by more than STEP_ANGLE_LIMIT refuses the
+grid as too coarse. What remains sequential is one homogeneous product
+[[1, p], [0, Q]] [x; F] per step. Node coefficients are the grid values;
+midpoint ones the not-a-knot cubic spline's (grid.not_a_knot_slopes). The
+initial frame is projected once onto its nearest orthonormal triple.
 """
 
 from __future__ import annotations
@@ -43,10 +43,9 @@ from .grid import (
     same_geometry,
 )
 
-FRAME_DRIFT_LIMIT = 1e-6
-# one Newton-Schulz step leaves an error of about 0.4 drift^2, below roundoff
-# from this drift on down; a larger drift gets a second step
-NEWTON_SCHULZ_ONE_STEP = 1e-8
+# largest frame rotation per step, in radians, of an accepted grid: a classical
+# RK4 step of a uniform rotation by this angle leaves the rotation group by 1e-6
+STEP_ANGLE_LIMIT = 0.204
 # step-line pairs whose step maps are formed together: cache-sized temporaries,
 # and a one-line march forms all its steps at once
 MARCH_STEP_LINES = 1 << 14
@@ -100,50 +99,10 @@ def coefficients_from_invariants(inv: InvariantGrid):
     return like(E), like(G), like(nu1 * E), like(nu2 * G)
 
 
-def _gram_deviation(f):
-    """Entries of F F^T - I, as a symmetric nested 3x3 list, of the entries f[i][j]."""
-    dev = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i, 3):
-            g = f[i][0] * f[j][0] + f[i][1] * f[j][1] + f[i][2] * f[j][2]
-            dev[i][j] = dev[j][i] = g - 1.0 if i == j else g
-    return dev
-
-
-def _newton_schulz_step(f, dev, out):
-    """Entries of F - 0.5 (F F^T - I) F, from those of F and its Gram deviation, written
-    to the (3, 3, ...) array out, or to new arrays when out is None."""
-    return [[np.subtract(f[i][j], 0.5 * (dev[i][0] * f[0][j] + dev[i][1] * f[1][j]
-                                         + dev[i][2] * f[2][j]),
-                         out=None if out is None else out[i, j, ...])
-             for j in range(3)] for i in range(3)]
-
-
-def _polar_entries(f, out) -> None:
-    """Polar factor, the nearest orthonormal matrix, of the 3x3 matrix of stacks f[i][j],
-    written to the (3, 3, ...) array out.
-
-    Newton-Schulz converges quadratically (Bjorck & Bowie 1971; Higham 1986):
-    one step from a drift max|F F^T - I| of NEWTON_SCHULZ_ONE_STEP or less
-    reaches roundoff, so a second step is taken only above it.
-    """
-    dev = _gram_deviation(f)
-    drift = float(np.max([np.max(np.abs(dev[i][j])) for i in range(3) for j in range(i, 3)]))
-    if not drift <= FRAME_DRIFT_LIMIT:  # also a NaN drift from overflowing coefficients
-        raise IntegrationError(
-            f"frame drift {drift:.3e} exceeds {FRAME_DRIFT_LIMIT}; grid is too coarse "
-            "for the stepper")
-    if drift > NEWTON_SCHULZ_ONE_STEP:
-        f = _newton_schulz_step(f, dev, None)
-        dev = _gram_deviation(f)
-    _newton_schulz_step(f, dev, out)
-
-
 def _polar_factor(frames: np.ndarray) -> np.ndarray:
-    """Nearest orthonormal triples of a (..., 3, 3) stack."""
-    out = np.empty(frames.shape)
-    _polar_entries(np.moveaxis(frames, (-2, -1), (0, 1)), np.moveaxis(out, (-2, -1), (0, 1)))
-    return out
+    """Nearest orthonormal triples U Vt of a (..., 3, 3) stack."""
+    U, _, Vt = np.linalg.svd(frames)
+    return U @ Vt
 
 
 def _midpoint_coefficients(coef_values: np.ndarray) -> np.ndarray:
@@ -157,42 +116,50 @@ def _midpoint_coefficients(coef_values: np.ndarray) -> np.ndarray:
     return 0.5 * (y[:-1] + y[1:]) + 0.125 * (s[:-1] - s[1:])
 
 
-def _step_maps(k0, km, k1, h: float, tangent: int, step: np.ndarray) -> list:
-    """One RK4 step of the frame system in closed form, from (steps, 3, lines) coefficients.
+def _skew_polynomial(x, y, w, theta2, pairs) -> list:
+    """Entries of I + x W + y W^2, as a nested 3x3 list, for the skew W with entries
+    W_ij = -W_ji given as ((i, j), W_ij) pairs and W^2 = w w^T - theta2 I."""
+    out = [[y * (w[i] * w[j]) + (1.0 - y * theta2 if i == j else 0.0) for j in range(3)]
+           for i in range(3)]
+    for (i, j), wij in pairs:
+        out[i][j] += x * wij
+        out[j][i] -= x * wij
+    return out
+
+
+def _step_maps(k0, km, k1, h: float, tangent: int, step: np.ndarray) -> np.ndarray:
+    """One fourth-order Magnus step of the frame system in closed form, from
+    (steps, 3, lines) coefficients.
 
     The rate is Y' = A Y with A = [[0, a e_t^T], [0, M]] and M = u e_t^T - e_t u^T,
-    u = b e_o - c e_n; the step is Phi = I + h/6 (A0 + 4 Am + A1)
-    + h^2/6 (Am A0 + Am^2 + A1 Am) + h^3/12 (Am^2 A0 + A1 Am^2) + h^4/24 A1 Am^2 A0.
-    As M_i M_j = -u_i u_j^T - (u_i . u_j) e_t e_t^T, every entry follows from
-    b0 + 4 bm + b1, c0 + 4 cm + c1, w = um . u0, r = um . um and z = u1 . um.
-    Writes p to step[:, 0, 1:] of the (steps, 4, 4, lines) step array and
-    returns Q as a nested 3x3 list of (steps, lines) entries.
+    u = b e_o - c e_n. The step's generator h/6 (A0 + 4 Am + A1) + h^2/12 [A1, A0]
+    is [[0, v^T], [0, W]], W skew with W_ot = beta, W_tn = gamma and W_on = delta.
+    Q = cay((1 + theta^2/12) W) is orthogonal for every h and within O(theta^5) of
+    exp(W); p = v^T (I + k W + m W^2), with k and m the series of (1 - cos theta)
+    / theta^2 and (theta - sin theta) / theta^3 to the same order.
+    Writes [p; Q] to step[:, :, 1:] of the (steps, 4, 4, lines) step array and
+    returns theta^2, shaped (steps, lines).
     """
     (a0, b0, c0), (am, bm, cm), (a1, b1, c1) = (np.moveaxis(k, 1, 0) for k in (k0, km, k1))
-    h1, h2, h3, h4 = h / 6.0, h * h / 6.0, h**3 / 12.0, h**4 / 24.0
-    w = bm * b0 + cm * c0
-    r = bm * bm + cm * cm
-    z = b1 * bm + c1 * cm
-    hB = h1 * (b0 + 4.0 * bm + b1)
-    hC = h1 * (c0 + 4.0 * cm + c1)
-    b0m, c0m = b0 + bm, c0 + cm
-    ra1, rb1, rc1 = r * a1, r * b1, r * c1
-    t, o, n = tangent - 1, 2 - tangent, 2  # rows of e_t, e_o and the normal in F
-    p = step[:, 0, 1:]
-    np.subtract(h1 * (a0 + 4.0 * am + a1), h3 * (am * w + ra1), out=p[:, t])
-    np.subtract(h4 * (ra1 * b0), h2 * (am * b0m + a1 * bm), out=p[:, o])
-    np.subtract(h2 * (am * c0m + a1 * cm), h4 * (ra1 * c0), out=p[:, n])
-    q = [[None] * 3 for _ in range(3)]
-    q[t][t] = (1.0 - h2 * (w + r + z)) + h4 * (w * z)
-    q[t][o] = h3 * (r * b0 + z * bm) - hB
-    q[t][n] = hC - h3 * (r * c0 + z * cm)
-    q[o][t] = hB - h3 * (w * bm + rb1)
-    q[n][t] = h3 * (w * cm + rc1) - hC
-    q[o][o] = (1.0 - h2 * (bm * (b0m + b1))) + h4 * (rb1 * b0)
-    q[o][n] = h2 * (bm * c0m + b1 * cm) - h4 * (rb1 * c0)
-    q[n][o] = h2 * (cm * b0m + c1 * bm) - h4 * (rc1 * b0)
-    q[n][n] = (1.0 - h2 * (cm * (c0m + c1))) + h4 * (rc1 * c0)
-    return q
+    h1, h2 = h / 6.0, h * h / 12.0
+    beta = h1 * (b0 + 4.0 * bm + b1)
+    gamma = h1 * (c0 + 4.0 * cm + c1)
+    delta = h2 * (b1 * c0 - b0 * c1)
+    # entries in the order (t, o, n), written to the rows of e_t, e_o and the normal in F
+    rows = (tangent - 1, 2 - tangent, 2)
+    pairs = (((1, 0), beta), ((0, 2), gamma), ((1, 2), delta))
+    w = (-delta, gamma, beta)
+    v = (h1 * (a0 + 4.0 * am + a1), h2 * (a0 * b1 - a1 * b0), h2 * (a1 * c0 - a0 * c1))
+    theta2 = beta * beta + gamma * gamma + delta * delta
+    f = 1.0 + theta2 / 12.0
+    s = f / (1.0 + 0.25 * f * f * theta2)
+    q = _skew_polynomial(s, 0.5 * f * s, w, theta2, pairs)
+    g = _skew_polynomial(0.5 - theta2 / 24.0, 1.0 / 6.0 - theta2 / 120.0, w, theta2, pairs)
+    for j, col in enumerate(rows):
+        step[:, 0, 1 + col] = v[0] * g[0][j] + v[1] * g[1][j] + v[2] * g[2][j]
+        for i, row in enumerate(rows):
+            step[:, 1 + row, 1 + col] = q[i][j]
+    return theta2
 
 
 def _march(y0: np.ndarray, coef_values: np.ndarray, axis_coords: np.ndarray,
@@ -210,8 +177,6 @@ def _march(y0: np.ndarray, coef_values: np.ndarray, axis_coords: np.ndarray,
     block = max(1, MARCH_STEP_LINES // lines)
     out = np.empty((n,) + y0.shape, dtype=float)
     out[k0] = y0
-    start = y0.copy()
-    start[..., 1:, :] = _polar_factor(y0[..., 1:, :])
     # step maps [[1, p], [0, Q]] stored (steps, 4, 4, lines), so entries are contiguous
     steps = np.zeros((min(block, n - 1), 4, 4, lines))
     steps[:, 0, 0] = 1.0
@@ -220,14 +185,17 @@ def _march(y0: np.ndarray, coef_values: np.ndarray, axis_coords: np.ndarray,
         # step from k to k + 1 crosses interval k of the reversed midpoint table
         nodes, mids, states = ((node, mid, out) if direction == 1 else
                                (node[::-1], mid[::-1], out[::-1]))
-        y = start
+        y = y0
         for b in range(k0 if direction == 1 else n - 1 - k0, n - 1, block):
             e = min(b + block, n - 1)
             block_steps = steps[:e - b]
-            q = _step_maps(nodes[b:e], mids[b:e], nodes[b + 1:e + 1], direction * h, tangent,
-                           block_steps)
-            # polar(Q F) = polar(Q) F for orthonormal F, so each Q is projected once
-            _polar_entries(q, np.moveaxis(block_steps[:, 1:, 1:], 0, 2))
+            theta2 = _step_maps(nodes[b:e], mids[b:e], nodes[b + 1:e + 1], direction * h,
+                                tangent, block_steps)
+            largest = float(np.max(theta2))
+            if not largest <= STEP_ANGLE_LIMIT**2:  # also a NaN angle from non-finite rates
+                raise IntegrationError(
+                    f"frame step angle {largest**0.5:.4g} exceeds {STEP_ANGLE_LIMIT}; "
+                    "grid is too coarse for the stepper")
             maps = np.moveaxis(block_steps, -1, 1).reshape((-1,) + y0.shape[:-2] + (4, 4))
             for step, nxt in zip(maps, states[b + 1:e + 1]):
                 np.matmul(step, y, out=nxt)
@@ -261,6 +229,7 @@ def _integrate_states(cu: np.ndarray, cv: np.ndarray, geometry: Grid2, init: Fra
                       base: BaseIndex, u_first: bool) -> np.ndarray:
     u_axis, v_axis = geometry.u_axis, geometry.v_axis
     y0 = init.as_matrix()
+    y0[1:] = _polar_factor(y0[1:])
     if u_first:
         row = _march(y0, cu[:, base.j0, :], u_axis, base.i0, tangent=1)  # (nu, 4, 3)
         states = _march(row, np.moveaxis(cv, 1, 0), v_axis, base.j0, tangent=2)

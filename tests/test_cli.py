@@ -326,13 +326,13 @@ def test_check_evaluates_one_residual_per_grid(tmp_path, monkeypatch, name, u, v
 
 def test_reconstruct_overflowing_frame_exits_3(tmp_path):
     # 8 nodes a side skips the floor test; the overflowing frame rates reach
-    # the drift guard as NaN, and nothing is written
+    # the step angle guard as inf, and nothing is written
     path = tmp_path / "huge8.json"
     formats.write_invariant_grid(overflowing_invariants(8), str(path))
     res = run_cli("reconstruct", "--input", str(path), "--output", str(tmp_path / "m.obj"),
                   "--report", str(tmp_path / "r.json"))
     assert res.returncode == 3
-    assert res.stderr.splitlines() == ["canonsurf: error: frame drift nan exceeds 1e-06; "
+    assert res.stderr.splitlines() == ["canonsurf: error: frame step angle inf exceeds 0.204; "
                                        "grid is too coarse for the stepper"]
     assert not (tmp_path / "m.obj").exists()
 
