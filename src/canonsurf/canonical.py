@@ -7,7 +7,7 @@ Codazzi equations hold, so its v-variation doubles as a Codazzi diagnostic.
 
 The canonical factors (Psi1, Psi2) come from grid.path_factors, and the
 half-gap |nu1 - nu2| / 2 = sqrt(H^2 - K) from InvariantGrid.half_gap. Map
-construction uses grid.FOURTH_ORDER (five-point differences, spline
+construction uses grid.FOURTH_ORDER (five-point differences, cubic
 quadrature): the maps feed resampling, and second-order map errors would
 dominate every downstream comparison. Verification (verify_canonical)
 deliberately sticks to grid.SECOND_ORDER so it stays an independent check.
@@ -51,7 +51,9 @@ AFFINE_MAX_SAMPLES = 33  # the affine fit keeps every (n // 33)-th node of an n-
 AFFINE_MIN_OVERLAP = 0.25  # share of A's samples a choice must map into B's domain
 AFFINE_TIE_RTOL = 1e-12  # seed distances and choice scores this close to the least tie
 AFFINE_ANCHOR = 1e-8  # weight of the rows that hold q at its seed, per grid cell
-AFFINE_MIN_NODES = 4  # the fit compares cubics; a 3-node axis carries only a parabola
+# the fit compares cubics; a 3-node axis carries only a parabola, and a 4-node
+# one takes the second-order node slopes of grid._diff, not the cubic through them
+AFFINE_MIN_NODES = 4
 AFFINE_LM_DAMPING = 1e-6  # first Levenberg-Marquardt damping, relative to J's column norms
 AFFINE_LM_TOL = 1e-8  # the fit stops once a step changes q or the cost by less than this share
 AFFINE_LM_MAX_NFEV = 300  # evaluations of the fit's residual, 100 (n + 1) for n = 2 unknowns
@@ -241,8 +243,8 @@ def _canonical_axis(bar_samples: np.ndarray, n: int):
 
 
 def _resample_2d(values: np.ndarray, pos_u: np.ndarray, pos_v: np.ndarray) -> np.ndarray:
-    # values at the fractional node positions pos_u x pos_v, by the not-a-knot
-    # spline along u, then along v
+    # values at the fractional node positions pos_u x pos_v, by the cubic with
+    # five-point node slopes (grid.spline_at) along u, then along v
     along_u = np.swapaxes(spline_at(values, pos_u), 0, 1)
     return np.swapaxes(spline_at(along_u, pos_v), 0, 1)
 
@@ -259,8 +261,9 @@ def resample_to_canonical(maps: CanonicalMaps, nu1: Grid2, nu2: Grid2) -> Invari
 
     The output grid covers the image of the maps, keeps (very nearly) the
     input resolution, and places the image of the base point exactly on a
-    node. Fields are interpolated with the not-a-knot spline of the source
-    grid at the node positions the inverse maps give.
+    node. Fields are interpolated at the node positions the inverse maps give
+    by the Hermite cubic of the source grid whose node slopes are the
+    five-point ones of grid._deriv4, fourth order up to the grid's edges.
     """
     same_geometry(nu1, nu2)
     if maps.ubar_samples.size != nu1.nu or maps.vbar_samples.size != nu1.nv:
@@ -288,14 +291,16 @@ def verify_canonical(inv: InvariantGrid, E: Grid2, G: Grid2):
 
     Uses the shared second-order substrate only, independently of how the
     grid was canonicalized. Returns one report per identity; equivalently
-    this checks E = a * Psi1^2 and G = b * Psi2^2.
+    this checks E = a * Psi1^2 and G = b * Psi2^2 with (a, b) =
+    inv.nu_constants(), so a kh grid reads as its nu twin.
     """
     same_geometry(inv.field1, E, G)
     nu1, nu2 = inv.nu_arrays()
+    a, b = inv.nu_constants()
     geo = inv.geometry
     psi1, psi2 = path_factors(nu1, nu2, nu1 - nu2, geo, inv.base, SECOND_ORDER)
-    r1 = np.sqrt(E.values / inv.a) / psi1 - 1.0
-    r2 = np.sqrt(G.values / inv.b) / psi2 - 1.0
+    r1 = np.sqrt(E.values / a) / psi1 - 1.0
+    r2 = np.sqrt(G.values / b) / psi2 - 1.0
     return make_report("canonical-E", geo.like(r1)), make_report("canonical-G", geo.like(r2))
 
 

@@ -181,9 +181,10 @@ def _make_entry(name: str, params: dict) -> CatalogEntry:
 def make_revolution_entry(t_samples, rho_samples, z_samples) -> CatalogEntry:
     """Surface of revolution from sampled profile (t, rho(t), z(t)).
 
-    The profile is interpolated with the not-a-knot spline (grid.spline_slopes)
-    and the chart x(u, v) = (rho(u) cos v, rho(u) sin v, z(u)) is differentiated
-    through it, so the jets are exact for the spline surface itself. The entry
+    The profile is interpolated with the Hermite cubic whose node slopes are
+    the five-point ones of grid.spline_slopes, and the chart
+    x(u, v) = (rho(u) cos v, rho(u) sin v, z(u)) is differentiated through it,
+    so the jets are exact for the surface of that cubic itself. The entry
     is not flagged principal because the profile is user data, although
     F = M = 0 holds identically for any surface of revolution.
     """

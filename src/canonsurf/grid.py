@@ -1,33 +1,30 @@
 """Shared numerical substrate: grids, every derivative and quadrature
 stencil, path exponents and the canonical factor pair, and the package's one
-cubic, the not-a-knot spline.
+cubic, the Hermite cubic with five-point node slopes.
 
 This module alone decides the discretization, and every stencil takes and
 returns bare arrays sampled on a Grid2's nodes. SECOND_ORDER (central
 differences inside, one-sided second-order stencils on the two boundary
 layers, composite trapezoid quadrature) gives every residual in the package a
-clean O(h^2) target; FOURTH_ORDER (five-point differences, not-a-knot spline
-quadrature) serves the canonical map construction and the affine fit. The
-factor pair exp(-+P) of path_factors is built here only, and every caller
-names its stencil order. The spline also resamples fields and inverts sampled
-maps (spline_at, spline_inverse_at), interpolates non-uniform samples
+clean O(h^2) target; FOURTH_ORDER (five-point differences, quadrature of the
+cubic) serves the canonical map construction and the affine fit. The factor
+pair exp(-+P) of path_factors is built here only, and every caller names its
+stencil order. The cubic also resamples fields and inverts sampled maps
+(spline_at, spline_inverse_at), interpolates non-uniform samples
 (spline_slopes, spline_eval) and, as a tensor product, grids (bicubic_nodes,
 bicubic_at).
 
-The spline's slopes on uniform nodes (not_a_knot_slopes) and on non-uniform
-ones (spline_slopes) come from one Thomas elimination: _elimination factors
-rows scaled to a unit sub-diagonal (once per size for uniform nodes), and
-_solve takes one of two paths, chosen by the width of the right-hand side:
-doubling scans of a few whole-array passes on a narrow one (one map, one line,
-one profile), where a row-by-row elimination would pay numpy's per-call
-overhead at every node, and that elimination, bitwise the plain Thomas loop,
-on a wide one (3 x 513 columns in a frame march), where the scans' extra
-passes cost more than the calls.
+On every interval the cubic is the Hermite cubic of its end values and end
+slopes (de Boor, A Practical Guide to Splines, 1978). The slopes are local:
+on uniform nodes those of _deriv4, per step, and on non-uniform ones the
+derivative at each node of the polynomial through the same five nodes
+(Fornberg, Math. Comp. 51, 1988). Both are fourth order at every node, the
+two ends included, and both give exactly 0 on constants. Three uniform
+nodes take the parabola through them, four the second-order slopes of _diff.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +32,6 @@ import numpy as np
 from .errors import DimensionError, MonotonicityError, ShapeMismatchError
 
 GEOMETRY_RTOL = 1e-12  # same_geometry's tolerance on origins and spacings
-SCAN_MAX_COLUMNS = 256  # widest right-hand side _solve solves by doubling scans
-SCAN_NEGLIGIBLE = 1e-18  # a doubling scan stops once every running product is below this
 
 
 def _frozen_array(a) -> np.ndarray:
@@ -198,8 +193,14 @@ def _deriv4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     out = np.empty_like(f)
     # every row weighs differences, so a constant gives exactly 0; the rows of
     # the first two nodes of an end weigh differences from their own node, w[0]
-    # or w[1], with w the end's five nodes, inward
-    out[2:-2] = ((f[:-4] - f[4:]) + 8.0 * (f[3:-1] - f[1:-3])) / (12.0 * h)
+    # or w[1], with w the end's five nodes, inward. Inside, ((f[:-4] - f[4:]) +
+    # 8 (f[3:-1] - f[1:-3])) / 12h, formed in place: every cubic's slopes run
+    # through here, on tables as large as a march's (n, 3, n)
+    inner = out[2:-2]
+    np.subtract(f[3:-1], f[1:-3], out=inner)
+    inner *= 8.0
+    inner += f[:-4] - f[4:]
+    inner /= 12.0 * h
     for w, (k0, k1), sign in ((f[:5], (0, 1), 1.0), (f[:-6:-1], (-1, -2), -1.0)):
         d, e = w - w[0], w - w[1]
         out[k0] = sign * (48.0 * d[1] - 36.0 * d[2] + 16.0 * d[3] - 3.0 * d[4]) / (12.0 * h)
@@ -208,12 +209,11 @@ def _deriv4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 
 def _cumint4(values: np.ndarray, h: float, i0: int, axis: int) -> np.ndarray:
-    """Integral of the not-a-knot spline along axis from node i0, signed as
-    _signed_cumtrapz."""
+    """Integral of the cubic along axis from node i0, signed as _signed_cumtrapz."""
     # on each interval the cubic with end slopes s / h integrates to
     # h ((y_k + y_k+1)/2 + (s_k - s_k+1)/12)
     f = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    s = not_a_knot_slopes(f)
+    s = _deriv4(f, 1.0, 0)
     total = np.zeros_like(f)
     np.cumsum(h * (0.5 * (f[:-1] + f[1:]) + (s[:-1] - s[1:]) / 12.0), axis=0, out=total[1:])
     return np.moveaxis(total - total[i0], 0, axis)
@@ -252,100 +252,6 @@ def path_factors(f1: np.ndarray, f2: np.ndarray, gap: np.ndarray, g: Grid2, base
             np.exp(path_exponent(f2, gap, g, base, 0, stencils)))
 
 
-def _elimination(diag, sup):
-    """Thomas elimination of a tridiagonal system whose rows are scaled to a
-    unit sub-diagonal, diagonally dominant so that it needs no pivoting, from
-    its m diagonal entries diag and m - 1 super-diagonal ones sup (floats).
-
-    The forward sweep is x_i = r_i / w_i + a_i x_i-1 with a_i = -1 / w_i, the
-    backward one x_i += -c_i x_i+1. As doubling scans, level k adds to each
-    row the row k before it (after it, backward) times the product of the k
-    multipliers between them, and the next level's products are products of
-    two of these. Dominance keeps every multiplier below 1 in size (about
-    0.27 on uniform nodes), so the levels stop once every product is below
-    SCAN_NEGLIGIBLE (six forward and five backward at m = 511, uniform).
-    Returns the pivots w_i and the eliminated super-diagonal c_i as Python
-    floats, the pivots as a column and the (k, product column) levels of the
-    forward and the backward scan.
-    """
-    w, c = [diag[0]], []
-    for d_i, sup_i in zip(diag[1:], sup):
-        c.append(sup_i / w[-1])
-        w.append(d_i - c[-1])
-    # frozen, as the callers of the uniform cache share them
-    pivots = _frozen_array(w)[:, None]
-    sweeps = []
-    for product in (-1.0 / pivots[1:, 0], -np.array(c)):
-        levels, k = [], 1
-        while k < len(w) and np.max(np.abs(product)) >= SCAN_NEGLIGIBLE:
-            levels.append((k, _frozen_array(product)[:, None]))
-            product = product[k:] * product[:-k]
-            k *= 2
-        sweeps.append(levels)
-    return tuple(w), tuple(c), pivots, *sweeps
-
-
-@functools.lru_cache(maxsize=64)
-def _not_a_knot_factors(m: int):
-    """_elimination of not_a_knot_slopes' m rows, the last halved to a unit
-    sub-diagonal: exact in binary, so pivots and slopes keep their bits."""
-    return _elimination([4.0] * (m - 1) + [2.0], [2.0] + [1.0] * (m - 2))
-
-
-def _solve(factors, s: np.ndarray) -> np.ndarray:
-    """Solution, along axis 0, of the system that _elimination factored for
-    the right-hand side s (any trailing shape, overwritten): by the doubling
-    scans up to SCAN_MAX_COLUMNS columns (the trailing size), equal to the
-    elimination to roundoff, and by the row loop, bit for bit the plain
-    Thomas elimination, on wider ones."""
-    w, c, pivots, forward, backward = factors
-    m, columns = s.shape[0], s[0].size
-    if columns <= SCAN_MAX_COLUMNS:
-        x = s.reshape(m, columns)  # a copy when s is not contiguous
-        x /= pivots
-        for k, product in forward:
-            x[k:] += product * x[:-k]
-        for k, product in backward:
-            x[:-k] += product * x[k:]
-        return x.reshape(s.shape)
-    # the rows as views, and the back substitution's products in one buffer
-    rows = list(s)
-    rows[0] /= w[0]
-    for i in range(1, m):
-        rows[i] -= rows[i - 1]
-        rows[i] /= w[i]
-    term = np.empty_like(rows[0])
-    for i in range(m - 2, -1, -1):
-        np.multiply(rows[i + 1], c[i], out=term)
-        rows[i] -= term
-    return s
-
-
-def not_a_knot_slopes(y: np.ndarray) -> np.ndarray:
-    """Node slopes, times the step, of the not-a-knot cubic spline through
-    uniformly spaced samples y along axis 0, for any trailing shape; three
-    nodes leave the cubic free by one degree and take the parabola through
-    them."""
-    n = y.shape[0]
-    if n < 3:
-        raise DimensionError("a not-a-knot spline needs at least 3 samples")
-    if n == 3:
-        return np.stack([-1.5 * y[0] + 2.0 * y[1] - 0.5 * y[2], 0.5 * (y[2] - y[0]),
-                         0.5 * y[0] - 2.0 * y[1] + 1.5 * y[2]])
-    d = np.diff(y, axis=0)
-    # rows s_i-1 + 4 s_i + s_i+1 = 3 (d_i-1 + d_i) for s_1..s_n-2, with the
-    # not-a-knot ends s_0 = s_2 + 2 (d_0 - d_1) and s_n-1 = s_n-3 + 2 (d_n-2 - d_n-3)
-    # substituted into the first and last rows: off-diagonals 2 there, else 1;
-    # the last row is halved to a unit sub-diagonal
-    s = 3.0 * (d[:-1] + d[1:])
-    s[0] = d[0] + 5.0 * d[1]
-    s[-1] = 0.5 * (5.0 * d[-2] + d[-1])
-    s = _solve(_not_a_knot_factors(n - 2), s)
-    first = s[1] + 2.0 * (d[0] - d[1])
-    last = s[-2] + 2.0 * (d[-1] - d[-2])
-    return np.concatenate([first[None], s, last[None]])
-
-
 def _hermite(y0, y1, m0, m1, t: np.ndarray, order: int) -> np.ndarray:
     # the cubic on [0, 1] in t with end values y0, y1 and end slopes m0, m1,
     # or its derivative of the given order (0, 1 or 2) by t, all per query
@@ -361,11 +267,11 @@ def _hermite(y0, y1, m0, m1, t: np.ndarray, order: int) -> np.ndarray:
 
 
 def spline_at(y, pos) -> np.ndarray:
-    """The not-a-knot spline through uniformly spaced samples y along axis 0
-    (any trailing shape) at the 1-D fractional node positions pos, 2.5 lying
+    """The cubic through uniformly spaced samples y along axis 0 (any
+    trailing shape) at the 1-D fractional node positions pos, 2.5 lying
     midway between nodes 2 and 3; the end cubics extrapolate."""
     y, pos = np.asarray(y, dtype=float), np.asarray(pos, dtype=float)
-    s = not_a_knot_slopes(y)
+    s = _deriv4(y, 1.0, 0)
     k = np.clip(np.floor(pos).astype(int), 0, y.shape[0] - 2)
     return _hermite(y[k], y[k + 1], s[k], s[k + 1], pos - k, 0)
 
@@ -373,49 +279,44 @@ def spline_at(y, pos) -> np.ndarray:
 def spline_inverse_at(y, yq) -> np.ndarray:
     """Fractional node positions where the increasing map sampled by y at
     uniformly spaced nodes takes the values yq (1-D arrays): the cubic through
-    (y_k, k) whose node slopes are the reciprocals of the not-a-knot spline's,
-    so it keeps the spline's fourth order. Raises MonotonicityError unless the
-    samples increase and every node slope of the spline is positive."""
+    (y_k, k) whose node slopes are the reciprocals of y's five-point slopes, so
+    it keeps their fourth order. Raises MonotonicityError unless the samples
+    increase and every five-point slope is positive."""
     y, yq = np.asarray(y, dtype=float), np.asarray(yq, dtype=float)
-    s = not_a_knot_slopes(y)
+    s = _deriv4(y, 1.0, 0)
     width = np.diff(y)
     if np.any(s <= 0.0) or np.any(width <= 0.0):
-        raise MonotonicityError("the sampled map or its spline is not strictly increasing")
+        raise MonotonicityError("the sampled map or its cubic is not strictly increasing")
     k = np.clip(np.searchsorted(y, yq, side="right") - 1, 0, y.size - 2)
     w = width[k]  # the local t spans w in y, so k moves w / s per unit t
     return _hermite(k, k + 1.0, w / s[k], w / s[k + 1], (yq - y[k]) / w, 0)
 
 
 def spline_slopes(x, y) -> np.ndarray:
-    """Node slopes dy/dx of the not-a-knot spline through (x, y) along axis 0
-    of y (any trailing shape), for at least 4 strictly increasing nodes x, by
-    _elimination and _solve (de Boor, A Practical Guide to Splines, 1978)."""
+    """Node slopes dy/dx along axis 0 of y (any trailing shape), for at least 4
+    strictly increasing nodes x: at each node the derivative of the polynomial
+    through _deriv4's five nodes (all four on a 4-node axis)."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.size < 4:
-        raise DimensionError("a non-uniform not-a-knot spline needs at least 4 nodes")
-    h = np.diff(x)
-    step = h.reshape((-1,) + (1,) * (y.ndim - 1))
-    d = np.diff(y, axis=0) / step
-    # rows h_i s_i-1 + 2 (h_i-1 + h_i) s_i + h_i-1 s_i+1 = 3 (h_i d_i-1 + h_i-1 d_i)
-    # for s_1..s_n-2; the first takes in s_0 = 2 d_0 - s_1 + r0 (s_1 + s_2 - 2 d_1),
-    # r0 = (h_0 / h_1)^2 (equal third derivatives at x_1), scaled by h_1 / (h_0 + h_1)
-    # to stay diagonally dominant, and the last row likewise
-    diag = 2.0 * (h[:-1] + h[1:])
-    diag[0], diag[-1] = h[0] + h[1], h[-2] + h[-1]
-    s = 3.0 * (step[1:] * d[:-1] + step[:-1] * d[1:])
-    s[0] = (h[1] ** 2 * d[0] + h[0] * (3.0 * h[1] + 2.0 * h[0]) * d[1]) / (h[0] + h[1])
-    s[-1] = (h[-2] ** 2 * d[-1] + h[-1] * (3.0 * h[-2] + 2.0 * h[-1]) * d[-2]) / (h[-2] + h[-1])
-    # row i has h_i+1 below the diagonal and h_i above it; divided by h_i+1
-    # (the first row by h_1), every row has a unit sub-diagonal
-    s = _solve(_elimination((diag / h[1:]).tolist(), (h[:-2] / h[1:-1]).tolist()), s / step[1:])
-    first = 2.0 * d[0] - s[0] + (h[0] / h[1]) ** 2 * (s[0] + s[1] - 2.0 * d[1])
-    last = 2.0 * d[-1] - s[-1] + (h[-1] / h[-2]) ** 2 * (s[-1] + s[-2] - 2.0 * d[-2])
-    return np.concatenate([first[None], s, last[None]])
+    n = x.size
+    if n < 4:
+        raise DimensionError("a non-uniform cubic needs at least 4 nodes")
+    m = min(n, 5)
+    window = np.clip(np.arange(n) - 2, 0, n - m)[:, None] + np.arange(m)
+    d = x[window] - x[:, None]  # x_k - x_i over the window's nodes k
+    # the weight of y_k - y_i is L_k'(x_i) = prod_{j != k, i} (x_i - x_j) /
+    # prod_{j != k} (x_k - x_j), with the node's own factor x_i - x_i left out
+    num = np.where(window == np.arange(n)[:, None], 1.0, -d)
+    weights = np.ones((n, m))
+    for k in range(m):
+        for j in range(m):
+            if j != k:
+                weights[:, k] *= num[:, j] / (d[:, k] - d[:, j])
+    return np.einsum("nm,nm...->n...", weights, y[window] - y[:, None])
 
 
 def spline_eval(x, y, s, xq, order: int) -> np.ndarray:
     """The cubic through (x, y) with node slopes s along axis 0 (the
-    not-a-knot spline for s = spline_slopes(x, y)), or its derivative of
+    package's cubic for s = spline_slopes(x, y)), or its derivative of
     order 1 or 2, at the points xq of any shape; the end cubics extrapolate."""
     x, y, s, xq = (np.asarray(a, dtype=float) for a in (x, y, s, xq))
     k = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
@@ -426,17 +327,17 @@ def spline_eval(x, y, s, xq, order: int) -> np.ndarray:
 
 
 def bicubic_nodes(values) -> np.ndarray:
-    """Node table (nu, nv, 2, 2, ...) of the tensor not-a-knot spline through
-    values sampled on a uniform grid, (nu, nv) plus any trailing shape: per node
+    """Node table (nu, nv, 2, 2, ...) of the tensor cubic through values
+    sampled on a uniform grid, (nu, nv) plus any trailing shape: per node
     [[value, v-slope], [u-slope, cross slope]], the slopes per step."""
     y = np.asarray(values, dtype=float)
-    along_v = lambda f: np.swapaxes(not_a_knot_slopes(np.swapaxes(f, 0, 1)), 0, 1)
-    su = not_a_knot_slopes(y)
-    return np.stack([np.stack([y, along_v(y)], axis=2), np.stack([su, along_v(su)], axis=2)], 2)
+    su = _deriv4(y, 1.0, 0)
+    return np.stack([np.stack([y, _deriv4(y, 1.0, 1)], axis=2),
+                     np.stack([su, _deriv4(su, 1.0, 1)], axis=2)], 2)
 
 
 def bicubic_at(nodes: np.ndarray, g: Grid2, u, v, order_u: int, order_v: int) -> np.ndarray:
-    """The tensor spline of bicubic_nodes sampled on g's nodes, or its
+    """The tensor cubic of bicubic_nodes sampled on g's nodes, or its
     derivative of order_u by u and order_v by v, at the parameter points
     (u, v), 1-D arrays clamped to g's domain, as FITPACK's evaluators do."""
     nu, nv = g.nu - 1, g.nv - 1

@@ -12,7 +12,7 @@ node and midpoint coefficients, formed for a block of steps on every line at
 once; a step that turns the frame by more than STEP_ANGLE_LIMIT refuses the
 grid as too coarse. What remains sequential is one homogeneous product
 [[1, p], [0, Q]] [x; F] per step. Node coefficients are the grid values;
-midpoint ones the not-a-knot cubic spline's (grid.not_a_knot_slopes). The
+midpoint ones the Hermite cubic's with grid._deriv4's node slopes. The
 initial frame is projected once onto its nearest orthonormal triple.
 """
 
@@ -35,11 +35,11 @@ from .errors import (
 from .grid import (
     BaseIndex,
     Grid2,
+    _deriv4,
     d_u,
     d_uu,
     d_v,
     d_vv,
-    not_a_knot_slopes,
     same_geometry,
 )
 
@@ -106,13 +106,13 @@ def _polar_factor(frames: np.ndarray) -> np.ndarray:
 
 
 def _midpoint_coefficients(coef_values: np.ndarray) -> np.ndarray:
-    """Not-a-knot cubic-spline values at the n - 1 interval midpoints t_k + h/2.
+    """Values of the package's cubic at the n - 1 interval midpoints t_k + h/2.
 
-    With s_k the spline's node slopes times h (grid.not_a_knot_slopes), the
+    With s_k the five-point node slopes times h (grid._deriv4), the Hermite
     cubic on [t_k, t_k+1] takes (y_k + y_k+1)/2 + (s_k - s_k+1)/8 at the midpoint.
     """
     y = coef_values
-    s = not_a_knot_slopes(y)
+    s = _deriv4(y, 1.0, 0)
     return 0.5 * (y[:-1] + y[1:]) + 0.125 * (s[:-1] - s[1:])
 
 

@@ -81,10 +81,10 @@ class WeingartenData:
 def weingarten_residual(data: WeingartenData) -> ResidualReport:
     """Residual of the Weingarten form of the Gauss equation.
 
-    f, g and their first two derivatives come from the not-a-knot spline
-    through the samples (grid.spline_slopes); the t-integrals of g'/(g-f)
-    and f'/(f-g) are trapezoid antiderivatives over I, through the spline
-    too, composed with the nu field and measured from nu at the base point.
+    f, g and their first two derivatives come from the Hermite cubic through
+    the samples with the five-point node slopes of grid.spline_slopes; the
+    t-integrals of g'/(g-f) and f'/(f-g) are trapezoid antiderivatives over I,
+    interpolated by that cubic too, composed with the nu field and measured from nu at the base point.
     """
     t, f, g = data.t_samples, data.f_samples, data.g_samples
     fg = np.stack([f, g], axis=1)

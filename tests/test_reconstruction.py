@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import expm
 
 import canonsurf as cs
@@ -18,6 +18,7 @@ from canonsurf.errors import (
 from helpers import (
     catenoid_invariants,
     cone_invariants,
+    five_point_slopes,
     observed_orders,
     overflowing_invariants,
     random_rotation,
@@ -201,11 +202,18 @@ def dense_step(c0, cm, c1, h, tangent):
     return step
 
 
+def hermite_cubic(axis_coords, coef_values):
+    """scipy's Hermite cubic through coef_values along axis 0, with the textbook
+    five-point node slopes."""
+    h = axis_coords[1] - axis_coords[0]
+    return CubicHermiteSpline(axis_coords, coef_values, five_point_slopes(coef_values) / h, axis=0)
+
+
 def reference_march(y0, coef_values, axis_coords, k0, tangent):
-    """The frame march with spline calls at each step's ends and midpoint and a
-    dense step map."""
+    """The frame march with calls of scipy's Hermite cubic through the textbook
+    five-point slopes at each step's ends and midpoint, and a dense step map."""
     n = axis_coords.size
-    spline = CubicSpline(axis_coords, coef_values, axis=0)
+    spline = hermite_cubic(axis_coords, coef_values)
     out = np.empty((n,) + y0.shape)
     out[k0] = y0
     for direction in (1, -1):
@@ -294,7 +302,7 @@ class TestFrameMarch:
         cu, _ = reconstruction._frame_coefficients(E, G, L, N, cs.identity_frame(), inv.base)
         ax = E.u_axis
         h = ax[1] - ax[0]
-        spline = CubicSpline(ax, cu, axis=0)
+        spline = hermite_cubic(ax, cu)
         mid = reconstruction._midpoint_coefficients(cu)
         scale = np.max(np.abs(cu))
         # a step from k to k + 1 uses mid[k]; a step from k to k - 1 uses mid[k - 1]
@@ -305,7 +313,8 @@ class TestFrameMarch:
     @pytest.mark.parametrize("axis", [0, 1])
     def test_midpoint_table_matches_spline_on_short_axes(self, n, axis):
         # a smooth table with no symmetry along either axis: three nodes take
-        # the parabola, four or more the tridiagonal solve
+        # the parabola, four the second-order slopes, five or more the
+        # five-point ones
         u = np.linspace(0.2, 1.4, n)[:, None]
         v = np.linspace(-0.5, 0.9, n)[None, :]
         table = np.stack([np.exp(0.8 * u - 0.3 * v), np.sin(1.3 * u + 0.7 * v) + 2.0,
@@ -313,7 +322,7 @@ class TestFrameMarch:
         coef = table if axis == 0 else np.moveaxis(table, 1, 0)
         ax = np.ravel(u if axis == 0 else v)
         h = ax[1] - ax[0]
-        spline = CubicSpline(ax, coef, axis=0)
+        spline = hermite_cubic(ax, coef)
         mid = reconstruction._midpoint_coefficients(coef)
         scale = np.max(np.abs(coef))
         assert np.max(np.abs(mid - spline(ax[:-1] + 0.5 * h))) <= 1e-14 * scale
