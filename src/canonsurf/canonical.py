@@ -35,12 +35,11 @@ from .grid import (
     BaseIndex,
     Grid2,
     _cumint4,
-    bicubic_at,
-    bicubic_nodes,
+    _deriv4,
     path_factors,
     same_geometry,
-    spline_at,
     spline_inverse_at,
+    tensor_at,
 )
 from .invariants import require_umbilic_free
 from .reports import make_report
@@ -242,13 +241,6 @@ def _canonical_axis(bar_samples: np.ndarray, n: int):
     return origin, d, n - 1, int(round(-origin / d))
 
 
-def _resample_2d(values: np.ndarray, pos_u: np.ndarray, pos_v: np.ndarray) -> np.ndarray:
-    # values at the fractional node positions pos_u x pos_v, by the cubic with
-    # five-point node slopes (grid.spline_at) along u, then along v
-    along_u = np.swapaxes(spline_at(values, pos_u), 0, 1)
-    return np.swapaxes(spline_at(along_u, pos_v), 0, 1)
-
-
 def _source_axes(maps: CanonicalMaps, u_axis: np.ndarray, v_axis: np.ndarray):
     # source node positions; clamp roundoff overshoot of the axis endpoints
     ub = np.clip(u_axis, maps.ubar_samples[0], maps.ubar_samples[-1])
@@ -274,16 +266,17 @@ def resample_to_canonical(maps: CanonicalMaps, nu1: Grid2, nu2: Grid2) -> Invari
         raise RangeError("canonical image too small to carry a grid")
     u_axis = uo + du * np.arange(n_u)
     v_axis = vo + dv * np.arange(n_v)
-    pos = _source_axes(maps, u_axis, v_axis)
-    f1, f2 = (_resample_2d(f.values, *pos) for f in (nu1, nu2))
+    pu, pv = _source_axes(maps, u_axis, v_axis)
+    f1, f2 = (tensor_at(f.values, _deriv4(f.values, 1.0, 0), pu, pv, 0, 0) for f in (nu1, nu2))
     make = lambda vals: Grid2(uo, vo, du, dv, vals)
     return InvariantGrid("nu", make(f1), make(f2), maps.a, maps.b, BaseIndex(i0, j0))
 
 
 def resample_grid(maps: CanonicalMaps, g: Grid2, like: InvariantGrid) -> Grid2:
-    """Resample a companion scalar grid (e.g. E or G) onto `like`'s canonical grid."""
+    """Resample a companion grid (e.g. E, G or the positions) onto `like`'s canonical grid."""
     target = like.geometry
-    return target.like(_resample_2d(g.values, *_source_axes(maps, target.u_axis, target.v_axis)))
+    pu, pv = _source_axes(maps, target.u_axis, target.v_axis)
+    return target.like(tensor_at(g.values, _deriv4(g.values, 1.0, 0), pu, pv, 0, 0))
 
 
 def verify_canonical(inv: InvariantGrid, E: Grid2, G: Grid2):
@@ -323,16 +316,15 @@ def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> Affi
     Both grids are read in nu mode, through nu_arrays() and nu_constants().
     The canonical transformation law ties all four numbers to the image q of
     B's base point in A: lam = sqrt(a_A / a_B) Psi1_A(q), mu = sqrt(b_A / b_B)
-    Psi2_A(q) (swapped: sqrt(b_A / a_B) Psi2_A(q) and sqrt(a_A / b_B) Psi1_A(q)),
-    and the offsets send q to B's base node. q is seeded at the node of A whose
-    fields come closest to B's at its base. Every discrete choice (swap and the
-    signs of lam and mu) is scored at the seed, ties going to the unswapped
-    axes and positive slopes, and one Levenberg-Marquardt fit of q refines the
-    best one. misfit is the RMS discrepancy of (nu1, nu2) over A's samples
-    whose image lies in B's domain. Raises DimensionError when the grids'
-    modes differ or either grid has fewer than AFFINE_MIN_NODES nodes on an
-    axis, and RangeError when no choice maps a share AFFINE_MIN_OVERLAP of A's
-    samples into B's domain.
+    Psi2_A(q), and the offsets send q to B's base node; a swapped fit is that
+    of A transposed. q is seeded at the node of A whose fields come closest to
+    B's at its base. Every discrete choice (swap and the signs of lam and mu)
+    is scored at the seed, ties going to the unswapped axes and positive
+    slopes, and one Levenberg-Marquardt fit of q refines the best one. misfit
+    is the RMS discrepancy of (nu1, nu2) over A's samples whose image lies in
+    B's domain. Raises DimensionError when the grids' modes differ or either
+    grid has fewer than AFFINE_MIN_NODES nodes on an axis, and RangeError when
+    no choice maps a share AFFINE_MIN_OVERLAP of A's samples into B's domain.
     """
     if inv_a.mode != inv_b.mode:
         raise DimensionError(f"cannot match a {inv_a.mode}-mode grid against a "
@@ -343,116 +335,113 @@ def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> Affi
             raise DimensionError(f"the affine fit needs at least {AFFINE_MIN_NODES} nodes "
                                  f"per axis, grid {name} has {g.nu}x{g.nv}")
     ga, gb = inv_a.geometry, inv_b.geometry
-    step_u = max(1, ga.nu // AFFINE_MAX_SAMPLES)
-    step_v = max(1, ga.nv // AFFINE_MAX_SAMPLES)
-    nodes = np.meshgrid(ga.u_axis, ga.v_axis, indexing="ij")
-    samples = [x[::step_u, ::step_v] for x in nodes]
-    fields_a, fields_b = inv_a.nu_arrays(), inv_b.nu_arrays()
-    spline_b = bicubic_nodes(np.stack(fields_b, axis=-1))
+    nu1, nu2 = inv_a.nu_arrays()
     # with the fourth-order stencils of the maps
-    factors_a = bicubic_nodes(np.stack(path_factors(*fields_a, fields_a[0] - fields_a[1], ga,
-                                                    inv_a.base, FOURTH_ORDER), axis=-1))
-    ib, jb = inv_b.base.i0, inv_b.base.j0
-    base_b = (gb.u_axis[ib], gb.v_axis[jb])
-    at_base_b = (fields_b[0][ib, jb], fields_b[1][ib, jb])
-    lo = (gb.u_axis[0], gb.v_axis[0])
-    hi = (gb.u_axis[-1], gb.v_axis[-1])
-    consts_a, consts_b = inv_a.nu_constants(), inv_b.nu_constants()
-    cell = np.array([ga.du, ga.dv])
-    tie = AFFINE_TIE_RTOL * max(np.max(np.abs(f)) for f in fields_a)
+    factors_a = np.stack(path_factors(nu1, nu2, nu1 - nu2, ga, inv_a.base, FOURTH_ORDER), axis=-1)
+    fields_a, fields_b = np.stack([nu1, nu2], axis=-1), np.stack(inv_b.nu_arrays(), axis=-1)
+    slopes_b = _deriv4(fields_b, 1.0, 0)
+    # rows: origin, cell, last node and constants, per axis
+    geo_a = np.array([[ga.u0, ga.v0], [ga.du, ga.dv], [ga.nu - 1, ga.nv - 1], inv_a.nu_constants()])
+    lo, cell_b, last_b, consts_b = np.array([[gb.u0, gb.v0], [gb.du, gb.dv], [gb.nu - 1, gb.nv - 1],
+                                             inv_b.nu_constants()])
+    hi = lo + cell_b * last_b
+    base_b = lo + cell_b * [inv_b.base.i0, inv_b.base.j0]
+    tie = AFFINE_TIE_RTOL * np.max(np.abs(fields_a))
 
-    # order[k]: the axis of A that runs along B's axis k. Swapping the axes
-    # exchanges the direction-labeled curvatures; kh grids put the larger one
-    # along u in both charts, so a swapped kh pair also has opposite normals,
-    # which negate them
-    def targets(order, field_pair):
-        sign = -1.0 if inv_a.mode == "kh" and order == (1, 0) else 1.0
-        return tuple(sign * field_pair[k] for k in order)
-
-    def seed(order):
-        # ties (a whole row on a surface of revolution) go to the node nearest
-        # B's base coordinates
-        t1, t2 = targets(order, fields_a)
-        dist = np.hypot(t1 - at_base_b[0], t2 - at_base_b[1])
-        off = (nodes[order[0]] - base_b[0]) ** 2 + (nodes[order[1]] - base_b[1]) ** 2
+    def chart_a(swapped):
+        # A with its axes in B's order: transposed when swapped, which
+        # exchanges the direction-labeled curvatures, their factors and the
+        # constants. kh grids put the larger curvature along u in both charts,
+        # so a swapped kh pair also has opposite normals, which negate the curvatures
+        fields, factors, geo = fields_a, factors_a, geo_a
+        if swapped:
+            sign = -1.0 if inv_a.mode == "kh" else 1.0
+            fields, factors = (x.transpose(1, 0, 2)[..., ::-1] for x in (sign * fields, factors))
+            geo = geo[:, ::-1]
+        origin, cell, last, consts = geo
+        u, v = (o + c * np.arange(n + 1) for o, c, n in zip(origin, cell, last))
+        steps = [max(1, ax.size // AFFINE_MAX_SAMPLES) for ax in (u, v)]
+        # the seed; ties (a whole row on a surface of revolution) go to the node
+        # nearest B's base coordinates
+        dist = np.hypot(*np.moveaxis(fields - fields_b[inv_b.base.i0, inv_b.base.j0], -1, 0))
+        off = (u[:, None] - base_b[0]) ** 2 + (v[None, :] - base_b[1]) ** 2
         k = np.unravel_index(np.argmin(np.where(dist <= dist.min() + tie, off, np.inf)),
                              dist.shape)
-        return np.array([ga.u_axis[k[0]], ga.v_axis[k[1]]])
+        return SimpleNamespace(swapped=swapped, q0=np.array([u[k[0]], v[k[1]]]), factors=factors,
+                               slopes=_deriv4(factors, 1.0, 0), origin=origin, cell=cell,
+                               last=last, consts=consts, samples=(u[::steps[0]], v[::steps[1]]),
+                               targets=fields[::steps[0], ::steps[1]])
 
-    def affine(q, choice):
-        # (lam, mu, c1, c2), the images of A's samples in B's coordinates, and
-        # the derivatives of the images by q
-        order, signs = choice
-        psi, *dpsi = (bicubic_at(factors_a, ga, q[:1], q[1:], *d)[0]
-                      for d in ((0, 0), (1, 0), (0, 1)))
-        params, image, grads = [], [], []
-        for k, ax in enumerate(order):
-            w = signs[k] * math.sqrt(consts_a[ax] / consts_b[k])
-            slope = w * float(psi[ax])
-            rel = samples[ax] - q[ax]
-            params += [slope, base_b[k] - slope * q[ax]]
-            image.append(slope * rel + base_b[k])
-            grad = w * np.array([d[ax] for d in dpsi])[:, None, None] * rel
-            grad[ax] -= slope
-            grads.append(grad)
-        lam, c1, mu, c2 = params
-        return (lam, mu, c1, c2), image, grads
+    def affine(a, q, signs):
+        # slopes, offsets, the images of the sample axes in B's coordinates and
+        # their derivatives by q
+        pos = np.clip((q - a.origin) / a.cell, 0.0, a.last)
+        psi, psi_u, psi_v = (tensor_at(a.factors, a.slopes, pos[:1], pos[1:], *d)[0, 0]
+                             / np.prod(a.cell**d) for d in ((0, 0), (1, 0), (0, 1)))
+        w = signs * np.sqrt(a.consts / consts_b)
+        slope, dslope = w * psi, w * np.array([psi_u, psi_v])
+        rel = [x - q[k] for k, x in enumerate(a.samples)]
+        image = [slope[k] * r + base_b[k] for k, r in enumerate(rel)]
+        grads = [dslope[:, k, None] * r - slope[k] * np.eye(2)[:, k, None]
+                 for k, r in enumerate(rel)]
+        return slope, base_b - slope * q, image, grads
 
-    def clipped(image, mask):
-        return [np.clip(x[mask], lo[k], hi[k]) for k, x in enumerate(image)]
-
-    def field_residual(image, t, mask):
-        ub, vb = clipped(image, mask)
-        f = bicubic_at(spline_b, gb, ub, vb, 0, 0)
-        return np.concatenate([f[:, 0] - t[0][mask], f[:, 1] - t[1][mask]])
+    def flat(table):
+        return np.moveaxis(table, -1, 0).ravel()
 
     def inside(image):
-        return np.all([(lo[k] <= x) & (x <= hi[k]) for k, x in enumerate(image)], axis=0)
+        return [(lo[k] <= x) & (x <= hi[k]) for k, x in enumerate(image)]
 
-    def rms(image, t, mask):
-        if not mask.any():
+    def fields_at(image, masks, d):
+        # B's fields, or a derivative, on the tensor product of the kept images,
+        # at node positions clamped to the grid as FITPACK's evaluators clamp them
+        pos = [np.clip((x[m] - lo[k]) / cell_b[k], 0.0, last_b[k])
+               for k, (x, m) in enumerate(zip(image, masks))]
+        return tensor_at(fields_b, slopes_b, *pos, *d) / np.prod(cell_b**d)
+
+    def field_residual(a, image, masks):
+        return flat(fields_at(image, masks, (0, 0)) - a.targets[np.ix_(*masks)])
+
+    def rms(a, image, masks):
+        if not all(m.any() for m in masks):
             return math.inf
-        r = field_residual(image, t, mask)
+        r = field_residual(a, image, masks)
         return float(np.sqrt(np.mean(r * r)))
 
-    sample_fields = [f[::step_u, ::step_v] for f in fields_a]
     best = None
-    for order in ((0, 1), (1, 0)):
-        q0 = seed(order)
-        t = targets(order, sample_fields)
-        for signs in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-            choice = (order, signs)
-            image = affine(q0, choice)[1]
-            mask = inside(image)
-            if mask.mean() < AFFINE_MIN_OVERLAP:
+    for a in (chart_a(False), chart_a(True)):
+        for signs in np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]):
+            image = affine(a, a.q0, signs)[2]
+            masks = inside(image)
+            if masks[0].mean() * masks[1].mean() < AFFINE_MIN_OVERLAP:
                 continue
-            score = rms(image, t, mask)
+            score = rms(a, image, masks)
             # a tie (a direction the fields do not see) keeps the earlier choice
             if best is None or score < best[0] - tie:
-                best = (score, choice, q0, t, mask)
+                best = (score, a, signs, masks)
     if best is None:
         raise RangeError(f"no choice of swap and signs maps {AFFINE_MIN_OVERLAP:.0%} of "
                          "A's samples into B's domain")
-    _, choice, q0, t, mask = best
+    _, a, signs, masks = best
 
     # the anchor rows hold a direction the fields do not see at its seed; the
     # Jacobian is analytic, as difference quotients of a field that is
     # constant up to roundoff would outweigh them
     def residual(q):
-        return np.concatenate([field_residual(affine(q, choice)[1], t, mask),
-                               AFFINE_ANCHOR * (q - q0) / cell])
+        return np.concatenate([field_residual(a, affine(a, q, signs)[2], masks),
+                               AFFINE_ANCHOR * (q - a.q0) / a.cell])
 
     def jacobian(q):
-        _, image, grads = affine(q, choice)
-        ub, vb = clipped(image, mask)
-        gu, gv = (g[:, mask].T for g in grads)
-        fu, fv = bicubic_at(spline_b, gb, ub, vb, 1, 0), bicubic_at(spline_b, gb, ub, vb, 0, 1)
-        rows = [fu[:, c, None] * gu + fv[:, c, None] * gv for c in (0, 1)]
-        return np.vstack(rows + [np.diag(AFFINE_ANCHOR / cell)])
+        *_, image, grads = affine(a, q, signs)
+        fu, fv = (fields_at(image, masks, d) for d in ((1, 0), (0, 1)))
+        gu, gv = (g[:, m] for g, m in zip(grads, masks))
+        cols = [flat(fu * gu[j][:, None, None] + fv * gv[j][:, None]) for j in (0, 1)]
+        return np.vstack([np.column_stack(cols), np.diag(AFFINE_ANCHOR / a.cell)])
 
-    fit = least_squares(residual, q0, jacobian)
-    (lam, mu, c1, c2), image, _ = affine(fit.x, choice)
-    return AffineMatch(lam, mu, c1, c2, choice[0] == (1, 0), rms(image, t, inside(image)))
+    fit = least_squares(residual, a.q0, jacobian)
+    (lam, mu), (c1, c2), image, _ = affine(a, fit.x, signs)
+    return AffineMatch(float(lam), float(mu), float(c1), float(c2), a.swapped,
+                       rms(a, image, inside(image)))
 
 
 def least_squares(fun, x0, jac) -> SimpleNamespace:

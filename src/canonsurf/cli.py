@@ -8,7 +8,6 @@ redirected with the CANONSURF_OUTDIR environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -20,7 +19,7 @@ import numpy as np
 from . import canonical, compatibility, formats, invariants, reconstruction, special_surfaces
 from .catalog import CATALOG_NAMES, make_entry, make_revolution_entry, sample_surface
 from .errors import CanonsurfError, CompatibilityWarning, UmbilicError
-from .grid import BaseIndex, Grid2
+from .grid import BaseIndex
 from .reports import interior
 
 EXIT_OK = 0
@@ -319,17 +318,7 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_special(args) -> int:
     if args.case == "weingarten":
-        with open(args.input, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict) or data.get("format") != "weingarten/1":
-            raise ValueError("weingarten case needs a weingarten/1 file")
-        field = formats.grid_field(data, "field", *formats.header_pair(data, "nu", int))
-        wd = special_surfaces.WeingartenData(
-            *(formats.number_list(data, key) for key in ("t", "f", "g")),
-            Grid2(*formats.header_pair(data, "origin", float),
-                  *formats.header_pair(data, "spacing", float), field),
-            formats.header_number(data, "A"), formats.header_number(data, "B"),
-            BaseIndex(*formats.header_pair(data, "base_index", int)))
+        wd = formats.read_weingarten(args.input)
         reports, skipped = [special_surfaces.weingarten_residual(wd)], []
     else:
         inv = formats.read_invariant_grid(args.input)
@@ -436,7 +425,7 @@ def main(argv=None) -> int:
     except CompatibilityWarning as exc:
         print(f"canonsurf: incompatible invariants: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
-    except (CanonsurfError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (CanonsurfError, ValueError, KeyError, OSError) as exc:
         print(f"canonsurf: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

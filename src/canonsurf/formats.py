@@ -1,5 +1,5 @@
 """File formats: deterministic JSON reports, invariant-grid files, revolution
-profiles, Wavefront OBJ.
+profiles, Weingarten data, Wavefront OBJ.
 
 All numbers are written with 17 significant digits so identical inputs give
 byte-identical files and every float survives a parse round-trip exactly.
@@ -18,6 +18,7 @@ from .canonical import InvariantGrid
 from .errors import DimensionError, RangeError
 from .grid import BaseIndex, Grid2
 from .reconstruction import SurfaceMesh
+from .special_surfaces import WeingartenData
 
 INVARIANT_GRID_FORMAT = "invariant-grid/1"
 _NON_FINITE = "cannot serialize non-finite numbers"
@@ -194,6 +195,20 @@ def read_profile(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not isinstance(data, dict) or not {"t", "rho", "z"} <= data.keys():
         raise DimensionError("malformed profile file: need an object with t, rho and z")
     return tuple(number_list(data, key) for key in ("t", "rho", "z"))
+
+
+def read_weingarten(path: str) -> WeingartenData:
+    """The data of a weingarten/1 file: flat lists of JSON numbers t, f, g and a
+    field of nu * nv of them, with headers nu, origin, spacing, base_index, A, B."""
+    data = _read_json(path, "weingarten")
+    if not isinstance(data, dict) or data.get("format") != "weingarten/1":
+        raise DimensionError("weingarten case needs a weingarten/1 file")
+    field = grid_field(data, "field", *header_pair(data, "nu", int))
+    return WeingartenData(
+        *(number_list(data, key) for key in ("t", "f", "g")),
+        Grid2(*header_pair(data, "origin", float), *header_pair(data, "spacing", float), field),
+        header_number(data, "A"), header_number(data, "B"),
+        BaseIndex(*header_pair(data, "base_index", int)))
 
 
 def write_obj(mesh: SurfaceMesh, path: str) -> None:

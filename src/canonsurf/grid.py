@@ -9,10 +9,10 @@ layers, composite trapezoid quadrature) gives every residual in the package a
 clean O(h^2) target; FOURTH_ORDER (five-point differences, quadrature of the
 cubic) serves the canonical map construction and the affine fit. The factor
 pair exp(-+P) of path_factors is built here only, and every caller names its
-stencil order. The cubic also resamples fields and inverts sampled maps
-(spline_at, spline_inverse_at), interpolates non-uniform samples
-(spline_slopes, spline_eval) and, as a tensor product, grids (bicubic_nodes,
-bicubic_at).
+stencil order. The cubic also integrates each step of the frame march
+(_step_integrals), inverts sampled maps (spline_inverse_at), interpolates
+non-uniform samples (spline_slopes, spline_eval) and, along u and then along
+v, resamples grids and evaluates them for the affine fit (tensor_at).
 
 On every interval the cubic is the Hermite cubic of its end values and end
 slopes (de Boor, A Practical Guide to Splines, 1978). The slopes are local:
@@ -208,14 +208,23 @@ def _deriv4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def _step_integrals(f: np.ndarray, h: float) -> np.ndarray:
+    """Integrals of the cubic along axis 0 over its n - 1 steps of length h,
+    h ((y_k + y_k+1)/2 + (s_k - s_k+1)/12) over step k for s the slopes per
+    step of _deriv4, formed in place as _deriv4 forms its interior."""
+    s = _deriv4(f, 1.0, 0)
+    out = s[:-1] - s[1:]
+    out /= 12.0
+    out += np.multiply(np.add(f[:-1], f[1:], out=s[:-1]), 0.5, out=s[:-1])
+    out *= h
+    return out
+
+
 def _cumint4(values: np.ndarray, h: float, i0: int, axis: int) -> np.ndarray:
     """Integral of the cubic along axis from node i0, signed as _signed_cumtrapz."""
-    # on each interval the cubic with end slopes s / h integrates to
-    # h ((y_k + y_k+1)/2 + (s_k - s_k+1)/12)
     f = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    s = _deriv4(f, 1.0, 0)
     total = np.zeros_like(f)
-    np.cumsum(h * (0.5 * (f[:-1] + f[1:]) + (s[:-1] - s[1:]) / 12.0), axis=0, out=total[1:])
+    np.cumsum(_step_integrals(f, h), axis=0, out=total[1:])
     return np.moveaxis(total - total[i0], 0, axis)
 
 
@@ -266,14 +275,26 @@ def _hermite(y0, y1, m0, m1, t: np.ndarray, order: int) -> np.ndarray:
     return (12.0 * t - 6.0) * (y0 - y1) + m0 * (6.0 * t - 4.0) + m1 * (6.0 * t - 2.0)
 
 
-def spline_at(y, pos) -> np.ndarray:
+def spline_at(y, s, pos, order: int) -> np.ndarray:
     """The cubic through uniformly spaced samples y along axis 0 (any
-    trailing shape) at the 1-D fractional node positions pos, 2.5 lying
-    midway between nodes 2 and 3; the end cubics extrapolate."""
-    y, pos = np.asarray(y, dtype=float), np.asarray(pos, dtype=float)
-    s = _deriv4(y, 1.0, 0)
+    trailing shape) with node slopes s per step, the package's cubic for
+    s = _deriv4(y, 1.0, 0), or its derivative of order 1 or 2 per step, at
+    the 1-D fractional node positions pos, 2.5 lying midway between nodes 2
+    and 3; the end cubics extrapolate."""
     k = np.clip(np.floor(pos).astype(int), 0, y.shape[0] - 2)
-    return _hermite(y[k], y[k + 1], s[k], s[k + 1], pos - k, 0)
+    return _hermite(y[k], y[k + 1], s[k], s[k + 1], pos - k, order)
+
+
+def tensor_at(values: np.ndarray, su: np.ndarray, pos_u, pos_v, order_u: int,
+              order_v: int) -> np.ndarray:
+    """The tensor cubic through values sampled on a uniform grid, (nu, nv)
+    plus any trailing shape, with u-slopes su = _deriv4(values, 1.0, 0), or
+    its derivative of order_u by u and order_v by v, per step, on the
+    fractional node positions pos_u x pos_v: the cubic along u on every
+    column, then along v."""
+    along_u = np.swapaxes(spline_at(values, su, pos_u, order_u), 0, 1)
+    del su  # a caller's temporary table is freed before the v pass, where resampling peaks
+    return np.swapaxes(spline_at(along_u, _deriv4(along_u, 1.0, 0), pos_v, order_v), 0, 1)
 
 
 def spline_inverse_at(y, yq) -> np.ndarray:
@@ -324,28 +345,3 @@ def spline_eval(x, y, s, xq, order: int) -> np.ndarray:
     t = (xq - x[k]) / h
     h = h.reshape(h.shape + (1,) * (y.ndim - 1))
     return _hermite(y[k], y[k + 1], h * s[k], h * s[k + 1], t, order) / h**order
-
-
-def bicubic_nodes(values) -> np.ndarray:
-    """Node table (nu, nv, 2, 2, ...) of the tensor cubic through values
-    sampled on a uniform grid, (nu, nv) plus any trailing shape: per node
-    [[value, v-slope], [u-slope, cross slope]], the slopes per step."""
-    y = np.asarray(values, dtype=float)
-    su = _deriv4(y, 1.0, 0)
-    return np.stack([np.stack([y, _deriv4(y, 1.0, 1)], axis=2),
-                     np.stack([su, _deriv4(su, 1.0, 1)], axis=2)], 2)
-
-
-def bicubic_at(nodes: np.ndarray, g: Grid2, u, v, order_u: int, order_v: int) -> np.ndarray:
-    """The tensor cubic of bicubic_nodes sampled on g's nodes, or its
-    derivative of order_u by u and order_v by v, at the parameter points
-    (u, v), 1-D arrays clamped to g's domain, as FITPACK's evaluators do."""
-    nu, nv = g.nu - 1, g.nv - 1
-    pu, pv = np.clip((u - g.u0) / g.du, 0.0, nu), np.clip((v - g.v0) / g.dv, 0.0, nv)
-    i, j = np.minimum(pu.astype(int), nu - 1), np.minimum(pv.astype(int), nv - 1)
-    # along u at the columns j and j + 1, values and v-slopes at once; then along v
-    cols = np.stack([j, j + 1], axis=1)
-    lo, hi = nodes[i[:, None], cols], nodes[i[:, None] + 1, cols]
-    r = _hermite(lo[:, :, 0], hi[:, :, 0], lo[:, :, 1], hi[:, :, 1], pu - i, order_u)
-    return (_hermite(r[:, 0, 0], r[:, 1, 0], r[:, 0, 1], r[:, 1, 1], pv - j, order_v)
-            / (g.du**order_u * g.dv**order_v))

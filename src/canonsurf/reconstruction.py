@@ -8,12 +8,12 @@ step is one rigid motion of the whole state, x' = x + p F and F' = Q F: a
 fourth-order Magnus step whose rotation Q is a Cayley map, orthogonal by
 construction, so the frames stay orthonormal to roundoff with no correction.
 The 12 entries of [p; Q] have a closed form in a few sums and products of the
-node and midpoint coefficients, formed for a block of steps on every line at
-once; a step that turns the frame by more than STEP_ANGLE_LIMIT refuses the
-grid as too coarse. What remains sequential is one homogeneous product
-[[1, p], [0, Q]] [x; F] per step. Node coefficients are the grid values;
-midpoint ones the Hermite cubic's with grid._deriv4's node slopes. The
-initial frame is projected once onto its nearest orthonormal triple.
+node coefficients (the grid values) and their integrals over the step (those
+of the package's cubic, grid._step_integrals), formed for a block of steps on
+every line at once; a step that turns the frame by more than STEP_ANGLE_LIMIT
+refuses the grid as too coarse. What remains sequential is one homogeneous
+product [[1, p], [0, Q]] [x; F] per step. The initial frame is projected once
+onto its nearest orthonormal triple.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
 from .grid import (
     BaseIndex,
     Grid2,
-    _deriv4,
+    _step_integrals,
     d_u,
     d_uu,
     d_v,
@@ -105,17 +105,6 @@ def _polar_factor(frames: np.ndarray) -> np.ndarray:
     return U @ Vt
 
 
-def _midpoint_coefficients(coef_values: np.ndarray) -> np.ndarray:
-    """Values of the package's cubic at the n - 1 interval midpoints t_k + h/2.
-
-    With s_k the five-point node slopes times h (grid._deriv4), the Hermite
-    cubic on [t_k, t_k+1] takes (y_k + y_k+1)/2 + (s_k - s_k+1)/8 at the midpoint.
-    """
-    y = coef_values
-    s = _deriv4(y, 1.0, 0)
-    return 0.5 * (y[:-1] + y[1:]) + 0.125 * (s[:-1] - s[1:])
-
-
 def _skew_polynomial(x, y, w, theta2, pairs) -> list:
     """Entries of I + x W + y W^2, as a nested 3x3 list, for the skew W with entries
     W_ij = -W_ji given as ((i, j), W_ij) pairs and W^2 = w w^T - theta2 I."""
@@ -127,12 +116,13 @@ def _skew_polynomial(x, y, w, theta2, pairs) -> list:
     return out
 
 
-def _step_maps(k0, km, k1, h: float, tangent: int, step: np.ndarray) -> np.ndarray:
+def _step_maps(k0, k1, integral, h: float, tangent: int, step: np.ndarray) -> np.ndarray:
     """One fourth-order Magnus step of the frame system in closed form, from
-    (steps, 3, lines) coefficients.
+    (steps, 3, lines) coefficients at the step's two nodes and their integrals
+    over the step.
 
     The rate is Y' = A Y with A = [[0, a e_t^T], [0, M]] and M = u e_t^T - e_t u^T,
-    u = b e_o - c e_n. The step's generator h/6 (A0 + 4 Am + A1) + h^2/12 [A1, A0]
+    u = b e_o - c e_n. The step's generator, the integral of A plus h^2/12 [A1, A0],
     is [[0, v^T], [0, W]], W skew with W_ot = beta, W_tn = gamma and W_on = delta.
     Q = cay((1 + theta^2/12) W) is orthogonal for every h and within O(theta^5) of
     exp(W); p = v^T (I + k W + m W^2), with k and m the series of (1 - cos theta)
@@ -140,16 +130,15 @@ def _step_maps(k0, km, k1, h: float, tangent: int, step: np.ndarray) -> np.ndarr
     Writes [p; Q] to step[:, :, 1:] of the (steps, 4, 4, lines) step array and
     returns theta^2, shaped (steps, lines).
     """
-    (a0, b0, c0), (am, bm, cm), (a1, b1, c1) = (np.moveaxis(k, 1, 0) for k in (k0, km, k1))
-    h1, h2 = h / 6.0, h * h / 12.0
-    beta = h1 * (b0 + 4.0 * bm + b1)
-    gamma = h1 * (c0 + 4.0 * cm + c1)
+    (a0, b0, c0), (a1, b1, c1) = (np.moveaxis(k, 1, 0) for k in (k0, k1))
+    ia, beta, gamma = np.moveaxis(integral, 1, 0)
+    h2 = h * h / 12.0
     delta = h2 * (b1 * c0 - b0 * c1)
     # entries in the order (t, o, n), written to the rows of e_t, e_o and the normal in F
     rows = (tangent - 1, 2 - tangent, 2)
     pairs = (((1, 0), beta), ((0, 2), gamma), ((1, 2), delta))
     w = (-delta, gamma, beta)
-    v = (h1 * (a0 + 4.0 * am + a1), h2 * (a0 * b1 - a1 * b0), h2 * (a1 * c0 - a0 * c1))
+    v = (ia, h2 * (a0 * b1 - a1 * b0), h2 * (a1 * c0 - a0 * c1))
     theta2 = beta * beta + gamma * gamma + delta * delta
     f = 1.0 + theta2 / 12.0
     s = f / (1.0 + 0.25 * f * f * theta2)
@@ -172,7 +161,7 @@ def _march(y0: np.ndarray, coef_values: np.ndarray, axis_coords: np.ndarray,
     n = axis_coords.size
     h = axis_coords[1] - axis_coords[0]
     node = np.ascontiguousarray(np.moveaxis(coef_values.reshape(n, -1, 3), -1, 1))
-    mid = _midpoint_coefficients(node)  # (n - 1, 3, lines)
+    integral = _step_integrals(node, h)  # (n - 1, 3, lines)
     lines = node.shape[-1]
     block = max(1, MARCH_STEP_LINES // lines)
     out = np.empty((n,) + y0.shape, dtype=float)
@@ -182,15 +171,15 @@ def _march(y0: np.ndarray, coef_values: np.ndarray, axis_coords: np.ndarray,
     steps[:, 0, 0] = 1.0
     for direction in (1, -1):
         # the backward march is a forward one along the reversed axis, where the
-        # step from k to k + 1 crosses interval k of the reversed midpoint table
-        nodes, mids, states = ((node, mid, out) if direction == 1 else
-                               (node[::-1], mid[::-1], out[::-1]))
+        # step from k to k + 1 crosses interval k of the reversed table backwards
+        nodes, integrals, states = ((node, integral, out) if direction == 1 else
+                                    (node[::-1], integral[::-1], out[::-1]))
         y = y0
         for b in range(k0 if direction == 1 else n - 1 - k0, n - 1, block):
             e = min(b + block, n - 1)
             block_steps = steps[:e - b]
-            theta2 = _step_maps(nodes[b:e], mids[b:e], nodes[b + 1:e + 1], direction * h,
-                                tangent, block_steps)
+            theta2 = _step_maps(nodes[b:e], nodes[b + 1:e + 1], direction * integrals[b:e],
+                                direction * h, tangent, block_steps)
             largest = float(np.max(theta2))
             if not largest <= STEP_ANGLE_LIMIT**2:  # also a NaN angle from non-finite rates
                 raise IntegrationError(

@@ -594,6 +594,15 @@ def test_special_weingarten_refuses_other_files(tmp_path, text):
     assert res.stderr == "canonsurf: error: weingarten case needs a weingarten/1 file\n"
 
 
+def test_special_weingarten_reports_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "wg.json"
+    path.write_text('{"format": "weingarten/1", "t": [0.3,')
+    res = run_cli("special", "--case", "weingarten", "--input", str(path))
+    assert res.returncode == 3
+    assert res.stderr.startswith("canonsurf: error: malformed weingarten file: "), res.stderr
+    assert len(res.stderr.splitlines()) == 1
+
+
 def test_outdir_env_redirects_relative_output(tmp_path):
     res = run_cli("analyze", "--surface", "torus", "--param", "R=2", "--param", "r=1",
                   "--u", "0:6.2832:17", "--v", "0:6.2832:17",

@@ -6,9 +6,8 @@ import pytest
 import canonsurf as cs
 from canonsurf.errors import DimensionError, MonotonicityError, ShapeMismatchError
 from canonsurf.grid import (FOURTH_ORDER, SECOND_ORDER, _cumint4, _deriv4, _diff,
-                            _signed_cumtrapz, bicubic_at, bicubic_nodes, path_exponent,
-                            same_geometry, spline_at, spline_eval, spline_inverse_at,
-                            spline_slopes)
+                            _signed_cumtrapz, path_exponent, same_geometry, spline_at,
+                            spline_eval, spline_inverse_at, spline_slopes, tensor_at)
 
 from helpers import five_point_slopes, grid_from_fn, observed_orders
 
@@ -228,8 +227,10 @@ def test_deriv4_is_exactly_zero_on_constants():
 
 
 def test_spline_at_needs_three_nodes():
+    # two nodes along v, where the tensor cubic forms the slopes itself
+    y = np.zeros((4, 2))
     with pytest.raises(DimensionError):
-        spline_at(np.zeros((2, 4)), [0.5])
+        tensor_at(y, _deriv4(y, 1.0, 0), [0.5], [0.5], 0, 0)
 
 
 def _random_samples(n, tail, seed):
@@ -267,7 +268,8 @@ def test_uniform_cubic_is_exact_on_polynomials(n, tail):
     y = _polynomial(cubic, x)
     pos = np.concatenate([np.arange(n - 1) + 0.5, [-0.4, n - 0.6]])
     want = _polynomial(cubic, -1.0 + h * pos)
-    assert np.max(np.abs(spline_at(y, pos) - want)) <= 1e-13 * np.max(np.abs(want))
+    got = spline_at(y, _deriv4(y, 1.0, 0), pos, 0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     powers = np.arange(1.0, 5.0).reshape((-1,) + (1,) * len(tail))
     anti = _polynomial(np.concatenate([np.zeros((1,) + tail), cubic / powers]), x)
     for i0 in (0, n // 2, n - 1):
@@ -285,7 +287,8 @@ def test_cubics_converge_at_fourth_order():
         t = np.linspace(0.0, 1.0, n)
         h = t[1]
         mid = np.arange(n - 1) + 0.5
-        errors["values"].append(np.max(np.abs(spline_at(np.sin(3.0 * t), mid)
+        y = np.sin(3.0 * t)
+        errors["values"].append(np.max(np.abs(spline_at(y, _deriv4(y, 1.0, 0), mid, 0)
                                               - np.sin(3.0 * h * mid))))
         errors["integrals"].append(np.max(np.abs(_cumint4(np.sin(3.0 * t), h, 0, 0)
                                                  - (1.0 - np.cos(3.0 * t)) / 3.0)))
@@ -426,9 +429,10 @@ def test_non_uniform_spline_raises_no_runtime_warning():
 
 @pytest.mark.parametrize("nu, nv", [(23, 31), (5, 6), (33, 17)])
 def test_bicubic_equals_scipy_rect_bivariate_spline(nu, nv):
-    # a non-square grid, points inside and beyond its edges (both clamp),
-    # values and derivatives up to the cross one. On a bicubic polynomial
-    # both this bicubic and RectBivariateSpline are exact
+    # a non-square grid, a tensor product of points inside and beyond its
+    # edges (clamped to the grid, as the affine fit clamps them and as
+    # FITPACK's evaluators do), values and derivatives up to the cross one.
+    # On a bicubic polynomial both tensor_at and RectBivariateSpline are exact
     from numpy.polynomial import polynomial as P
     from scipy.interpolate import RectBivariateSpline
 
@@ -438,17 +442,20 @@ def test_bicubic_equals_scipy_rect_bivariate_spline(nu, nv):
     values = P.polygrid2d(u, v, coeffs)
     ref = RectBivariateSpline(u, v, values)
     g = cs.Grid2.from_axes(u, v, values)
-    nodes = bicubic_nodes(np.stack([values, -2.0 * values], axis=-1))
-    pu, pv = rng.uniform(-0.1, 1.4, 500), rng.uniform(-0.6, 2.1, 500)
+    table = np.stack([values, -2.0 * values], axis=-1)
+    # sorted, as RectBivariateSpline evaluates a tensor product of sorted points
+    pu = np.clip(np.sort(rng.uniform(-0.1, 1.4, 25)), 0.0, 1.3)
+    pv = np.clip(np.sort(rng.uniform(-0.6, 2.1, 20)), -0.5, 2.0)
     for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        got = bicubic_at(nodes, g, pu, pv, dx, dy)
-        want = P.polyval2d(np.clip(pu, 0.0, 1.3), np.clip(pv, -0.5, 2.0),
-                           P.polyder(P.polyder(coeffs, dx, axis=0), dy, axis=1))
+        got = tensor_at(table, _deriv4(table, 1.0, 0), (pu - g.u0) / g.du, (pv - g.v0) / g.dv,
+                        dx, dy) / (g.du**dx * g.dv**dy)
+        assert got.shape == (pu.size, pv.size, 2)
+        want = P.polygrid2d(pu, pv, P.polyder(P.polyder(coeffs, dx, axis=0), dy, axis=1))
         # a derivative of order k by the step h carries h^-k times the roundoff
         tol = 1e-14 * np.max(np.abs(want)) / (g.du**dx * g.dv**dy)
-        assert np.max(np.abs(got[:, 0] - want)) <= tol, (dx, dy)
-        assert np.max(np.abs(got[:, 1] + 2.0 * want)) <= 2.0 * tol, (dx, dy)
-        assert np.max(np.abs(got[:, 0] - ref.ev(pu, pv, dx=dx, dy=dy))) <= tol, (dx, dy)
+        assert np.max(np.abs(got[..., 0] - want)) <= tol, (dx, dy)
+        assert np.max(np.abs(got[..., 1] + 2.0 * want)) <= 2.0 * tol, (dx, dy)
+        assert np.max(np.abs(got[..., 0] - ref(pu, pv, dx=dx, dy=dy))) <= tol, (dx, dy)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 33])
@@ -475,15 +482,19 @@ def test_cumint4_equals_spline_antiderivative(n, axis, width):
 
 
 def test_spline_at_reproduces_a_cubic():
-    # a cubic in the node position, with a trailing (2, 3) shape, at nodes,
-    # between them and just outside the ends
+    # a cubic in the node position, with a trailing (2, 3) shape, and its
+    # first two derivatives, at nodes, between them and just outside the ends
     n = 11
     coeffs = np.random.default_rng(5).standard_normal((4, 2, 3))
-    cubic = lambda p: sum(c * np.asarray(p)[:, None, None] ** k for k, c in enumerate(coeffs))
+    cubic = lambda p, d: sum(c * math.perm(k, d) * np.asarray(p)[:, None, None] ** (k - d)
+                             for k, c in enumerate(coeffs) if k >= d)
     pos = np.concatenate([np.arange(n), np.linspace(-0.4, n - 0.6, 37)])
-    got = spline_at(cubic(np.arange(n)), pos)
-    assert got.shape == (pos.size, 2, 3)
-    assert np.max(np.abs(got - cubic(pos))) <= 1e-13 * np.max(np.abs(cubic(pos)))
+    y = cubic(np.arange(n), 0)
+    for order in (0, 1, 2):
+        got = spline_at(y, _deriv4(y, 1.0, 0), pos, order)
+        assert got.shape == (pos.size, 2, 3)
+        want = cubic(pos, order)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), order
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 17, 64])
@@ -496,7 +507,8 @@ def test_spline_at_equals_scipy_hermite(n, width):
     y = rng.standard_normal((n, width))
     pos = rng.uniform(0.0, n - 1.0, 50)
     want = CubicHermiteSpline(np.arange(n), y, five_point_slopes(y), axis=0)(pos)
-    assert np.max(np.abs(spline_at(y, pos) - want)) <= 1e-13 * np.max(np.abs(y))
+    got = spline_at(y, _deriv4(y, 1.0, 0), pos, 0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(y))
 
 
 def test_spline_inverse_is_exact_on_affine_maps():

@@ -94,16 +94,22 @@ def _canonical_grid(name, base, mode):
 def test_swapped_chart_reports_swapped(name, mode, i, j):
     # B is canonical about another base and lists its axes in the other order;
     # the direction-labeled curvatures and the constants a, b trade places with
-    # them, and B's kh grid is the oriented one of that chart (to_kh)
+    # them, and B's kh grid is the oriented one of that chart (to_kh). The fit
+    # is the one against B in A's order, with the axes' numbers exchanged
     centre = AFFINE_N // 2
     inv_a = _canonical_grid(name, cs.BaseIndex(centre, centre), mode)
-    swapped = _transposed(_canonical_grid(name, cs.BaseIndex(i, j), "nu"))
+    inv_b = _canonical_grid(name, cs.BaseIndex(i, j), "nu")
+    swapped = _transposed(inv_b)
     if mode == "kh":
-        swapped = swapped.to_kh()
+        inv_b, swapped = inv_b.to_kh(), swapped.to_kh()
     m = cs.check_affine_equivalence(inv_a, swapped)
     assert m.swapped
     assert m.misfit <= 1e-6, m.misfit
     assert abs(abs(m.lam) - 1.0) < 1e-3 and abs(abs(m.mu) - 1.0) < 1e-3, (m.lam, m.mu)
+    ref = cs.check_affine_equivalence(inv_a, inv_b)
+    assert not ref.swapped
+    gaps = (m.lam - ref.mu, m.mu - ref.lam, m.c1 - ref.c2, m.c2 - ref.c1, m.misfit - ref.misfit)
+    assert max(map(abs, gaps)) <= 1e-12, gaps
 
 
 def _canonical_chart(entry, u_range, n, base_frac):
