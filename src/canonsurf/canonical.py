@@ -62,7 +62,7 @@ AFFINE_LM_MAX_NFEV = 300  # evaluations of the fit's residual, 100 (n + 1) for n
 AXIS_SNAP = 1e-9
 
 
-def require_positive_discriminant(K: np.ndarray, H: np.ndarray) -> np.ndarray:
+def require_positive_discriminant(K: np.ndarray, H: np.ndarray) -> None:
     disc = H * H - K
     floor = DISCRIMINANT_RTOL * np.maximum(1.0, np.maximum(H * H, np.abs(K)))
     if np.any(disc <= floor):
@@ -71,7 +71,6 @@ def require_positive_discriminant(K: np.ndarray, H: np.ndarray) -> np.ndarray:
             f"H^2 - K = {disc[worst]:.3e} at node {tuple(int(w) for w in worst)} is not above "
             f"{floor[worst]:.3e} = {DISCRIMINANT_RTOL:g} * max(1, H^2, |K|), the floor for its "
             "cancellation error of about eps * H^2 (nu mode has no such floor)")
-    return disc
 
 
 @dataclass(frozen=True)
@@ -393,8 +392,8 @@ def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> Affi
         return [(lo[k] <= x) & (x <= hi[k]) for k, x in enumerate(image)]
 
     def fields_at(image, masks, d):
-        # B's fields, or a derivative, on the tensor product of the kept images,
-        # at node positions clamped to the grid as FITPACK's evaluators clamp them
+        # B's fields, or a derivative, on the tensor product of the kept images, at
+        # node positions clamped to B's grid against roundoff past its ends
         pos = [np.clip((x[m] - lo[k]) / cell_b[k], 0.0, last_b[k])
                for k, (x, m) in enumerate(zip(image, masks))]
         return tensor_at(fields_b, slopes_b, *pos, *d) / np.prod(cell_b**d)

@@ -20,7 +20,7 @@ from . import canonical, compatibility, formats, invariants, reconstruction, spe
 from .catalog import CATALOG_NAMES, make_entry, make_revolution_entry, sample_surface
 from .errors import CanonsurfError, CompatibilityWarning, UmbilicError
 from .grid import BaseIndex
-from .reports import interior
+from .reports import make_report
 
 EXIT_OK = 0
 EXIT_UMBILIC = 2
@@ -251,7 +251,7 @@ def _reconstruction_diagnostics(mesh, inv):
     E, G, L, N = reconstruction.coefficients_from_invariants(inv)
     jets = reconstruction.finite_difference_jets(mesh)
     forms = invariants.fundamental_forms_grid(jets)
-    err = lambda got, want: float(np.max(np.abs(interior(got.values - want.values))))
+    err = lambda got, want: make_report("error", got.like(got.values - want.values)).max_abs
     i0, j0 = inv.base.i0, inv.base.j0
     return {
         "format": "reconstruction-report/1",

@@ -1,16 +1,16 @@
 """Numerical residuals of the compatibility equations.
 
-Evaluators for the general Gauss and Codazzi equations of an arbitrary chart,
-their principal-chart forms, and the canonical-parameter equation that ties a
-pair of invariant fields (nu1, nu2) or (K, H) to an actual surface; (K, H)
-data are read as (nu1, nu2), so one equation serves both. Residuals
-converge as O(h^2) on compatible data and stall at a floor on incompatible
-data; `compatibility_floor` turns that contrast into a yes/no test.
+Evaluators for the general Gauss and Codazzi equations of any chart, which also
+give a principal chart's Gauss residual, the principal-chart Codazzi equations,
+and the canonical-parameter equation that ties invariant fields (nu1, nu2) or
+(K, H) to an actual surface, (K, H) read as (nu1, nu2). Residuals converge as
+O(h^2) on compatible data and stall at a floor on incompatible data;
+`compatibility_floor` turns that contrast into a yes/no test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,15 +86,11 @@ def codazzi_residual_principal(nu1: Grid2, nu2: Grid2, E: Grid2, G: Grid2):
 
 
 def gauss_residual_principal(forms: FormGrid) -> ResidualReport:
-    """Gauss equation residual in a principal chart (F = M = 0)."""
-    E, G = forms.E.values, forms.G.values
-    if not is_principal(E, forms.F.values, G, forms.M.values):
+    """Gauss equation residual in a principal chart (F = M = 0): the general
+    residual, whose determinant term then vanishes and whose W is sqrt(EG)."""
+    if not is_principal(forms.E.values, forms.F.values, forms.G.values, forms.M.values):
         raise NotPrincipalError("the principal-chart Gauss equation needs F = M = 0")
-    geo = forms.geometry
-    root = np.sqrt(E * G)
-    lhs = forms.L.values * forms.N.values / (E * G)
-    rhs = -(d_v(d_v(E, geo) / root, geo) + d_u(d_u(G, geo) / root, geo)) / (2.0 * root)
-    return make_report("gauss-principal", geo.like(lhs - rhs))
+    return replace(gauss_residual_general(forms), name="gauss-principal")
 
 
 def canonical_factors(inv: InvariantGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -163,25 +163,23 @@ def d_vv(values: np.ndarray, g: Grid2) -> np.ndarray:
     return _second_diff(values, g.dv, axis=1)
 
 
-def _cumtrapz(values: np.ndarray, steps, axis: int) -> np.ndarray:
-    """Composite trapezoid integral along axis from index 0, which holds 0.
+def _anchored_sum(f: np.ndarray, step_integrals: np.ndarray, i0: int, axis: int) -> np.ndarray:
+    # running sum along axis 0 of f's step integrals, exactly 0 at node i0
+    # (nodes before it carry the negative of the reversed integral), moved to axis
+    total = np.zeros_like(f)
+    np.cumsum(step_integrals, axis=0, out=total[1:])
+    return np.moveaxis(total - total[i0], 0, axis)
+
+
+def _cumtrapz(values: np.ndarray, steps, i0: int, axis: int) -> np.ndarray:
+    """Composite trapezoid integral along axis from node i0, which holds 0.
 
     steps is the spacing: a scalar, or the n - 1 steps of a 1-D input (a
-    column of them for a 2-D one along axis 0). The arithmetic is
+    column of them for a 2-D one along axis 0). From node 0 the arithmetic is
     scipy.integrate.cumulative_trapezoid's, so the results are bitwise equal to it.
     """
     f = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    total = np.zeros_like(f)
-    np.cumsum(steps * (f[1:] + f[:-1]) / 2.0, axis=0, out=total[1:])
-    return np.moveaxis(total, 0, axis)
-
-
-def _signed_cumtrapz(values: np.ndarray, h: float, i0: int, axis: int) -> np.ndarray:
-    """Trapezoid integral along axis from index i0, which holds exactly 0;
-    nodes before i0 carry the negative of the reversed integral."""
-    total = _cumtrapz(values, h, axis)
-    anchor = np.take(total, [i0], axis=axis)
-    return total - anchor
+    return _anchored_sum(f, steps * (f[1:] + f[:-1]) / 2.0, i0, axis)
 
 
 def _deriv4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -221,15 +219,13 @@ def _step_integrals(f: np.ndarray, h: float) -> np.ndarray:
 
 
 def _cumint4(values: np.ndarray, h: float, i0: int, axis: int) -> np.ndarray:
-    """Integral of the cubic along axis from node i0, signed as _signed_cumtrapz."""
+    """Integral of the cubic along axis from node i0, signed as _cumtrapz."""
     f = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    total = np.zeros_like(f)
-    np.cumsum(_step_integrals(f, h), axis=0, out=total[1:])
-    return np.moveaxis(total - total[i0], 0, axis)
+    return _anchored_sum(f, _step_integrals(f, h), i0, axis)
 
 
 # (diff(values, h, axis), cumint(values, h, k0, axis)) stencil pairs of path_exponent
-SECOND_ORDER = (_diff, _signed_cumtrapz)
+SECOND_ORDER = (_diff, _cumtrapz)
 FOURTH_ORDER = (_deriv4, _cumint4)
 
 

@@ -88,6 +88,14 @@ class UmbilicReport:
         return self.count > 0
 
 
+def _metric_determinant(E, F, G):
+    """EG - F^2; RegularityError unless it and E are positive at every node."""
+    W2 = E * G - F * F
+    if np.any(W2 <= 0) or np.any(E <= 0):
+        raise RegularityError("EG - F^2 is not positive")
+    return W2
+
+
 def _forms_arrays(xu, xv, xuu, xuv, xvv):
     dot = lambda a, b: np.einsum("...k,...k->...", a, b)
     E = dot(xu, xu)
@@ -101,10 +109,7 @@ def _forms_arrays(xu, xv, xuu, xuv, xvv):
     L = dot(xuu, n)
     M = dot(xuv, n)
     N = dot(xvv, n)
-    W2 = E * G - F * F
-    if np.any(W2 <= 0):
-        raise RegularityError("EG - F^2 is not positive")
-    return E, F, G, L, M, N, np.sqrt(W2)
+    return E, F, G, L, M, N, np.sqrt(_metric_determinant(E, F, G))
 
 
 def fundamental_forms(jet: Jet2) -> FormCoefficients:
@@ -127,7 +132,7 @@ def is_principal(E, F, G, M) -> bool:
 
 
 def _curvature_arrays(E, F, G, L, M, N, principal_chart: bool):
-    W2 = E * G - F * F
+    W2 = _metric_determinant(E, F, G)
     K = (L * N - M * M) / W2
     H = (E * N - 2.0 * F * M + G * L) / (2.0 * W2)
     if principal_chart:
@@ -170,6 +175,7 @@ def curvatures_grid(forms: FormGrid, principal_chart: bool) -> CurvatureGrid:
 def normal_curvature(forms: FormCoefficients, direction) -> float:
     """Normal curvature of the tangent direction (du, dv); scale-invariant."""
     a, b = (float(q) for q in direction)
+    _metric_determinant(forms.E, forms.F, forms.G)
     denom = forms.E * a * a + 2.0 * forms.F * a * b + forms.G * b * b
     if denom <= 0.0:
         raise DegenerateDirectionError("direction must be a nonzero tangent vector")
@@ -183,6 +189,7 @@ def geodesic_curvatures_of_parametric_lines(forms: FormGrid):
     gamma2 = G_u/(2 G sqrt(E)), with the shared second-order stencils.
     """
     E, G = forms.E, forms.G
+    _metric_determinant(E.values, forms.F.values, G.values)
     if not is_principal(E.values, forms.F.values, G.values, forms.M.values):
         raise NotPrincipalError("geodesic curvatures of parametric lines need F = M = 0")
     E_v = d_v(E.values, E)

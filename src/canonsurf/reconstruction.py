@@ -192,14 +192,11 @@ def _march(y0: np.ndarray, coef_values: np.ndarray, axis_coords: np.ndarray,
     return out
 
 
-def _u_coefficients(E, G, L):
-    sqrtE = np.sqrt(E.values)
-    return np.stack([sqrtE, d_v(sqrtE, E) / np.sqrt(G.values), L.values / sqrtE], axis=-1)
-
-
-def _v_coefficients(E, G, N):
-    sqrtG = np.sqrt(G.values)
-    return np.stack([sqrtG, d_u(sqrtG, G) / np.sqrt(E.values), N.values / sqrtG], axis=-1)
+def _line_coefficients(metric: Grid2, other: Grid2, second: Grid2, across) -> np.ndarray:
+    # the (a, b, c) rates of _step_maps on the lines along which metric is E or G
+    root = np.sqrt(metric.values)
+    return np.stack([root, across(root, metric) / np.sqrt(other.values), second.values / root],
+                    axis=-1)
 
 
 def _frame_coefficients(E: Grid2, G: Grid2, L: Grid2, N: Grid2, init: FrameState,
@@ -211,7 +208,7 @@ def _frame_coefficients(E: Grid2, G: Grid2, L: Grid2, N: Grid2, init: FrameState
         raise IntegrationError("initial frame is not orthonormal")
     if np.linalg.det(np.array([init.e1, init.e2, init.n])) <= 0:
         raise IntegrationError("initial frame must be right-handed")
-    return _u_coefficients(E, G, L), _v_coefficients(E, G, N)  # each (nu, nv, 3)
+    return _line_coefficients(E, G, L, d_v), _line_coefficients(G, E, N, d_u)  # each (nu, nv, 3)
 
 
 def _integrate_states(cu: np.ndarray, cv: np.ndarray, geometry: Grid2, init: FrameState,

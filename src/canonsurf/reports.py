@@ -16,7 +16,7 @@ DEFAULT_MARGIN = 2
 class ResidualReport:
     """A named residual field with interior statistics.
 
-    max_abs and rms are taken over the grid minus `margin` boundary layers,
+    max_abs and rms are taken over the grid minus DEFAULT_MARGIN boundary layers,
     where the one-sided stencils would otherwise pollute convergence rates.
     """
 
@@ -24,14 +24,13 @@ class ResidualReport:
     residual: Grid2
     max_abs: float
     rms: float
-    margin: int
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "max_abs": self.max_abs,
             "rms": self.rms,
-            "margin": self.margin,
+            "margin": DEFAULT_MARGIN,
             "grid_shape": [self.residual.nu, self.residual.nv],
         }
 
@@ -50,5 +49,4 @@ def make_report(name: str, residual: Grid2) -> ResidualReport:
     if not (np.isfinite(max_abs) and np.isfinite(rms)):
         raise RangeError(f"{name} residual is not finite (interior max abs {max_abs}, "
                          f"rms {rms})")
-    return ResidualReport(name=name, residual=residual, max_abs=max_abs, rms=rms,
-                          margin=DEFAULT_MARGIN)
+    return ResidualReport(name=name, residual=residual, max_abs=max_abs, rms=rms)

@@ -90,7 +90,7 @@ def weingarten_residual(data: WeingartenData) -> ResidualReport:
     fg = np.stack([f, g], axis=1)
     fg_s = data._fg_slopes
     # antiderivatives of g'/(g-f) and f'/(f-g)
-    anti = _cumtrapz(fg_s[:, ::-1] / (fg[:, ::-1] - fg), np.diff(t)[:, None], 0)
+    anti = _cumtrapz(fg_s[:, ::-1] / (fg[:, ::-1] - fg), np.diff(t)[:, None], 0, 0)
 
     # at every node and, last, at the base value nu0
     nodes = data.nu.values

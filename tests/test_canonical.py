@@ -123,6 +123,18 @@ class TestResample:
         assert abs(geo.v_axis[inv.base.j0]) < 1e-12
 
 
+    def test_image_too_small_for_a_grid_rejected(self):
+        # E = e^{3u}, G = 1 and constant nu give ubar = [-0.0928, 0, 0.1079]: the
+        # base image falls between the nodes of the axis through the image's
+        # ends, and a node-aligned axis keeps 2 of the 3 nodes
+        u, v = np.linspace(-0.1, 0.1, 3), np.linspace(0.0, 1.0, 9)
+        E = cs.Grid2.from_axes(u, v, np.exp(3.0 * u)[:, None] * np.ones(9))
+        one = E.like(np.ones((3, 9)))
+        minus = one.like(-one.values)
+        maps = cs.build_canonical_maps(E, one, one, minus, cs.BaseIndex(1, 4))
+        with pytest.raises(RangeError, match="canonical image too small to carry a grid"):
+            cs.resample_to_canonical(maps, one, minus)
+
     def test_maps_of_another_grid_rejected(self):
         *_, maps = _chart_pipeline("cylinder", (0, 2), (0, 2), 17, 17, r=1.0)
         _, _, curv, _, _ = _chart_pipeline("cylinder", (0, 2), (0, 2), 21, 17, r=1.0)

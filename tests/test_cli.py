@@ -494,6 +494,19 @@ def test_special_all_exits_3_when_no_class_evaluates(tmp_path):
     assert "flat: mean curvature vanishes" in res.stderr
 
 
+@pytest.mark.parametrize("h", [0.0, 0.5])
+def test_special_cmc_takes_the_given_mean_curvature(tmp_path, capsys, h):
+    # without the option the CMC case takes the grid's mean H, 0 on a catenoid
+    path = str(tmp_path / "cat.json")
+    formats.write_invariant_grid(canonical_grid("catenoid", (-1, 1), (0, math.pi), 33,
+                                                cs.BaseIndex(9, 20), "nu"), path)
+    inv = formats.read_invariant_grid(path)
+    assert cli.main(["special", "--case", "cmc", "--mean-curvature", str(h),
+                     "--input", path]) == 0
+    want = cs.cmc_residual(inv.geometry.like(inv.kh_arrays()[0]), h, *inv.kh_constants())
+    assert json.loads(capsys.readouterr().out)["residuals"][0]["max_abs"] == want.max_abs
+
+
 def test_special_minimal_off_centre_base_uses_kh_constants(tmp_path):
     # about an off-centre base the nu-mode a = E(base) = cosh^2(u_base) != 1;
     # with those constants the residual stalled at 0.297 on every grid

@@ -93,7 +93,8 @@ class TestCodazziGeneral:
         assert 3.0 < errs[0] / errs[1] < 5.0
 
 
-@pytest.mark.parametrize("residual", [cs.gauss_residual_general, cs.codazzi_residual_general])
+@pytest.mark.parametrize("residual", [cs.gauss_residual_general, cs.codazzi_residual_general,
+                                      cs.gauss_residual_principal])
 def test_general_residuals_reject_vanishing_w(residual):
     _, forms, *_ = sample_chart("plane", (-1, 1), (-1, 1), 9)
     W = forms.W.values.copy()

@@ -5,8 +5,8 @@ import pytest
 
 import canonsurf as cs
 from canonsurf.errors import DimensionError, MonotonicityError, ShapeMismatchError
-from canonsurf.grid import (FOURTH_ORDER, SECOND_ORDER, _cumint4, _deriv4, _diff,
-                            _signed_cumtrapz, path_exponent, same_geometry, spline_at,
+from canonsurf.grid import (FOURTH_ORDER, SECOND_ORDER, _cumint4, _cumtrapz, _deriv4,
+                            _diff, path_exponent, same_geometry, spline_at,
                             spline_eval, spline_inverse_at, spline_slopes, tensor_at)
 
 from helpers import five_point_slopes, grid_from_fn, observed_orders
@@ -102,14 +102,14 @@ def test_second_derivative_needs_four_nodes(shape, short):
 def test_cumulative_integral_constant_exact():
     # binary-representable spacing: trapezoid on a constant is exact, bit for bit
     g = grid_from_fn(lambda u, v: 1.0 + 0 * u + 0 * v, (0, 1.25), (0, 1), 11)
-    out = _signed_cumtrapz(g.values, g.du, 0, axis=0)
+    out = _cumtrapz(g.values, g.du, 0, axis=0)
     expected = 0.125 * np.arange(11)[:, None] * np.ones((11, 11))
     assert np.max(np.abs(out - expected)) == 0.0
 
 
 def test_cumulative_integral_signed_from_interior_base():
     g = grid_from_fn(lambda u, v: 1.0 + 0 * u + 0 * v, (0, 1.25), (0, 1), 11)
-    out = _signed_cumtrapz(g.values, g.du, 2, axis=0)
+    out = _cumtrapz(g.values, g.du, 2, axis=0)
     assert out[2, 4] == 0.0
     assert out[0, 3] == -0.25
 
@@ -120,7 +120,7 @@ def test_cumulative_integral_cos_order():
         u = np.linspace(0.0, 1.0, n)
         du = u[1] - u[0]
         g = cs.Grid2(0.0, 0.0, du, 1.0, np.cos(u)[:, None] * np.ones((n, 3)))
-        out = _signed_cumtrapz(g.values, g.du, 0, axis=0)
+        out = _cumtrapz(g.values, g.du, 0, axis=0)
         errs.append(np.max(np.abs(out - np.sin(u)[:, None])))
     assert 3.0 < errs[0] / errs[1] < 5.0
 
@@ -135,7 +135,7 @@ def test_cumulative_integrals_equal_scipy_bitwise(k):
         k0 = {"first": 0, "interior": n // 3, "last": n - 1}[k]
         total = cumulative_trapezoid(g.values, dx=h, axis=axis, initial=0.0)
         want = total - np.take(total, [k0], axis=axis)
-        assert np.array_equal(_signed_cumtrapz(g.values, h, k0, axis), want)
+        assert np.array_equal(_cumtrapz(g.values, h, k0, axis), want)
 
 
 def test_derivative_then_integral_roundtrip_order():
@@ -143,7 +143,7 @@ def test_derivative_then_integral_roundtrip_order():
     for n in (33, 65):
         g = grid_from_fn(lambda u, v: np.sin(2 * u) * np.cos(v), (0, 1), (0, 1), n)
         base = cs.BaseIndex(n // 2, 0)
-        back = _signed_cumtrapz(cs.d_u(g.values, g), g.du, base.i0, axis=0)
+        back = _cumtrapz(cs.d_u(g.values, g), g.du, base.i0, axis=0)
         expected = g.values - g.values[base.i0 : base.i0 + 1, :]
         errs.append(np.max(np.abs(back - expected)))
     assert 3.0 < errs[0] / errs[1] < 5.0
@@ -161,8 +161,8 @@ def test_operations_are_pure():
     a = cs.d_u(g.values, g)
     b = cs.d_u(g.values, g)
     assert np.array_equal(a, b)
-    c = _signed_cumtrapz(g.values, g.dv, 7, axis=1)
-    d = _signed_cumtrapz(g.values, g.dv, 7, axis=1)
+    c = _cumtrapz(g.values, g.dv, 7, axis=1)
+    d = _cumtrapz(g.values, g.dv, 7, axis=1)
     assert np.array_equal(c, d)
 
 
@@ -202,8 +202,8 @@ def test_path_exponent_matches_cumulative_integrals():
     g = grid_from_fn(lambda u, v: np.sin(2 * u) + u * v * v, (0, 1), (0, 2), 21, 17)
     gap = 1.0 + 0.1 * g.values
     base = cs.BaseIndex(6, 11)
-    line = _signed_cumtrapz(cs.d_v(g.values, g) / gap, g.dv, base.j0, axis=1)
-    want = (_signed_cumtrapz(cs.d_u(g.values, g) / gap, g.du, base.i0, axis=0)
+    line = _cumtrapz(cs.d_v(g.values, g) / gap, g.dv, base.j0, axis=1)
+    want = (_cumtrapz(cs.d_u(g.values, g) / gap, g.du, base.i0, axis=0)
             + line[base.i0][None, :])
     assert np.array_equal(path_exponent(g.values, gap, g, base, 0, SECOND_ORDER), want)
 

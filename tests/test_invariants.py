@@ -87,6 +87,26 @@ def test_principal_flag_rejected_on_skew_chart():
         cs.curvatures(f, principal_chart=True)
 
 
+_NON_REGULAR_ENTRY_POINTS = {
+    "curvatures": lambda point, grid: cs.curvatures(point, principal_chart=False),
+    "curvatures_grid": lambda point, grid: cs.curvatures_grid(grid, principal_chart=True),
+    "normal_curvature": lambda point, grid: cs.normal_curvature(point, (1.0, 0.5)),
+    "geodesic": lambda point, grid: cs.geodesic_curvatures_of_parametric_lines(grid),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NON_REGULAR_ENTRY_POINTS))
+@pytest.mark.parametrize("E, F, G", [(1.0, 1.0, 1.0), (1.0, 0.0, -1.0), (1.0, 0.0, 0.0),
+                                     (-1.0, 0.0, -1.0)])
+def test_non_regular_metric_rejected(E, F, G, entry):
+    # EG - F^2 vanishes or is negative, or E is: no curvature is defined
+    point = cs.FormCoefficients(E, F, G, 1.0, 0.0, 1.0, 0.0)
+    g = cs.Grid2(0.0, 0.0, 0.1, 0.1, np.zeros((5, 5)))
+    grid = cs.FormGrid(*(g.like(np.full((5, 5), q)) for q in (E, F, G, 1.0, 0.0, 1.0, 0.0)))
+    with pytest.raises(RegularityError, match=r"EG - F\^2 is not positive"):
+        _NON_REGULAR_ENTRY_POINTS[entry](point, grid)
+
+
 class TestNormalCurvature:
     cyl = cs.FormCoefficients(E=1.0, F=0.0, G=1.0, L=-1.0, M=0.0, N=0.0, W=1.0)
 

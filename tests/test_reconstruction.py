@@ -11,6 +11,7 @@ from canonsurf import reconstruction
 from canonsurf.errors import (
     CompatibilityWarning,
     IntegrationError,
+    PositivityError,
     RangeError,
     ShapeMismatchError,
 )
@@ -112,6 +113,16 @@ class TestCoefficients:
             errs.append(max(np.max(np.abs(E.values - 1.0)),
                             np.max(np.abs(G.values - rad2))))
         assert 3.0 < errs[0] / errs[1] < 5.0
+
+    def test_vanishing_factor_rejected(self):
+        # nu1 - nu2 = 1e-6 and both fall by 1 along v from the base node at v = 0:
+        # Psi2 = exp(-1e6 v) underflows to 0, so G = 0, while Psi1 overflows
+        n = 17
+        t = np.linspace(0.0, 1.0, n)
+        g = cs.Grid2.from_axes(t, t, np.ones((n, 1)) * (1.0 - t)[None, :])
+        inv = cs.InvariantGrid("nu", g, g.like(g.values - 1e-6), 1.0, 1.0, cs.BaseIndex(8, 0))
+        with np.errstate(over="ignore"), pytest.raises(PositivityError):
+            cs.coefficients_from_invariants(inv)
 
     def test_kh_mode_matches_nu_mode(self):
         inv, _, _ = catenoid_invariants(65)

@@ -51,7 +51,7 @@ class TestWeingarten:
         t = 0.4 + np.linspace(0.0, 1.0, 201) ** 1.5
         data = cs.WeingartenData(t, t**2 + 1.0, -t, nu, 1.0, 1.0, cs.BaseIndex(n // 2, n // 2))
         got = cs.weingarten_residual(data).residual.values
-        monkeypatch.setattr(special_surfaces, "_cumtrapz", lambda y, steps, axis:
+        monkeypatch.setattr(special_surfaces, "_cumtrapz", lambda y, steps, i0, axis:
                             cumulative_trapezoid(y, x=t, axis=axis, initial=0.0))
         want = cs.weingarten_residual(data).residual.values
         assert np.array_equal(got, want)
