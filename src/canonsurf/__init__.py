@@ -65,7 +65,7 @@ from .special_surfaces import (
 )
 
 # the frozen benchmark still calls the former kh route by name; its next revision
-# (ROADMAP item 8) removes this alias
+# (ROADMAP item 2) removes this alias
 gauss_residual_canonical_kh = gauss_residual_canonical
 
 __version__ = "0.1.0"

@@ -80,8 +80,8 @@ class InvariantGrid:
     mode "nu": field1 = nu1, field2 = nu2 (direction-labeled, need not be
     ordered by size). mode "kh": field1 = K, field2 = H, and a, b carry the
     H^2 - K weighted normalization (a = E * sqrt(H^2 - K) at the base). In kh
-    mode nu1 = H + sqrt(H^2 - K), the larger curvature, lies along u; to_kh
-    picks the normal that makes it so.
+    mode nu1 = H + sqrt(H^2 - K), the larger curvature, lies along u;
+    kh_arrays and to_kh pick the normal that makes it so.
     """
 
     mode: str
@@ -122,10 +122,12 @@ class InvariantGrid:
         return H + root, H - root
 
     def kh_arrays(self):
+        """(K, H) arrays; in nu mode nu1 nu2 and normal_sign() (nu1 + nu2) / 2,
+        the mean curvature of the normal that puts the larger curvature along u."""
         if self.mode == "kh":
             return self.field1.values, self.field2.values
         n1, n2 = self.field1.values, self.field2.values
-        return n1 * n2, 0.5 * (n1 + n2)
+        return n1 * n2, self.normal_sign() * (0.5 * (n1 + n2))
 
     def kh_constants(self) -> tuple[float, float]:
         """(a, b) in kh mode: a nu grid's constants times sqrt(H^2 - K) at the base node."""
@@ -155,14 +157,13 @@ class InvariantGrid:
                            "cross, so no normal puts the larger curvature along u")
 
     def to_kh(self) -> "InvariantGrid":
-        """The same surface in kh mode, with the constants of kh_constants() and
-        H times normal_sign()."""
+        """The same surface in kh mode: the fields of kh_arrays() and the
+        constants of kh_constants()."""
         if self.mode == "kh":
             return self
         K, H = self.kh_arrays()
         like = self.geometry.like
-        return InvariantGrid("kh", like(K), like(self.normal_sign() * H), *self.kh_constants(),
-                             self.base)
+        return InvariantGrid("kh", like(K), like(H), *self.kh_constants(), self.base)
 
     @property
     def geometry(self) -> Grid2:
@@ -312,27 +313,29 @@ def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> Affi
     """Affine map ubar = lam*u + c1, vbar = mu*v + c2 from canonical chart A onto B
     (with A's u and v exchanged when `swapped`) under which the curvature fields agree.
 
-    Both grids are read in nu mode, through nu_arrays() and nu_constants().
-    The canonical transformation law ties all four numbers to the image q of
-    B's base point in A: lam = sqrt(a_A / a_B) Psi1_A(q), mu = sqrt(b_A / b_B)
-    Psi2_A(q), and the offsets send q to B's base node; a swapped fit is that
-    of A transposed. q is seeded at the node of A whose fields come closest to
-    B's at its base. Every discrete choice (swap and the signs of lam and mu)
-    is scored at the seed, ties going to the unswapped axes and positive
-    slopes, and one Levenberg-Marquardt fit of q refines the best one. misfit
-    is the RMS discrepancy of (nu1, nu2) over A's samples whose image lies in
-    B's domain. Raises DimensionError when the grids' modes differ or either
-    grid has fewer than AFFINE_MIN_NODES nodes on an axis, and RangeError when
-    no choice maps a share AFFINE_MIN_OVERLAP of A's samples into B's domain.
+    Both grids are read in nu mode, through nu_arrays() and nu_constants(),
+    so either may be a nu or a kh grid. The canonical transformation law ties
+    all four numbers to the image q of B's base point in A: lam = sqrt(a_A /
+    a_B) Psi1_A(q), mu = sqrt(b_A / b_B) Psi2_A(q), and the offsets send q to
+    B's base node; a swapped fit is that of A transposed. A chart's order of
+    nu1 and nu2 is its normal_sign(), which a swap reverses, and a view of A
+    ordered unlike B is charted with the other normal: its curvatures are
+    negated. q is seeded at the node of A whose fields come closest to B's at
+    its base. Every discrete choice (swap and the signs of lam and mu) is
+    scored at the seed, ties going to the unswapped axes and positive slopes,
+    and one Levenberg-Marquardt fit of q refines the best one. misfit is the
+    RMS discrepancy of (nu1, nu2) over A's samples whose image lies in B's
+    domain. Raises DimensionError when either grid has fewer than
+    AFFINE_MIN_NODES nodes on an axis, UmbilicError when nu1 - nu2 changes sign
+    on either grid, and RangeError when no choice maps a share
+    AFFINE_MIN_OVERLAP of A's samples into B's domain.
     """
-    if inv_a.mode != inv_b.mode:
-        raise DimensionError(f"cannot match a {inv_a.mode}-mode grid against a "
-                             f"{inv_b.mode}-mode grid")
     for name, inv in (("A", inv_a), ("B", inv_b)):
         g = inv.geometry
         if min(g.nu, g.nv) < AFFINE_MIN_NODES:
             raise DimensionError(f"the affine fit needs at least {AFFINE_MIN_NODES} nodes "
                                  f"per axis, grid {name} has {g.nu}x{g.nv}")
+    order_a, order_b = inv_a.normal_sign(), inv_b.normal_sign()
     ga, gb = inv_a.geometry, inv_b.geometry
     nu1, nu2 = inv_a.nu_arrays()
     # with the fourth-order stencils of the maps
@@ -350,12 +353,13 @@ def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> Affi
     def chart_a(swapped):
         # A with its axes in B's order: transposed when swapped, which
         # exchanges the direction-labeled curvatures, their factors and the
-        # constants. kh grids put the larger curvature along u in both charts,
-        # so a swapped kh pair also has opposite normals, which negate the curvatures
+        # constants, and so reverses A's order; a view ordered unlike B has
+        # the other normal, which negates the curvatures
         fields, factors, geo = fields_a, factors_a, geo_a
+        if order_a * (-1.0 if swapped else 1.0) != order_b:
+            fields = -fields
         if swapped:
-            sign = -1.0 if inv_a.mode == "kh" else 1.0
-            fields, factors = (x.transpose(1, 0, 2)[..., ::-1] for x in (sign * fields, factors))
+            fields, factors = (x.transpose(1, 0, 2)[..., ::-1] for x in (fields, factors))
             geo = geo[:, ::-1]
         origin, cell, last, consts = geo
         u, v = (o + c * np.arange(n + 1) for o, c, n in zip(origin, cell, last))

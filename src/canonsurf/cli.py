@@ -154,23 +154,13 @@ def cmd_analyze(args) -> int:
         print(f"umbilic points detected on {umb.count} of {umb.total} nodes", file=sys.stderr)
         return EXIT_UMBILIC
     if args.save_invariants:
-        inv = _invariant_grid_from_chart(forms, curv, base, args.mode)
-        formats.write_invariant_grid(inv, _out_path(args.save_invariants))
+        # on the chart's own parameter grid, assumed canonical
+        a, b = (float(f.values[base.i0, base.j0]) for f in (forms.E, forms.G))
+        inv = canonical.InvariantGrid("nu", curv.nu1, curv.nu2, a, b, base)
+        formats.write_invariant_grid(inv.to_kh() if args.mode == "kh" else inv,
+                                     _out_path(args.save_invariants))
     _emit(report, args.output)
     return EXIT_OK
-
-
-def _invariant_grid_from_chart(forms, curv, base, mode):
-    """Invariant grid on the chart's own parameter grid (assumed canonical)."""
-    a = float(forms.E.values[base.i0, base.j0])
-    b = float(forms.G.values[base.i0, base.j0])
-    inv = canonical.InvariantGrid("nu", curv.nu1, curv.nu2, a, b, base)
-    if mode == "nu":
-        return inv
-    # the chart's own K and H: nu1 * nu2 and (nu1 + nu2) / 2 differ from them at
-    # roundoff; H takes the sign of to_kh, which puts the larger curvature along u
-    H = curv.H.like(inv.normal_sign() * curv.H.values)
-    return canonical.InvariantGrid("kh", curv.K, H, *inv.kh_constants(), base)
 
 
 def _canonicalize(entry, u_range, v_range, base_text: str | None, mode: str):

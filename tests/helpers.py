@@ -22,8 +22,9 @@ def run_cli(*args, env_extra=None):
 
 
 def sample_chart(name, u_range, v_range, n, base=None, **params):
-    """(jets, forms, curv, base) for a catalog chart on an n x n grid."""
-    entry = cs.make_entry(name, **params)
+    """(jets, forms, curv, base) on an n x n grid of a catalog chart, named or
+    given as its CatalogEntry."""
+    entry = name if isinstance(name, cs.CatalogEntry) else cs.make_entry(name, **params)
     u0, u1 = u_range
     v0, v1 = v_range
     jets = cs.sample_surface(entry, u0, (u1 - u0) / (n - 1), n, v0, (v1 - v0) / (n - 1), n)
@@ -140,3 +141,40 @@ def overflowing_invariants(n=33, scale=1e160):
     g = cs.Grid2(0.0, 0.0, 0.1, 0.1, np.full((n, n), scale))
     return cs.InvariantGrid("nu", g, g.like(np.full((n, n), -scale)), 1.0, 1.0,
                             cs.BaseIndex(n // 2, n // 2))
+
+
+def constant_invariants(nu1, nu2, n, du, dv, a=1.0, b=1.0):
+    """nu-mode grid of constant curvatures on an n x n grid about its centre."""
+    g = cs.Grid2(0.0, 0.0, du, dv, np.full((n, n), float(nu1)))
+    return cs.InvariantGrid("nu", g, g.like(np.full((n, n), float(nu2))), a, b,
+                            cs.BaseIndex(n // 2, n // 2))
+
+
+def random_frame(seed):
+    R = random_rotation(seed)
+    return cs.FrameState(np.zeros(3), R[0], R[1], R[2])
+
+
+def best_fit_axis_distances(mesh):
+    """Node distances to the best-fit cylinder axis.
+
+    The axis direction is orthogonal to every surface normal (the direction
+    of smallest singular value of the normal matrix); the cross-section circle
+    is fitted algebraically in the orthogonal plane.
+    """
+    pts = mesh.positions.values.reshape(-1, 3)
+    nrm = mesh.normals.values.reshape(-1, 3)
+    _, _, vt = np.linalg.svd(nrm - nrm.mean(axis=0) * 0.0, full_matrices=False)
+    axis = vt[-1]
+    # orthonormal basis of the cross-section plane
+    p = np.cross(axis, [1.0, 0.0, 0.0])
+    if np.linalg.norm(p) < 1e-6:
+        p = np.cross(axis, [0.0, 1.0, 0.0])
+    p /= np.linalg.norm(p)
+    q = np.cross(axis, p)
+    xy = np.stack([pts @ p, pts @ q], axis=1)
+    # algebraic circle fit: |z - c|^2 = r^2 linearized in (c, r^2 - |c|^2)
+    A = np.column_stack([2.0 * xy, np.ones(len(xy))])
+    sol, *_ = np.linalg.lstsq(A, (xy**2).sum(axis=1), rcond=None)
+    center = sol[:2]
+    return np.linalg.norm(xy - center, axis=1)

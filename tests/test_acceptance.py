@@ -15,13 +15,15 @@ from canonsurf.errors import DiscriminantError, MonotonicityError
 from canonsurf.reports import interior
 
 from helpers import (
+    best_fit_axis_distances,
     catenoid_invariants,
+    constant_invariants,
     observed_orders,
+    random_frame,
     run_cli,
     sample_chart,
     torus_invariants,
 )
-from test_reconstruction import best_fit_axis_distances, constant_invariants, random_frame
 
 
 def _criterion(num, desc, fn):

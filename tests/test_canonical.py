@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import canonsurf as cs
-from canonsurf import canonical
+from canonsurf import canonical, catalog
 from canonsurf.errors import CodazziViolation, MonotonicityError, UmbilicError
 from canonsurf.errors import DimensionError, DiscriminantError, RangeError
 
-from helpers import canonical_grid, catenoid_invariants, reparametrised_profile, torus_invariants
+from helpers import (canonical_grid, catenoid_invariants, cone_invariants, reparametrised_profile,
+                     torus_invariants)
 
 
 def _chart_pipeline(name, u_range, v_range, nu, nv, base=None, **params):
@@ -358,10 +359,39 @@ class TestAffineEquivalence:
         fit = canonical.least_squares(lambda x: design @ x - data, np.zeros(2), lambda x: design)
         assert (fit.status, fit.nfev) == (0, 2)
 
-    def test_mixed_modes_rejected(self):
-        inv, _, _ = torus_invariants(33)
-        with pytest.raises(DimensionError):
-            cs.check_affine_equivalence(inv, inv.to_kh())
+    @pytest.mark.parametrize("name, ranges, params", [
+        ("torus", ((0, 2 * math.pi), (0, 2 * math.pi)), {"R": 2.0, "r": 1.0}),
+        ("cone", ((0, 2), (0.5, 2.5)), {"alpha": 0.6}),
+    ])
+    def test_mixed_modes_fit_as_the_nu_pair(self, name, ranges, params):
+        # the fit reads both grids in nu mode; the cone's kh grid has the other
+        # normal (nu1 < nu2), which the order rule negates
+        inv_a, inv_b = _canonical_pair(name, *ranges, 65, (40, 24), "nu", **params)
+        want = cs.check_affine_equivalence(inv_a, inv_b)
+        assert want.misfit <= 1e-12
+        for pair in ((inv_a, inv_b.to_kh()), (inv_a.to_kh(), inv_b)):
+            m = cs.check_affine_equivalence(*pair)
+            assert m.swapped == want.swapped
+            assert abs(m.misfit - want.misfit) <= 1e-12, (m, want)
+
+    @pytest.mark.parametrize("mode", ["nu", "kh"])
+    @pytest.mark.parametrize("name", ["torus", "catenoid"])
+    def test_chart_with_the_angle_on_u_fits_swapped(self, name, mode):
+        # the same surface charted with u as the angle: the labels trade places
+        # and the normal flips, so in nu mode the swapped view of the standard
+        # chart has B's order only once negated
+        meridian = (catalog._circle_meridian(2.0, 1.0) if name == "torus" else
+                    lambda s: ((np.cosh(s), s), (np.sinh(s), 1.0), (np.cosh(s), 0.0)))
+        s_range = (0, 2 * math.pi) if name == "torus" else (-1, 1)
+        w_range = (0, 2 * math.pi) if name == "torus" else (0, math.pi)
+        entry = cs.CatalogEntry(name, {}, catalog.Rect(-math.inf, math.inf, -math.inf, math.inf),
+                                True, catalog._revolution_jet(meridian, True))
+        inv_a = canonical_grid(entry, w_range, s_range, 65, cs.BaseIndex(32, 32), mode)
+        inv_b = canonical_grid(name, s_range, w_range, 65, cs.BaseIndex(30, 36), mode,
+                               **({"R": 2.0, "r": 1.0} if name == "torus" else {}))
+        for pair in ((inv_a, inv_b), (inv_b, inv_a)):
+            m = cs.check_affine_equivalence(*pair)
+            assert m.swapped and m.misfit <= 1e-12, m
 
     @pytest.mark.parametrize("small", ["3x9", "catenoid-4"])
     def test_three_node_axis_rejected_in_either_position(self, small):
@@ -462,3 +492,13 @@ def test_to_kh_weights_constants_at_base():
     assert (kh.a, kh.b) == (inv.a * s0, inv.b * s0) == inv.kh_constants()
     assert kh.kh_constants() == (kh.a, kh.b)
     assert kh.to_kh() is kh
+
+
+@pytest.mark.parametrize("build, sign", [(torus_invariants, 1.0), (cone_invariants, -1.0),
+                                         (catenoid_invariants, -1.0)])
+def test_kh_arrays_of_a_nu_grid_are_those_of_to_kh(build, sign):
+    # one nu -> kh conversion: both orient H by normal_sign()
+    inv = build(17)[0]
+    assert inv.normal_sign() == sign
+    for got, want in zip(inv.kh_arrays(), inv.to_kh().kh_arrays()):
+        assert got.tobytes() == want.tobytes()

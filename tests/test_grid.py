@@ -127,7 +127,7 @@ def test_cumulative_integral_cos_order():
 
 @pytest.mark.parametrize("k", ["first", "interior", "last"])
 def test_cumulative_integrals_equal_scipy_bitwise(k):
-    from scipy.integrate import cumulative_trapezoid
+    cumulative_trapezoid = pytest.importorskip("scipy.integrate").cumulative_trapezoid
 
     rng = np.random.default_rng(5)
     g = cs.Grid2(0.3, -1.0, 0.071, 0.113, rng.normal(size=(13, 17)))
@@ -324,7 +324,7 @@ def test_non_uniform_spline_equals_scipy_not_a_knot(n, tail, kind):
     # cubic then reproduces the cubic at the nodes, between them and half an
     # end step beyond the ends, its derivative of order k with about h^-k
     # times the roundoff. The nodes are scaled onto [-1, 1]
-    from scipy.interpolate import CubicSpline
+    CubicSpline = pytest.importorskip("scipy.interpolate").CubicSpline
 
     rng = np.random.default_rng(n)
     x = _non_uniform_nodes(kind, n, rng)
@@ -393,7 +393,7 @@ def _shaped_cases():
                          ids=[f"{c[0]}-{c[1]}" for c in _shaped_cases()])
 def test_non_uniform_spline_equals_scipy_on_shaped_data(n, kind, x, y):
     # scipy's Hermite cubic through the slopes of _window_slopes
-    from scipy.interpolate import CubicHermiteSpline
+    CubicHermiteSpline = pytest.importorskip("scipy.interpolate").CubicHermiteSpline
 
     inside = x[:-1] + np.diff(x) * np.linspace(0.1, 0.9, n - 1)
     xq = np.concatenate([x, [x[0], x[-1]], inside])
@@ -434,7 +434,7 @@ def test_bicubic_equals_scipy_rect_bivariate_spline(nu, nv):
     # FITPACK's evaluators do), values and derivatives up to the cross one.
     # On a bicubic polynomial both tensor_at and RectBivariateSpline are exact
     from numpy.polynomial import polynomial as P
-    from scipy.interpolate import RectBivariateSpline
+    RectBivariateSpline = pytest.importorskip("scipy.interpolate").RectBivariateSpline
 
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal((4, 4))
@@ -464,7 +464,7 @@ def test_bicubic_equals_scipy_rect_bivariate_spline(nu, nv):
 def test_cumint4_equals_spline_antiderivative(n, axis, width):
     # width: the lines integrated at once (n when None); the reference is
     # scipy's Hermite cubic through the textbook five-point slopes
-    from scipy.interpolate import CubicHermiteSpline
+    CubicHermiteSpline = pytest.importorskip("scipy.interpolate").CubicHermiteSpline
 
     h = 0.07
     u = h * np.arange(n)
@@ -501,7 +501,7 @@ def test_spline_at_reproduces_a_cubic():
 @pytest.mark.parametrize("width", [4, 257])
 def test_spline_at_equals_scipy_hermite(n, width):
     # scipy's Hermite cubic through the textbook five-point slopes
-    from scipy.interpolate import CubicHermiteSpline
+    CubicHermiteSpline = pytest.importorskip("scipy.interpolate").CubicHermiteSpline
 
     rng = np.random.default_rng(n)
     y = rng.standard_normal((n, width))

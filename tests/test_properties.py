@@ -249,9 +249,13 @@ def test_transposed_and_flipped_grids_reconstruct_the_same_surface(build):
 
 
 def test_to_kh_refuses_labels_that_cross():
-    # nu1 - nu2 = 2 sin u changes sign between nodes, though no node is umbilic
+    # nu1 - nu2 = 2 sin u changes sign between nodes, though no node is umbilic:
+    # no normal orients the kh fields, and no order tells the affine fit its sign
     u = np.linspace(-1.0, 1.0, 16)
     g = cs.Grid2.from_axes(u, np.linspace(0.0, 1.0, 16), (2.0 + np.sin(u))[:, None] * np.ones(16))
     inv = cs.InvariantGrid("nu", g, g.like(4.0 - g.values), 1.0, 1.0, cs.BaseIndex(8, 8))
-    with pytest.raises(UmbilicError, match="changes sign"):
-        inv.to_kh()
+    other = catenoid_invariants(17)[0]
+    for call in (inv.kh_arrays, inv.to_kh, lambda: cs.check_affine_equivalence(inv, other),
+                 lambda: cs.check_affine_equivalence(other, inv)):
+        with pytest.raises(UmbilicError, match="changes sign"):
+            call()

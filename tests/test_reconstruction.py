@@ -3,8 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicHermiteSpline
-from scipy.linalg import expm
 
 import canonsurf as cs
 from canonsurf import reconstruction
@@ -18,20 +16,17 @@ from canonsurf.errors import (
 from canonsurf.grid import _step_integrals
 
 from helpers import (
+    best_fit_axis_distances,
     catenoid_invariants,
     cone_invariants,
+    constant_invariants,
     five_point_slopes,
     observed_orders,
     overflowing_invariants,
+    random_frame,
     random_rotation,
     torus_invariants,
 )
-
-
-def constant_invariants(nu1, nu2, n, du, dv, a=1.0, b=1.0):
-    g = cs.Grid2(0.0, 0.0, du, dv, np.full((n, n), float(nu1)))
-    return cs.InvariantGrid("nu", g, g.like(np.full((n, n), float(nu2))), a, b,
-                            cs.BaseIndex(n // 2, n // 2))
 
 
 def reconstruct_escalated(inv):
@@ -48,36 +43,6 @@ def perturbed_catenoid(n):
     vv = geo.v_axis[None, :]
     bad1 = geo.like(inv.field1.values * (1 + 0.05 * np.sin(3 * uu) * np.sin(2 * vv)))
     return cs.InvariantGrid("nu", bad1, inv.field2, inv.a, inv.b, inv.base)
-
-
-def random_frame(seed):
-    R = random_rotation(seed)
-    return cs.FrameState(np.zeros(3), R[0], R[1], R[2])
-
-
-def best_fit_axis_distances(mesh):
-    """Node distances to the best-fit cylinder axis.
-
-    The axis direction is orthogonal to every surface normal (the direction
-    of smallest singular value of the normal matrix); the cross-section circle
-    is fitted algebraically in the orthogonal plane.
-    """
-    pts = mesh.positions.values.reshape(-1, 3)
-    nrm = mesh.normals.values.reshape(-1, 3)
-    _, _, vt = np.linalg.svd(nrm - nrm.mean(axis=0) * 0.0, full_matrices=False)
-    axis = vt[-1]
-    # orthonormal basis of the cross-section plane
-    p = np.cross(axis, [1.0, 0.0, 0.0])
-    if np.linalg.norm(p) < 1e-6:
-        p = np.cross(axis, [0.0, 1.0, 0.0])
-    p /= np.linalg.norm(p)
-    q = np.cross(axis, p)
-    xy = np.stack([pts @ p, pts @ q], axis=1)
-    # algebraic circle fit: |z - c|^2 = r^2 linearized in (c, r^2 - |c|^2)
-    A = np.column_stack([2.0 * xy, np.ones(len(xy))])
-    sol, *_ = np.linalg.lstsq(A, (xy**2).sum(axis=1), rcond=None)
-    center = sol[:2]
-    return np.linalg.norm(xy - center, axis=1)
 
 
 class TestCoefficients:
@@ -217,8 +182,9 @@ def dense_step(c0, cm, c1, h, tangent):
 def hermite_cubic(axis_coords, coef_values):
     """scipy's Hermite cubic through coef_values along axis 0, with the textbook
     five-point node slopes."""
+    spline = pytest.importorskip("scipy.interpolate").CubicHermiteSpline
     h = axis_coords[1] - axis_coords[0]
-    return CubicHermiteSpline(axis_coords, coef_values, five_point_slopes(coef_values) / h, axis=0)
+    return spline(axis_coords, coef_values, five_point_slopes(coef_values) / h, axis=0)
 
 
 def assert_step_integrals_match_spline(axis_coords, coef_values):
@@ -293,6 +259,7 @@ class TestFrameMarch:
     def test_step_is_fourth_order_in_the_exponential(self):
         # the Cayley rotation and the truncated series of the translation are
         # within O(theta^5) of expm of the Magnus generator: errors fall 32x per halving
+        expm = pytest.importorskip("scipy.linalg").expm
         errors = []
         for h in (0.2, 0.1, 0.05):
             t = 0.3 + h * np.array([0.0, 0.5, 1.0])

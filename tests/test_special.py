@@ -43,7 +43,7 @@ class TestWeingarten:
             assert ratio < 10.0
 
     def test_non_uniform_t_quadrature_equals_scipy_bitwise(self, monkeypatch):
-        from scipy.integrate import cumulative_trapezoid
+        cumulative_trapezoid = pytest.importorskip("scipy.integrate").cumulative_trapezoid
 
         n = 33
         u = np.linspace(0.0, 1.0, n)
