@@ -7,9 +7,11 @@ returns bare arrays sampled on a Grid2's nodes. SECOND_ORDER (central
 differences inside, one-sided second-order stencils on the two boundary
 layers, composite trapezoid quadrature) gives every residual in the package a
 clean O(h^2) target; FOURTH_ORDER (five-point differences, quadrature of the
-cubic) serves the canonical map construction and the affine fit. The factor
-pair exp(-+P) of path_factors is built here only, and every caller names its
-stencil order. The cubic also integrates each step of the frame march
+cubic) serves the canonical maps, the affine fit and the reconstruction.
+Every stencil acts along axis 0 of a swapped view, elementwise across the
+others, so one line's derivative is bitwise that line of the whole grid's.
+The factor pair exp(-+P) of path_factors is built here only, and every caller
+names its stencil order. The cubic also integrates each step of the frame march
 (_step_integrals), inverts sampled maps (spline_inverse_at), interpolates
 non-uniform samples (spline_slopes, spline_eval) and, along u and then along
 v, resamples grids and evaluates them for the affine fit (tensor_at).
@@ -124,9 +126,15 @@ def same_geometry(*grids: Grid2) -> None:
 
 
 def _diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
+    # np.gradient(values, h, axis=axis, edge_order=2), operation for operation
     if values.shape[axis] < 3:
         raise DimensionError("need at least 3 samples along the differentiated axis")
-    return np.gradient(values, h, axis=axis, edge_order=2)
+    f = np.asarray(values, dtype=float).swapaxes(axis, 0)
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    out[0] = -1.5 / h * f[0] + 2.0 / h * f[1] + -0.5 / h * f[2]
+    out[-1] = 0.5 / h * f[-3] + -2.0 / h * f[-2] + 1.5 / h * f[-1]
+    return out.swapaxes(0, axis)
 
 
 def d_u(values: np.ndarray, g: Grid2) -> np.ndarray:
@@ -144,12 +152,12 @@ def _second_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     # interior: (f[i-1] - 2 f[i] + f[i+1]) / h^2; boundary: one-sided second order
     if values.shape[axis] < 4:
         raise DimensionError("need at least 4 samples for second derivatives")
-    f = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    f = np.asarray(values, dtype=float).swapaxes(axis, 0)
     out = np.empty_like(f)
     out[1:-1] = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / h**2
     out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h**2
     out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h**2
-    return np.moveaxis(out, 0, axis)
+    return out.swapaxes(0, axis)
 
 
 def d_uu(values: np.ndarray, g: Grid2) -> np.ndarray:
@@ -165,10 +173,10 @@ def d_vv(values: np.ndarray, g: Grid2) -> np.ndarray:
 
 def _anchored_sum(f: np.ndarray, step_integrals: np.ndarray, i0: int, axis: int) -> np.ndarray:
     # running sum along axis 0 of f's step integrals, exactly 0 at node i0
-    # (nodes before it carry the negative of the reversed integral), moved to axis
+    # (nodes before it carry the negative of the reversed integral), swapped to axis
     total = np.zeros_like(f)
     np.cumsum(step_integrals, axis=0, out=total[1:])
-    return np.moveaxis(total - total[i0], 0, axis)
+    return (total - total[i0]).swapaxes(0, axis)
 
 
 def _cumtrapz(values: np.ndarray, steps, i0: int, axis: int) -> np.ndarray:
@@ -178,7 +186,7 @@ def _cumtrapz(values: np.ndarray, steps, i0: int, axis: int) -> np.ndarray:
     column of them for a 2-D one along axis 0). From node 0 the arithmetic is
     scipy.integrate.cumulative_trapezoid's, so the results are bitwise equal to it.
     """
-    f = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    f = np.asarray(values, dtype=float).swapaxes(axis, 0)
     return _anchored_sum(f, steps * (f[1:] + f[:-1]) / 2.0, i0, axis)
 
 
@@ -187,7 +195,7 @@ def _deriv4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     five-point on the two boundary layers; below 5 nodes it is _diff."""
     if values.shape[axis] < 5:
         return _diff(values, h, axis)
-    f = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    f = np.asarray(values, dtype=float).swapaxes(axis, 0)
     out = np.empty_like(f)
     # every row weighs differences, so a constant gives exactly 0; the rows of
     # the first two nodes of an end weigh differences from their own node, w[0]
@@ -203,7 +211,7 @@ def _deriv4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
         d, e = w - w[0], w - w[1]
         out[k0] = sign * (48.0 * d[1] - 36.0 * d[2] + 16.0 * d[3] - 3.0 * d[4]) / (12.0 * h)
         out[k1] = sign * (-3.0 * e[0] + 18.0 * e[2] - 6.0 * e[3] + e[4]) / (12.0 * h)
-    return np.moveaxis(out, 0, axis)
+    return out.swapaxes(0, axis)
 
 
 def _step_integrals(f: np.ndarray, h: float) -> np.ndarray:
@@ -220,7 +228,7 @@ def _step_integrals(f: np.ndarray, h: float) -> np.ndarray:
 
 def _cumint4(values: np.ndarray, h: float, i0: int, axis: int) -> np.ndarray:
     """Integral of the cubic along axis from node i0, signed as _cumtrapz."""
-    f = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    f = np.asarray(values, dtype=float).swapaxes(axis, 0)
     return _anchored_sum(f, _step_integrals(f, h), i0, axis)
 
 
@@ -243,7 +251,8 @@ def path_exponent(f: np.ndarray, gap: np.ndarray, g: Grid2, base: BaseIndex, axi
     k0 = (base.i0, base.j0)
     other = 1 - axis
     full = cumint(diff(f, h[axis], axis) / gap, h[axis], k0[axis], axis)
-    line = np.take(diff(f, h[other], other) / gap, [k0[axis]], axis=axis)
+    line = (diff(np.take(f, [k0[axis]], axis=axis), h[other], other)
+            / np.take(gap, [k0[axis]], axis=axis))
     return full + cumint(line, h[other], k0[other], other)
 
 

@@ -1,9 +1,11 @@
 """Surface reconstruction from invariant data, unique up to rigid motion.
 
 From an InvariantGrid the first- and second-form coefficients E, G, L, N are
-rebuilt (F = M = 0 by construction), and the orthonormal frame
-(xu/sqrt(E), xv/sqrt(G), n) is integrated over the grid: first along the base
-row in u, then along every column in v. The frame system is linear, so each
+rebuilt (F = M = 0 by construction) with grid's FOURTH_ORDER factors, and the
+orthonormal frame (xu/sqrt(E), xv/sqrt(G), n) is integrated over the grid:
+first along the base row in u, then along every column in v, with sqrt(E) and
+sqrt(G) differentiated across the lines by the same five-point stencil, so
+the mesh converges at O(h^4). The frame system is linear, so each
 step is one rigid motion of the whole state, x' = x + p F and F' = Q F: a
 fourth-order Magnus step whose rotation Q is a Cayley map, orthogonal by
 construction, so the frames stay orthonormal to roundoff with no correction.
@@ -25,23 +27,10 @@ import numpy as np
 
 from .canonical import InvariantGrid
 from .catalog import JetGrid
-from .compatibility import canonical_factors, compatibility_floor
-from .errors import (
-    CompatibilityWarning,
-    IntegrationError,
-    PositivityError,
-    ShapeMismatchError,
-)
-from .grid import (
-    BaseIndex,
-    Grid2,
-    _step_integrals,
-    d_u,
-    d_uu,
-    d_v,
-    d_vv,
-    same_geometry,
-)
+from .compatibility import compatibility_floor
+from .errors import CompatibilityWarning, IntegrationError, PositivityError, ShapeMismatchError
+from .grid import (FOURTH_ORDER, BaseIndex, Grid2, _deriv4, _step_integrals, d_u, d_uu, d_v, d_vv,
+                   path_factors, same_geometry)
 
 # largest frame rotation per step, in radians, of an accepted grid: a classical
 # RK4 step of a uniform rotation by this angle leaves the rotation group by 1e-6
@@ -86,10 +75,11 @@ def coefficients_from_invariants(inv: InvariantGrid):
     """(E, G, L, N) grids implied by the invariant fields and constants a, b.
 
     E = a * Psi1^2 and G = b * Psi2^2 with (a, b) = inv.nu_constants(), which
-    strips the sqrt(H^2 - K) weight of kh-mode constants. Then L = nu1 E, N = nu2 G.
+    strips the sqrt(H^2 - K) weight of kh-mode constants, and the FOURTH_ORDER
+    path_factors. Then L = nu1 E, N = nu2 G.
     """
-    psi1, psi2 = canonical_factors(inv)
     nu1, nu2 = inv.nu_arrays()
+    psi1, psi2 = path_factors(nu1, nu2, nu1 - nu2, inv.geometry, inv.base, FOURTH_ORDER)
     a, b = inv.nu_constants()
     E = a * psi1**2
     G = b * psi2**2
@@ -99,23 +89,6 @@ def coefficients_from_invariants(inv: InvariantGrid):
     return like(E), like(G), like(nu1 * E), like(nu2 * G)
 
 
-def _polar_factor(frames: np.ndarray) -> np.ndarray:
-    """Nearest orthonormal triples U Vt of a (..., 3, 3) stack."""
-    U, _, Vt = np.linalg.svd(frames)
-    return U @ Vt
-
-
-def _skew_polynomial(x, y, w, theta2, pairs) -> list:
-    """Entries of I + x W + y W^2, as a nested 3x3 list, for the skew W with entries
-    W_ij = -W_ji given as ((i, j), W_ij) pairs and W^2 = w w^T - theta2 I."""
-    out = [[y * (w[i] * w[j]) + (1.0 - y * theta2 if i == j else 0.0) for j in range(3)]
-           for i in range(3)]
-    for (i, j), wij in pairs:
-        out[i][j] += x * wij
-        out[j][i] -= x * wij
-    return out
-
-
 def _step_maps(k0, k1, integral, h: float, tangent: int, step: np.ndarray) -> np.ndarray:
     """One fourth-order Magnus step of the frame system in closed form, from
     (steps, 3, lines) coefficients at the step's two nodes and their integrals
@@ -123,31 +96,38 @@ def _step_maps(k0, k1, integral, h: float, tangent: int, step: np.ndarray) -> np
 
     The rate is Y' = A Y with A = [[0, a e_t^T], [0, M]] and M = u e_t^T - e_t u^T,
     u = b e_o - c e_n. The step's generator, the integral of A plus h^2/12 [A1, A0],
-    is [[0, v^T], [0, W]], W skew with W_ot = beta, W_tn = gamma and W_on = delta.
-    Q = cay((1 + theta^2/12) W) is orthogonal for every h and within O(theta^5) of
-    exp(W); p = v^T (I + k W + m W^2), with k and m the series of (1 - cos theta)
-    / theta^2 and (theta - sin theta) / theta^3 to the same order.
-    Writes [p; Q] to step[:, :, 1:] of the (steps, 4, 4, lines) step array and
-    returns theta^2, shaped (steps, lines).
+    is [[0, v^T], [0, W]], W skew with W_ot = beta, W_tn = gamma and W_on = delta:
+    W x = w x x for w = (-delta, gamma, beta), and W^2 = w w^T - theta^2 I.
+    Q = cay((1 + theta^2/12) W) = I + x W + y W^2 is orthogonal for every h and
+    within O(theta^5) of exp(W); p = v^T (I + k W + m W^2), with k and m the series
+    of (1 - cos theta) / theta^2 and (theta - sin theta) / theta^3 to the same order.
+    Writes [p; Q] in place, entry by entry, to step[:, :, 1:] of the
+    (steps, 4, 4, lines) step array and returns theta^2, shaped (steps, lines).
     """
-    (a0, b0, c0), (a1, b1, c1) = (np.moveaxis(k, 1, 0) for k in (k0, k1))
-    ia, beta, gamma = np.moveaxis(integral, 1, 0)
+    (a0, b0, c0), (a1, b1, c1) = k0.swapaxes(0, 1), k1.swapaxes(0, 1)
+    ia, beta, gamma = integral.swapaxes(0, 1)
     h2 = h * h / 12.0
     delta = h2 * (b1 * c0 - b0 * c1)
-    # entries in the order (t, o, n), written to the rows of e_t, e_o and the normal in F
-    rows = (tangent - 1, 2 - tangent, 2)
-    pairs = (((1, 0), beta), ((0, 2), gamma), ((1, 2), delta))
     w = (-delta, gamma, beta)
     v = (ia, h2 * (a0 * b1 - a1 * b0), h2 * (a1 * c0 - a0 * c1))
     theta2 = beta * beta + gamma * gamma + delta * delta
     f = 1.0 + theta2 / 12.0
-    s = f / (1.0 + 0.25 * f * f * theta2)
-    q = _skew_polynomial(s, 0.5 * f * s, w, theta2, pairs)
-    g = _skew_polynomial(0.5 - theta2 / 24.0, 1.0 / 6.0 - theta2 / 120.0, w, theta2, pairs)
-    for j, col in enumerate(rows):
-        step[:, 0, 1 + col] = v[0] * g[0][j] + v[1] * g[1][j] + v[2] * g[2][j]
-        for i, row in enumerate(rows):
-            step[:, 1 + row, 1 + col] = q[i][j]
+    x = f / (1.0 + 0.25 * f * f * theta2)
+    y = 0.5 * f * x
+    k, m = 0.5 - theta2 / 24.0, 1.0 / 6.0 - theta2 / 120.0
+    diagonal, scale = 1.0 - y * theta2, 1.0 - m * theta2
+    along = m * (v[0] * w[0] + v[1] * w[1] + v[2] * w[2])
+    # entries in the order (t, o, n), written to the rows of e_t, e_o and the normal in F
+    e = (tangent, 3 - tangent, 3)
+    for i in range(3):
+        # Q_ii, then Q_jl and Q_lj, where W_jl = -W_lj = -w_i
+        j, l = (i + 1) % 3, (i + 2) % 3
+        sym, skew = y * w[j] * w[l], x * w[i]
+        np.add(y * w[i] * w[i], diagonal, out=step[:, e[i], e[i]])
+        np.subtract(sym, skew, out=step[:, e[j], e[l]])
+        np.add(sym, skew, out=step[:, e[l], e[j]])
+        # p_i = (1 - m theta^2) v_i + m (v.w) w_i + k (v x w)_i
+        np.add(scale * v[i] + along * w[i], k * (v[j] * w[l] - v[l] * w[j]), out=step[:, 0, e[i]])
     return theta2
 
 
@@ -160,7 +140,7 @@ def _march(y0: np.ndarray, coef_values: np.ndarray, axis_coords: np.ndarray,
     """
     n = axis_coords.size
     h = axis_coords[1] - axis_coords[0]
-    node = np.ascontiguousarray(np.moveaxis(coef_values.reshape(n, -1, 3), -1, 1))
+    node = np.ascontiguousarray(coef_values.reshape(n, -1, 3).swapaxes(1, 2))
     integral = _step_integrals(node, h)  # (n - 1, 3, lines)
     lines = node.shape[-1]
     block = max(1, MARCH_STEP_LINES // lines)
@@ -185,18 +165,19 @@ def _march(y0: np.ndarray, coef_values: np.ndarray, axis_coords: np.ndarray,
                 raise IntegrationError(
                     f"frame step angle {largest**0.5:.4g} exceeds {STEP_ANGLE_LIMIT}; "
                     "grid is too coarse for the stepper")
-            maps = np.moveaxis(block_steps, -1, 1).reshape((-1,) + y0.shape[:-2] + (4, 4))
+            maps = block_steps.transpose(0, 3, 1, 2).reshape((-1,) + y0.shape[:-2] + (4, 4))
             for step, nxt in zip(maps, states[b + 1:e + 1]):
                 np.matmul(step, y, out=nxt)
                 y = nxt
     return out
 
 
-def _line_coefficients(metric: Grid2, other: Grid2, second: Grid2, across) -> np.ndarray:
-    # the (a, b, c) rates of _step_maps on the lines along which metric is E or G
+def _line_coefficients(metric: Grid2, other: Grid2, second: Grid2, across: int) -> np.ndarray:
+    # the (a, b, c) rates of _step_maps on the lines along which metric is E or G,
+    # with the fourth-order derivative of sqrt(metric) along the axis across them
     root = np.sqrt(metric.values)
-    return np.stack([root, across(root, metric) / np.sqrt(other.values), second.values / root],
-                    axis=-1)
+    rate = _deriv4(root, (metric.du, metric.dv)[across], across)
+    return np.stack([root, rate / np.sqrt(other.values), second.values / root], axis=-1)
 
 
 def _frame_coefficients(E: Grid2, G: Grid2, L: Grid2, N: Grid2, init: FrameState,
@@ -208,21 +189,21 @@ def _frame_coefficients(E: Grid2, G: Grid2, L: Grid2, N: Grid2, init: FrameState
         raise IntegrationError("initial frame is not orthonormal")
     if np.linalg.det(np.array([init.e1, init.e2, init.n])) <= 0:
         raise IntegrationError("initial frame must be right-handed")
-    return _line_coefficients(E, G, L, d_v), _line_coefficients(G, E, N, d_u)  # each (nu, nv, 3)
+    return _line_coefficients(E, G, L, 1), _line_coefficients(G, E, N, 0)  # each (nu, nv, 3)
 
 
 def _integrate_states(cu: np.ndarray, cv: np.ndarray, geometry: Grid2, init: FrameState,
                       base: BaseIndex, u_first: bool) -> np.ndarray:
     u_axis, v_axis = geometry.u_axis, geometry.v_axis
     y0 = init.as_matrix()
-    y0[1:] = _polar_factor(y0[1:])
+    U, _, Vt = np.linalg.svd(y0[1:])
+    y0[1:] = U @ Vt  # the nearest orthonormal frame
     if u_first:
         row = _march(y0, cu[:, base.j0, :], u_axis, base.i0, tangent=1)  # (nu, 4, 3)
-        states = _march(row, np.moveaxis(cv, 1, 0), v_axis, base.j0, tangent=2)
-        return np.moveaxis(states, 0, 1)  # (nu, nv, 4, 3)
+        states = _march(row, cv.swapaxes(0, 1), v_axis, base.j0, tangent=2)
+        return states.swapaxes(0, 1)  # (nu, nv, 4, 3)
     col = _march(y0, cv[base.i0, :, :], v_axis, base.j0, tangent=2)  # (nv, 4, 3)
-    states = _march(col, cu, u_axis, base.i0, tangent=1)  # (nu, nv, 4, 3)
-    return states
+    return _march(col, cu, u_axis, base.i0, tangent=1)  # (nu, nv, 4, 3)
 
 
 def integrate_frame(E: Grid2, G: Grid2, L: Grid2, N: Grid2, init: FrameState,
@@ -262,12 +243,15 @@ def align_rigid(mesh_a: SurfaceMesh, mesh_b: SurfaceMesh):
     Q = pb.reshape(-1, 3)
     cp = P.mean(axis=0)
     cq = Q.mean(axis=0)
-    Hm = (P - cp).T @ (Q - cq)
+    # the two node-long products are einsum loops, not BLAS calls: on large
+    # meshes those wake the BLAS worker threads, which go on spinning for a
+    # while after the call and slow whatever the process runs next
+    Hm = np.einsum("ki,kj->ij", P - cp, Q - cq)
     U, _, Vt = np.linalg.svd(Hm)
     d = np.sign(np.linalg.det(Vt.T @ U.T))
     R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
     t = cq - R @ cp
-    diff = P @ R.T + t - Q
+    diff = np.einsum("kj,ij->ki", P, R) + t - Q
     rms = float(np.sqrt(np.mean(np.sum(diff * diff, axis=1))))
     return R, t, rms
 

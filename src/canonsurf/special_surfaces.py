@@ -160,9 +160,12 @@ def flat_characterization(H: Grid2) -> FlatCharacterization:
         raise ZeroMeanCurvatureError("mean curvature vanishes; 1/H undefined")
     inv_h = 1.0 / Hv
     res = H.like(d_vv(inv_h, H))
-    design = np.stack([H.v_axis, np.ones(H.nv)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, inv_h.T, rcond=None)
-    fitted = design @ coef
-    rms = np.sqrt(np.mean((fitted - inv_h.T) ** 2, axis=0))
-    return FlatCharacterization(make_report("flat-1overH-vv", res),
-                                coef[0].copy(), coef[1].copy(), rms)
+    # the line's normal equations in centred v, summed elementwise: a LAPACK
+    # least-squares solve on a grid of 129^2 or more wakes the BLAS worker
+    # threads, which go on spinning for a while after it and slow what runs next
+    vc = H.v_axis - np.mean(H.v_axis)
+    slope = np.sum(inv_h * vc, axis=1) / np.sum(vc * vc)
+    intercept = np.mean(inv_h, axis=1) - slope * np.mean(H.v_axis)
+    fitted = slope[:, None] * H.v_axis + intercept[:, None]
+    rms = np.sqrt(np.mean((fitted - inv_h) ** 2, axis=1))
+    return FlatCharacterization(make_report("flat-1overH-vv", res), slope, intercept, rms)

@@ -99,24 +99,26 @@ def random_rotation(seed):
     return q
 
 
-def catenoid_invariants(n, u_range=(-1.0, 1.0), v_range=(0.0, math.pi)):
-    """Canonical-grid invariant data for the catenoid (its standard chart is canonical)."""
-    jets, forms, curv, base = sample_chart("catenoid", u_range, v_range, n)
+def catenoid_invariants(n, u_range=(-1.0, 1.0), v_range=(0.0, math.pi), base=None):
+    """Canonical-grid invariant data for the catenoid (its standard chart is canonical),
+    about base (the centre node when None)."""
+    jets, forms, curv, base = sample_chart("catenoid", u_range, v_range, n, base)
     a = float(forms.E.values[base.i0, base.j0])
     b = float(forms.G.values[base.i0, base.j0])
     return cs.InvariantGrid("nu", curv.nu1, curv.nu2, a, b, base), jets, forms
 
 
-def torus_invariants(n, R=2.0, r=1.0, u_range=(0.0, 2.0 * math.pi), v_range=(0.0, 2.0 * math.pi)):
-    jets, forms, curv, base = sample_chart("torus", u_range, v_range, n, R=R, r=r)
+def torus_invariants(n, R=2.0, r=1.0, u_range=(0.0, 2.0 * math.pi), v_range=(0.0, 2.0 * math.pi),
+                     base=None):
+    jets, forms, curv, base = sample_chart("torus", u_range, v_range, n, base, R=R, r=r)
     a = float(forms.E.values[base.i0, base.j0])
     b = float(forms.G.values[base.i0, base.j0])
     return cs.InvariantGrid("nu", curv.nu1, curv.nu2, a, b, base), jets, forms
 
 
-def cone_invariants(n, alpha=0.6, u_range=(0.0, 2.0), v_range=(0.5, 2.5)):
+def cone_invariants(n, alpha=0.6, u_range=(0.0, 2.0), v_range=(0.5, 2.5), base=None):
     """The natural cone chart is canonical; nu2 = 0 along the rulings."""
-    jets, forms, curv, base = sample_chart("cone", u_range, v_range, n, alpha=alpha)
+    jets, forms, curv, base = sample_chart("cone", u_range, v_range, n, base, alpha=alpha)
     a = float(forms.E.values[base.i0, base.j0])
     b = float(forms.G.values[base.i0, base.j0])
     return cs.InvariantGrid("nu", curv.nu1, curv.nu2, a, b, base), jets, forms

@@ -158,11 +158,11 @@ def test_criterion_06_reconstruction_roundtrip():
                 np.max(np.abs(interior(nu2fd - inv.field2.values)))))
             if n == 257:
                 t257 = time.perf_counter() - t0
-        assert all(o >= 1.9 for o in observed_orders(errs)), errs
+        assert all(o >= 3.8 for o in observed_orders(errs)), errs
         assert all(o >= 1.8 for o in observed_orders(nu_errs)), nu_errs
         assert t257 < 30.0, f"257^2 took {t257:.1f}s"
 
-    _criterion(6, "catenoid reconstruction rms order >= 1.9, nu round-trip O(h^2)", body)
+    _criterion(6, "catenoid reconstruction rms order >= 3.8, nu round-trip O(h^2)", body)
 
 
 def test_criterion_07_uniqueness_up_to_position():

@@ -7,6 +7,7 @@ import pytest
 import canonsurf as cs
 from canonsurf import compatibility, grid
 from canonsurf.errors import NotPrincipalError, RangeError, RegularityError, UmbilicError
+from canonsurf.reports import make_report
 
 from helpers import (
     canonical_grid,
@@ -378,3 +379,13 @@ def test_report_serialization_schema():
     assert d["margin"] == 2
     assert d["grid_shape"] == [33, 33]
     assert d["max_abs"] >= d["rms"] >= 0.0
+
+
+def test_report_margin_is_the_one_every_side_kept():
+    # a 4-node axis trims one layer a side, so row 1 is interior and counts
+    values = np.zeros((4, 9))
+    values[1] = 1.0
+    d = make_report("short", cs.Grid2(0.0, 0.0, 0.1, 0.1, values)).to_dict()
+    assert (d["max_abs"], d["margin"]) == (1.0, 1)
+    five = make_report("long", cs.Grid2(0.0, 0.0, 0.1, 0.1, np.zeros((5, 9))))
+    assert five.to_dict()["margin"] == 2

@@ -208,6 +208,33 @@ def test_path_exponent_matches_cumulative_integrals():
     assert np.array_equal(path_exponent(g.values, gap, g, base, 0, SECOND_ORDER), want)
 
 
+@pytest.mark.parametrize("stencils", [SECOND_ORDER, FOURTH_ORDER])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("shape", [(4, 9), (7, 5), (33, 21)])
+def test_path_exponent_differentiates_only_the_base_line_across(stencils, axis, shape):
+    # the across-derivative of the base line alone equals that line of the
+    # whole grid's derivative, bitwise, also where _deriv4 falls back to _diff
+    diff, cumint = stencils
+    rng = np.random.default_rng(sum(shape))
+    g = cs.Grid2(0.2, -0.5, 0.13, 0.07, rng.normal(size=shape))
+    gap = 1.0 + rng.uniform(size=shape)
+    base = cs.BaseIndex(shape[0] // 3, 2 * shape[1] // 3)
+    h, k0, other = (g.du, g.dv), (base.i0, base.j0), 1 - axis
+    full = cumint(diff(g.values, h[axis], axis) / gap, h[axis], k0[axis], axis)
+    line = np.take(diff(g.values, h[other], other) / gap, [k0[axis]], axis=axis)
+    want = full + cumint(line, h[other], k0[other], other)
+    assert np.array_equal(path_exponent(g.values, gap, g, base, axis, stencils), want)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 9), (9, 4, 3), (5, 6, 7)])
+def test_diff_is_numpys_second_order_gradient(shape):
+    values = np.random.default_rng(len(shape)).normal(size=shape)
+    for axis in range(len(shape)):
+        if shape[axis] >= 3:
+            want = np.gradient(values, 0.37, axis=axis, edge_order=2)
+            assert np.array_equal(_diff(values, 0.37, axis), want)
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 def test_deriv4_below_five_nodes_is_the_second_order_stencil(axis):
     rng = np.random.default_rng(3)

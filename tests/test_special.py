@@ -221,6 +221,21 @@ class TestFlat:
         assert np.max(np.abs(out.f_samples - f)) < 1e-10
         assert np.max(np.abs(out.g_samples - g)) < 1e-10
 
+    def test_line_fit_is_the_least_squares_line_of_each_row(self):
+        # a curved 1/H on a 9 x 14 grid: the closed-form fit matches a
+        # least-squares solve against [v, 1], row by row
+        u = np.linspace(0.0, 1.0, 9)
+        v = np.linspace(0.5, 2.0, 14)
+        inv_h = 1.0 + u[:, None] * v[None, :] ** 2 + 0.3 * np.sin(3.0 * v)[None, :]
+        out = cs.flat_characterization(cs.Grid2.from_axes(u, v, 1.0 / inv_h))
+        design = np.stack([v, np.ones(v.size)], axis=1)
+        coef = np.linalg.lstsq(design, inv_h.T, rcond=None)[0]
+        rms = np.sqrt(np.mean((design @ coef - inv_h.T) ** 2, axis=0))
+        assert np.max(np.abs(out.f_samples - coef[0])) < 1e-12
+        assert np.max(np.abs(out.g_samples - coef[1])) < 1e-12
+        assert np.max(np.abs(out.fit_rms - rms)) < 1e-12
+        assert np.min(out.fit_rms) > 1e-3
+
     def test_torus_detection_case(self):
         # torus H in the swapped canonical labeling (rulings would need to be
         # the v-lines): 1/H = (2 + cos v)/(1 + cos v) is not linear in v, and
