@@ -16,35 +16,38 @@ def canonicalize(name, urange, vrange, nu, nv, base, **params):
     curv = cs.curvatures_grid(forms, principal_chart=True)
     maps = cs.build_canonical_maps(forms.E, forms.G, curv.nu1, curv.nu2, base)
     inv = cs.resample_to_canonical(maps, curv.nu1, curv.nu2)
-    return forms, curv, maps, inv
+    return jets, maps, inv
 
 
 print("=== the catenoid chart is already canonical ===")
-forms, curv, maps, inv = canonicalize("catenoid", (-1, 1), (0, math.pi), 129, 129,
-                                      cs.BaseIndex(64, 64))
+jets, maps, inv = canonicalize("catenoid", (-1, 1), (0, math.pi), 129, 129,
+                               cs.BaseIndex(64, 64))
 ident = np.max(np.abs(maps.ubar_samples - (maps.u_samples - maps.u_samples[64])))
 print(f"ubar(u) deviates from u - u0 by at most {ident:.3e}")
 print(f"ubar integrand variation across v (Codazzi diagnostic): "
       f"{maps.ubar_integrand_variation:.3e}")
-r1, r2 = cs.verify_canonical(inv, cs.resample_grid(maps, forms.E, inv),
-                             cs.resample_grid(maps, forms.G, inv))
+# positions are functions on the chart and resample as they are; E and G pick up
+# the squared slopes of the maps, so the canonical chart's are read from its positions
+canon = cs.fundamental_forms_grid(cs.finite_difference_jets(
+    cs.SurfaceMesh(cs.resample_grid(maps, jets.x, inv))))
+r1, r2 = cs.verify_canonical(inv, canon.E, canon.G)
 print(f"canonical identities hold to {max(r1.max_abs, r2.max_abs):.3e}")
 
 print()
 print("=== the torus needs a nontrivial constant b ===")
 base = cs.BaseIndex(32, 64)
-forms_t, curv_t, maps_t, inv_t = canonicalize("torus", (0, 2 * math.pi), (0, 2 * math.pi),
-                                              129, 129, base, R=2.0, r=1.0)
-u0 = forms_t.geometry.u_axis[base.i0]
+jets_t, maps_t, inv_t = canonicalize("torus", (0, 2 * math.pi), (0, 2 * math.pi),
+                                     129, 129, base, R=2.0, r=1.0)
+u0 = jets_t.geometry.u_axis[base.i0]
 print(f"a = {maps_t.a:.6f} (= r^2),  b = {maps_t.b:.6f} (= (R + r cos u0)^2 "
       f"= {(2 + math.cos(u0))**2:.6f})")
 
 print()
 print("=== affine uniqueness: two base points, one surface ===")
-_, _, maps_a, inv_a = canonicalize("catenoid", (-1, 1), (0, 3), 201, 151,
-                                   cs.BaseIndex(100, 0))
-_, _, maps_b, inv_b = canonicalize("catenoid", (-1, 1), (0, 3), 201, 151,
-                                   cs.BaseIndex(130, 50))
+_, maps_a, inv_a = canonicalize("catenoid", (-1, 1), (0, 3), 201, 151,
+                                cs.BaseIndex(100, 0))
+_, maps_b, inv_b = canonicalize("catenoid", (-1, 1), (0, 3), 201, 151,
+                                cs.BaseIndex(130, 50))
 match = cs.check_affine_equivalence(inv_a, inv_b)
 print(f"fitted map: ubar = {match.lam:+.6f} u {match.c1:+.6f}, "
       f"vbar = {match.mu:+.6f} v {match.c2:+.6f}")

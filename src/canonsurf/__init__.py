@@ -20,7 +20,6 @@ from .compatibility import (
     compatibility_floor,
     gauss_residual_canonical,
     gauss_residual_general,
-    gauss_residual_principal,
 )
 from .grid import (
     BaseIndex,

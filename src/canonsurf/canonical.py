@@ -273,7 +273,9 @@ def resample_to_canonical(maps: CanonicalMaps, nu1: Grid2, nu2: Grid2) -> Invari
 
 
 def resample_grid(maps: CanonicalMaps, g: Grid2, like: InvariantGrid) -> Grid2:
-    """Resample a companion grid (e.g. E, G or the positions) onto `like`'s canonical grid."""
+    """Resample a function on the chart, such as the positions or a curvature field, onto
+    `like`'s canonical grid. Metric coefficients pick up the squared slopes of the maps,
+    so a canonical chart's E and G are read from its resampled positions instead."""
     target = like.geometry
     pu, pv = _source_axes(maps, target.u_axis, target.v_axis)
     return target.like(tensor_at(g.values, _deriv4(g.values, 1.0, 0), pu, pv, 0, 0))

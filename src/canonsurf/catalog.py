@@ -226,9 +226,8 @@ def sample_surface(entry: CatalogEntry, u0: float, du: float, nu: int,
     v_axis = v0 + dv * np.arange(nv)
     if not entry.domain.contains(u_axis, v_axis):
         raise DomainError(f"grid leaves admissible domain of '{entry.name}'")
-    U = u_axis[:, None]
-    V = v_axis[None, :]
-    comps = entry._jet(U, V)
-    comps = [np.broadcast_to(c, (nu, nv, 3)).copy() for c in comps]
-    make = lambda c: Grid2(u0, v0, du, dv, c)
+    comps = entry._jet(u_axis[:, None], v_axis[None, :])
+    # Grid2 copies each; only a broadcast component is copied first, to C order,
+    # because Grid2's copy would keep its zero-stride axis order
+    make = lambda c: Grid2(u0, v0, du, dv, np.ascontiguousarray(np.broadcast_to(c, (nu, nv, 3))))
     return JetGrid(*(make(c) for c in comps))

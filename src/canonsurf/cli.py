@@ -1,15 +1,14 @@
 """Command line front end wiring the analysis/canonicalization/reconstruction pipeline.
 
 Exit codes: 0 success, 2 umbilic points detected, 3 validation or input error,
-4 incompatible invariant data, 64 usage error. Relative output paths can be
-redirected with the CANONSURF_OUTDIR environment variable.
+4 incompatible invariant data, 64 usage error. Every output path is taken
+from its flag as given, like every input path.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 import warnings
@@ -78,17 +77,7 @@ def _entry_from_args(args):
     return make_entry(name, **_parse_params(args.param))
 
 
-def _out_path(path: str | None):
-    if path is None:
-        return None
-    outdir = os.environ.get("CANONSURF_OUTDIR")
-    if outdir and not os.path.isabs(path):
-        return os.path.join(outdir, path)
-    return path
-
-
 def _emit(report: dict, path: str | None) -> None:
-    path = _out_path(path)
     if path:
         formats.write_json(report, path)
         print(f"report written to {path}")
@@ -118,7 +107,6 @@ def _analysis(entry, jets, base):
     reports = [compatibility.gauss_residual_general(forms)]
     reports.extend(compatibility.codazzi_residual_general(forms))
     if principal and not umb.any:
-        reports.append(compatibility.gauss_residual_principal(forms))
         reports.extend(compatibility.codazzi_residual_principal(
             curv.nu1, curv.nu2, forms.E, forms.G))
     report = {
@@ -158,7 +146,7 @@ def cmd_analyze(args) -> int:
         a, b = (float(f.values[base.i0, base.j0]) for f in (forms.E, forms.G))
         inv = canonical.InvariantGrid("nu", curv.nu1, curv.nu2, a, b, base)
         formats.write_invariant_grid(inv.to_kh() if args.mode == "kh" else inv,
-                                     _out_path(args.save_invariants))
+                                     args.save_invariants)
     _emit(report, args.output)
     return EXIT_OK
 
@@ -172,14 +160,14 @@ def _canonicalize(entry, u_range, v_range, base_text: str | None, mode: str):
     base = _base_index(base_text, jets.geometry.nu, jets.geometry.nv)
     maps = canonical.build_canonical_maps(forms.E, forms.G, curv.nu1, curv.nu2, base)
     inv = canonical.resample_to_canonical(maps, curv.nu1, curv.nu2)
-    return jets, forms, curv, maps, inv.to_kh() if mode == "kh" else inv
+    return jets, maps, inv.to_kh() if mode == "kh" else inv
 
 
 def cmd_canonicalize(args) -> int:
     entry = _entry_from_args(args)
-    jets, forms, curv, maps, inv = _canonicalize(
+    _, maps, inv = _canonicalize(
         entry, _parse_range(args.u), _parse_range(args.v), args.base_index, args.mode)
-    formats.write_invariant_grid(inv, _out_path(args.output))
+    formats.write_invariant_grid(inv, args.output)
     info = {
         "format": "canonicalize-report/1",
         "surface": entry.name,
@@ -228,12 +216,12 @@ def cmd_reconstruct(args) -> int:
         mesh = reconstruction.reconstruct(inv)
     for w in caught:
         print(f"canonsurf: warning: {w.message}", file=sys.stderr)
-    formats.write_obj(mesh, _out_path(args.output))
-    print(f"mesh written to {_out_path(args.output)} "
+    formats.write_obj(mesh, args.output)
+    print(f"mesh written to {args.output} "
           f"({inv.geometry.nu * inv.geometry.nv} vertices)")
     if args.report:
         diag = _reconstruction_diagnostics(mesh, inv)
-        formats.write_json(diag, _out_path(args.report))
+        formats.write_json(diag, args.report)
     return EXIT_OK
 
 
@@ -270,16 +258,15 @@ def cmd_roundtrip(args) -> int:
     u_range, v_range = _parse_range(args.u), _parse_range(args.v)
     levels = []
     for level in range(args.refine + 1):
-        jets, forms, curv, maps, inv = _canonicalize(
+        jets, maps, inv = _canonicalize(
             entry, _refine(u_range, 2 ** level), _refine(v_range, 2 ** level),
             args.base_index, "nu")
         rep = compatibility.gauss_residual_canonical(inv)
-        rep_e, rep_g = canonical.verify_canonical(
-            inv,
-            canonical.resample_grid(maps, forms.E, inv),
-            canonical.resample_grid(maps, forms.G, inv))
-        mesh = reconstruction.reconstruct(inv)
+        # the canonical chart's own E and G, read from its resampled positions
         truth = reconstruction.SurfaceMesh(canonical.resample_grid(maps, jets.x, inv))
+        forms = invariants.fundamental_forms_grid(reconstruction.finite_difference_jets(truth))
+        rep_e, rep_g = canonical.verify_canonical(inv, forms.E, forms.G)
+        mesh = reconstruction.reconstruct(inv)
         _, _, rms = reconstruction.align_rigid(mesh, truth)
         levels.append({
             "grid": [inv.geometry.nu, inv.geometry.nv],
@@ -302,7 +289,7 @@ def cmd_roundtrip(args) -> int:
     report = {"format": "roundtrip-report/1", "surface": entry.name,
               "levels": levels, "orders": orders}
     if args.output:
-        formats.write_json(report, _out_path(args.output))
+        formats.write_json(report, args.output)
     return EXIT_OK
 
 

@@ -10,14 +10,14 @@ O(h^2) on compatible data and stall at a floor on incompatible data;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .canonical import InvariantGrid
-from .errors import NotPrincipalError, RegularityError
+from .errors import RegularityError
 from .grid import SECOND_ORDER, BaseIndex, Grid2, d_u, d_v, path_factors, same_geometry
-from .invariants import FormGrid, is_principal, require_umbilic_free
+from .invariants import FormGrid, require_umbilic_free
 from .reports import ResidualReport, make_report
 
 # Smallest grid side, in nodes, on which the floor test runs: the halved grid
@@ -83,14 +83,6 @@ def codazzi_residual_principal(nu1: Grid2, nu2: Grid2, E: Grid2, G: Grid2):
     r2 = d_u(G.values, G) / (2.0 * G.values) - d_u(nu2.values, nu2) / gap
     return (make_report("codazzi-principal-1", nu1.like(r1)),
             make_report("codazzi-principal-2", nu1.like(r2)))
-
-
-def gauss_residual_principal(forms: FormGrid) -> ResidualReport:
-    """Gauss equation residual in a principal chart (F = M = 0): the general
-    residual, whose determinant term then vanishes and whose W is sqrt(EG)."""
-    if not is_principal(forms.E.values, forms.F.values, forms.G.values, forms.M.values):
-        raise NotPrincipalError("the principal-chart Gauss equation needs F = M = 0")
-    return replace(gauss_residual_general(forms), name="gauss-principal")
 
 
 def canonical_factors(inv: InvariantGrid) -> tuple[np.ndarray, np.ndarray]:

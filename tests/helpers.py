@@ -12,11 +12,9 @@ import canonsurf as cs
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "canonsurf", *args],
                           capture_output=True, text=True, env=env)
 

@@ -6,7 +6,7 @@ import pytest
 
 import canonsurf as cs
 from canonsurf import compatibility, grid
-from canonsurf.errors import NotPrincipalError, RangeError, RegularityError, UmbilicError
+from canonsurf.errors import RangeError, RegularityError, UmbilicError
 from canonsurf.reports import make_report
 
 from helpers import (
@@ -94,8 +94,7 @@ class TestCodazziGeneral:
         assert 3.0 < errs[0] / errs[1] < 5.0
 
 
-@pytest.mark.parametrize("residual", [cs.gauss_residual_general, cs.codazzi_residual_general,
-                                      cs.gauss_residual_principal])
+@pytest.mark.parametrize("residual", [cs.gauss_residual_general, cs.codazzi_residual_general])
 def test_general_residuals_reject_vanishing_w(residual):
     _, forms, *_ = sample_chart("plane", (-1, 1), (-1, 1), 9)
     W = forms.W.values.copy()
@@ -133,27 +132,6 @@ class TestCodazziPrincipal:
         _, forms, curv, _ = sample_chart("sphere", (-1, 1), (0, 2), 9, R=1.0)
         with pytest.raises(UmbilicError):
             cs.codazzi_residual_principal(curv.nu1, curv.nu2, forms.E, forms.G)
-
-
-class TestGaussPrincipal:
-    def test_plane_zero(self):
-        _, forms, *_ = sample_chart("plane", (-1, 1), (-1, 1), 17)
-        assert cs.gauss_residual_principal(forms).max_abs < 1e-12
-
-    @pytest.mark.parametrize("name,params,urange,vrange", [
-        ("torus", {"R": 2.0, "r": 1.0}, (0, 2 * math.pi), (0, 2 * math.pi)),
-        ("catenoid", {}, (-1, 1), (0, math.pi)),
-    ])
-    def test_second_order_convergence(self, name, params, urange, vrange):
-        errs = []
-        for n in (65, 129):
-            _, forms, *_ = sample_chart(name, urange, vrange, n, **params)
-            errs.append(cs.gauss_residual_principal(forms).max_abs)
-        assert 3.0 < errs[0] / errs[1] < 5.0
-
-    def test_rejects_skew_chart(self):
-        with pytest.raises(NotPrincipalError):
-            cs.gauss_residual_principal(cs.fundamental_forms_grid(_skew_jets(9)))
 
 
 class TestCanonicalFactors:
