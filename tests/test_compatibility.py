@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import canonsurf as cs
-from canonsurf import compatibility, grid
+from canonsurf import compatibility, grid, invariants
 from canonsurf.errors import RangeError, RegularityError, UmbilicError
 from canonsurf.reports import make_report
 
@@ -36,6 +36,21 @@ def _skew_jets(n):
     xuv = stack(0.0, 0.0, 0.2)
     xvv = stack(0.6, 0.0, -2.0)
     return cs.JetGrid(make(x), make(xu), make(xv), make(xuu), make(xuv), make(xvv))
+
+
+def gauss_residual_principal(forms):
+    """Gauss residual of a principal chart (F = M = 0): the general residual,
+    checked against Liouville's form K = LN/(EG) = -[(E_v/W)_v + (G_u/W)_u]/(2W),
+    W = sqrt(EG), which uses E, G, L and N alone."""
+    E, F, G = forms.E.values, forms.F.values, forms.G.values
+    L, M, N = forms.L.values, forms.M.values, forms.N.values
+    assert invariants.is_principal(E, F, G, M)
+    rep = cs.gauss_residual_general(forms)
+    geo = forms.geometry
+    W = np.sqrt(E * G)
+    rhs = -(grid.d_v(grid.d_v(E, geo) / W, geo) + grid.d_u(grid.d_u(G, geo) / W, geo)) / (2.0 * W)
+    np.testing.assert_allclose(rep.residual.values, L * N / (E * G) - rhs, rtol=0, atol=1e-12)
+    return rep
 
 
 class TestGaussGeneral:
@@ -94,7 +109,8 @@ class TestCodazziGeneral:
         assert 3.0 < errs[0] / errs[1] < 5.0
 
 
-@pytest.mark.parametrize("residual", [cs.gauss_residual_general, cs.codazzi_residual_general])
+@pytest.mark.parametrize("residual", [cs.gauss_residual_general, cs.codazzi_residual_general,
+                                      gauss_residual_principal])
 def test_general_residuals_reject_vanishing_w(residual):
     _, forms, *_ = sample_chart("plane", (-1, 1), (-1, 1), 9)
     W = forms.W.values.copy()
@@ -132,6 +148,23 @@ class TestCodazziPrincipal:
         _, forms, curv, _ = sample_chart("sphere", (-1, 1), (0, 2), 9, R=1.0)
         with pytest.raises(UmbilicError):
             cs.codazzi_residual_principal(curv.nu1, curv.nu2, forms.E, forms.G)
+
+
+class TestGaussPrincipal:
+    def test_plane_zero(self):
+        _, forms, *_ = sample_chart("plane", (-1, 1), (-1, 1), 17)
+        assert gauss_residual_principal(forms).max_abs < 1e-12
+
+    @pytest.mark.parametrize("name,params,urange,vrange", [
+        ("torus", {"R": 2.0, "r": 1.0}, (0, 2 * math.pi), (0, 2 * math.pi)),
+        ("catenoid", {}, (-1, 1), (0, math.pi)),
+    ])
+    def test_second_order_convergence(self, name, params, urange, vrange):
+        errs = []
+        for n in (65, 129):
+            _, forms, *_ = sample_chart(name, urange, vrange, n, **params)
+            errs.append(gauss_residual_principal(forms).max_abs)
+        assert 3.0 < errs[0] / errs[1] < 5.0
 
 
 class TestCanonicalFactors:
