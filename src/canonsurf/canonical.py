@@ -107,18 +107,20 @@ class InvariantGrid:
         else:
             require_positive_discriminant(self.field1.values, self.field2.values)
 
-    def half_gap(self) -> np.ndarray:
-        """|nu1 - nu2| / 2, which is sqrt(H^2 - K): the weight of the kh-mode constants."""
+    def half_gap(self, at) -> np.ndarray:
+        """|nu1 - nu2| / 2, which is sqrt(H^2 - K): the weight of the kh-mode
+        constants, at the index `at` of the fields: ... for the whole grid, a
+        node (i, j) for its value alone."""
+        f1, f2 = self.field1.values[at], self.field2.values[at]
         if self.mode == "nu":
-            return 0.5 * np.abs(self.field1.values - self.field2.values)
-        K, H = self.field1.values, self.field2.values
-        return np.sqrt(H * H - K)
+            return 0.5 * np.abs(f1 - f2)
+        return np.sqrt(f2 * f2 - f1)
 
     def nu_arrays(self):
         """(nu1, nu2) arrays; in kh mode H +- sqrt(H^2 - K), nu1 along u."""
         if self.mode == "nu":
             return self.field1.values, self.field2.values
-        H, root = self.field2.values, self.half_gap()
+        H, root = self.field2.values, self.half_gap(...)
         return H + root, H - root
 
     def kh_arrays(self):
@@ -133,14 +135,14 @@ class InvariantGrid:
         """(a, b) in kh mode: a nu grid's constants times sqrt(H^2 - K) at the base node."""
         if self.mode == "kh":
             return self.a, self.b
-        s0 = float(self.half_gap()[self.base.i0, self.base.j0])
+        s0 = float(self.half_gap((self.base.i0, self.base.j0)))
         return self.a * s0, self.b * s0
 
     def nu_constants(self) -> tuple[float, float]:
         """(a, b) in nu mode: a kh grid's constants divided by sqrt(H^2 - K) at the base node."""
         if self.mode == "nu":
             return self.a, self.b
-        s0 = float(self.half_gap()[self.base.i0, self.base.j0])
+        s0 = float(self.half_gap((self.base.i0, self.base.j0)))
         return self.a / s0, self.b / s0
 
     def normal_sign(self) -> float:
@@ -217,7 +219,7 @@ def build_canonical_maps(E: Grid2, G: Grid2, nu1: Grid2, nu2: Grid2,
     a = float(E.values[i0, j0])
     b = float(G.values[i0, j0])
 
-    psi1, psi2 = path_factors(nu1.values, nu2.values, gap, E, base, FOURTH_ORDER)
+    psi1, psi2 = path_factors(nu1.values, nu2.values, gap, E, base, FOURTH_ORDER)[:2]
     ubar, var_u = _map_1d(np.sqrt(E.values) / psi1, math.sqrt(a), E.du, i0,
                           reduce_axis=1, what="ubar")
     vbar, var_v = _map_1d(np.sqrt(G.values) / psi2, math.sqrt(b), E.dv, j0,
@@ -293,7 +295,7 @@ def verify_canonical(inv: InvariantGrid, E: Grid2, G: Grid2):
     nu1, nu2 = inv.nu_arrays()
     a, b = inv.nu_constants()
     geo = inv.geometry
-    psi1, psi2 = path_factors(nu1, nu2, nu1 - nu2, geo, inv.base, SECOND_ORDER)
+    psi1, psi2 = path_factors(nu1, nu2, nu1 - nu2, geo, inv.base, SECOND_ORDER)[:2]
     r1 = np.sqrt(E.values / a) / psi1 - 1.0
     r2 = np.sqrt(G.values / b) / psi2 - 1.0
     return make_report("canonical-E", geo.like(r1)), make_report("canonical-G", geo.like(r2))
@@ -341,7 +343,8 @@ def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> Affi
     ga, gb = inv_a.geometry, inv_b.geometry
     nu1, nu2 = inv_a.nu_arrays()
     # with the fourth-order stencils of the maps
-    factors_a = np.stack(path_factors(nu1, nu2, nu1 - nu2, ga, inv_a.base, FOURTH_ORDER), axis=-1)
+    factors_a = np.stack(path_factors(nu1, nu2, nu1 - nu2, ga, inv_a.base, FOURTH_ORDER)[:2],
+                         axis=-1)
     fields_a, fields_b = np.stack([nu1, nu2], axis=-1), np.stack(inv_b.nu_arrays(), axis=-1)
     slopes_b = _deriv4(fields_b, 1.0, 0)
     # rows: origin, cell, last node and constants, per axis
@@ -375,14 +378,19 @@ def check_affine_equivalence(inv_a: InvariantGrid, inv_b: InvariantGrid) -> Affi
         return SimpleNamespace(swapped=swapped, q0=np.array([u[k[0]], v[k[1]]]), factors=factors,
                                slopes=_deriv4(factors, 1.0, 0), origin=origin, cell=cell,
                                last=last, consts=consts, samples=(u[::steps[0]], v[::steps[1]]),
-                               targets=fields[::steps[0], ::steps[1]])
+                               targets=fields[::steps[0], ::steps[1]], jets={})
 
     def affine(a, q, signs):
         # slopes, offsets, the images of the sample axes in B's coordinates and
-        # their derivatives by q
-        pos = np.clip((q - a.origin) / a.cell, 0.0, a.last)
-        psi, psi_u, psi_v = (tensor_at(a.factors, a.slopes, pos[:1], pos[1:], *d)[0, 0]
-                             / np.prod(a.cell**d) for d in ((0, 0), (1, 0), (0, 1)))
+        # their derivatives by q. The factors and their first derivatives are
+        # evaluated once per point q: the four sign choices share the seed, and
+        # the fit takes its Jacobian where it evaluated its residual
+        key = q.tobytes()
+        if key not in a.jets:
+            pos = np.clip((q - a.origin) / a.cell, 0.0, a.last)
+            a.jets[key] = [tensor_at(a.factors, a.slopes, pos[:1], pos[1:], *d)[0, 0]
+                           / np.prod(a.cell**d) for d in ((0, 0), (1, 0), (0, 1))]
+        psi, psi_u, psi_v = a.jets[key]
         w = signs * np.sqrt(a.consts / consts_b)
         slope, dslope = w * psi, w * np.array([psi_u, psi_v])
         rel = [x - q[k] for k, x in enumerate(a.samples)]

@@ -227,7 +227,8 @@ def sample_surface(entry: CatalogEntry, u0: float, du: float, nu: int,
     if not entry.domain.contains(u_axis, v_axis):
         raise DomainError(f"grid leaves admissible domain of '{entry.name}'")
     comps = entry._jet(u_axis[:, None], v_axis[None, :])
-    # Grid2 copies each; only a broadcast component is copied first, to C order,
-    # because Grid2's copy would keep its zero-stride axis order
-    make = lambda c: Grid2(u0, v0, du, dv, np.ascontiguousarray(np.broadcast_to(c, (nu, nv, 3))))
+    # Grid2 keeps each full-shape component; a broadcast one is copied to C
+    # order first, because Grid2's copy of a view keeps its zero-stride axis order
+    full = lambda c: c if np.shape(c) == (nu, nv, 3) else np.broadcast_to(c, (nu, nv, 3))
+    make = lambda c: Grid2(u0, v0, du, dv, np.ascontiguousarray(full(c)))
     return JetGrid(*(make(c) for c in comps))

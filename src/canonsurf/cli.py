@@ -307,7 +307,7 @@ def cmd_special(args) -> int:
         classes = {
             "cmc": lambda: special_surfaces.cmc_residual(K, h_const, a, b),
             "minimal": lambda: special_surfaces.minimal_natural_residual(
-                inv.geometry.like(inv.half_gap()), a, b),
+                inv.geometry.like(inv.half_gap(...)), a, b),
             "flat": lambda: special_surfaces.flat_characterization(H).report,
         }
         # with "all", a class the data leaves undefined is listed, not fatal

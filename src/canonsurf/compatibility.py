@@ -5,7 +5,10 @@ give a principal chart's Gauss residual, the principal-chart Codazzi equations,
 and the canonical-parameter equation that ties invariant fields (nu1, nu2) or
 (K, H) to an actual surface, (K, H) read as (nu1, nu2). Residuals converge as
 O(h^2) on compatible data and stall at a floor on incompatible data;
-`compatibility_floor` turns that contrast into a yes/no test.
+`compatibility_floor` turns that contrast into a yes/no test. The canonical
+residual reads nu1, nu2 and the constants once and reuses the rates
+d_v nu1 / (nu1 - nu2) and d_u nu2 / (nu1 - nu2) that grid.path_factors
+forms for its factors.
 """
 
 from __future__ import annotations
@@ -89,20 +92,24 @@ def canonical_factors(inv: InvariantGrid) -> tuple[np.ndarray, np.ndarray]:
     """(Psi1, Psi2) arrays of the (nu1, nu2) route, for a grid of either mode:
     strictly positive and exactly 1 at the base node."""
     nu1, nu2 = inv.nu_arrays()
-    return path_factors(nu1, nu2, nu1 - nu2, inv.geometry, inv.base, SECOND_ORDER)
+    return path_factors(nu1, nu2, nu1 - nu2, inv.geometry, inv.base, SECOND_ORDER)[:2]
 
 
 def gauss_residual_canonical(inv: InvariantGrid) -> ResidualReport:
     """Residual of the canonical-parameter Gauss equation in the nu route, for a
-    grid of either mode: kh data enter through nu_arrays() and nu_constants()."""
+    grid of either mode: kh data enter through nu_arrays() and nu_constants().
+    The inner derivatives of the right-hand side are the rates path_factors
+    returns with the factors of canonical_factors."""
     nu1, nu2 = inv.nu_arrays()
     a, b = inv.nu_constants()
-    gap = nu1 - nu2
     geo = inv.geometry
-    p1, p2 = canonical_factors(inv)
+    p1, p2, r1, r2 = path_factors(nu1, nu2, nu1 - nu2, geo, inv.base, SECOND_ORDER)
+    r1 *= p1
+    r1 /= p2
+    r2 *= p2
+    r2 /= p1
+    rhs = d_v(r1, geo) / b - d_u(r2, geo) / a
     lhs = nu1 * nu2 * p1 * p2
-    rhs = (d_v(d_v(nu1, geo) / gap * p1 / p2, geo) / b
-           - d_u(d_u(nu2, geo) / gap * p2 / p1, geo) / a)
     return make_report("gauss-canonical", geo.like(lhs - rhs))
 
 

@@ -211,33 +211,52 @@ def read_weingarten(path: str) -> WeingartenData:
         BaseIndex(*header_pair(data, "base_index", int)))
 
 
+def _node_text(count: int, with_normals: bool) -> np.ndarray:
+    """(count, width) ASCII text of the OBJ vertex references of nodes 1..count,
+    k or k//k with normals, right-aligned with NULs for leading zeros."""
+    k = np.arange(1, count + 1)[:, None]
+    place = 10 ** np.arange(len(str(count)) - 1, -1, -1)
+    digits = np.where(k < place, 0, k // place % 10 + ord("0")).astype(np.uint8)
+    if not with_normals:
+        return digits
+    return np.hstack([digits, np.full((count, 2), ord("/"), np.uint8), digits])
+
+
 def write_obj(mesh: SurfaceMesh, path: str) -> None:
     """Wavefront OBJ: v lines in row-major (u fastest) order, quads as triangles.
 
-    The file is written one grid row (fixed j) at a time, each row formatted
-    by one %-operation; "%.17g" % x is the same text as f"{x:.17g}".
+    The v lines are written one grid row (fixed j) at a time, each row
+    formatted by one %-operation; "%.17g" % x is the same text as f"{x:.17g}".
+    The face lines are gathered from the text of every node's reference,
+    formed once, into a table of fixed-width lines whose NULs (no text
+    byte is one) are dropped, a block of grid rows at a time.
     """
     pos = mesh.positions.values
     fields = [("v", pos)] if mesh.normals is None else [("v", pos), ("vn", mesh.normals.values)]
     for _, values in fields:
         _check_finite(values)
     nu, nv = pos.shape[:2]
-    # the triangles (q0, q1, q2), (q0, q2, q3) of the quads of row 0; row j adds j * nu
-    node = np.arange(1, nu + 1)
-    q0, q1, q2, q3 = node[:-1], node[1:], node[1:] + nu, node[:-1] + nu
-    tris = np.column_stack([q0, q1, q2, q0, q2, q3])
-    face = "f %d %d %d\n"
-    if mesh.normals is not None:
-        tris, face = np.repeat(tris, 2, axis=1), "f %d//%d %d//%d %d//%d\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# canonsurf surface mesh, grid {nu} x {nv} (u fastest)\n")
+    text = _node_text(nu * nv, mesh.normals is not None)
+    w = text.shape[1]
+    # the triangles (q0, q1, q2), (q0, q2, q3) of the quad at zero-based node q0
+    corners = np.array([0, 1, nu + 1, 0, nu + 1, nu])
+    rows = max(1, 2**14 // nu)  # grid rows per block of face lines
+    with open(path, "wb") as fh:
+        fh.write(f"# canonsurf surface mesh, grid {nu} x {nv} (u fastest)\n".encode())
         for tag, values in fields:
             line = f"{tag} %.17g %.17g %.17g\n" * nu
             for j in range(nv):
-                fh.write(line % tuple(values[:, j].ravel().tolist()))
-        faces = face * (2 * (nu - 1))
-        for j in range(nv - 1):
-            fh.write(faces % tuple((tris + j * nu).ravel().tolist()))
+                fh.write((line % tuple(values[:, j].ravel().tolist())).encode())
+        for j0 in range(0, nv - 1, rows):
+            q0 = np.arange(j0, min(j0 + rows, nv - 1))[:, None] * nu + np.arange(nu - 1)
+            tris = (q0.reshape(-1, 1) + corners).reshape(-1, 3)
+            # "f ", then each vertex's reference and the byte that ends it
+            table = np.zeros((len(tris), 2 + 3 * (w + 1)), np.uint8)
+            table[:, :2] = (ord("f"), ord(" "))
+            for k, end in enumerate(b"  \n"):
+                table[:, 2 + k * (w + 1):1 + (k + 1) * (w + 1)] = text[tris[:, k]]
+                table[:, 1 + (k + 1) * (w + 1)] = end
+            fh.write(table[table != 0].tobytes())
 
 
 def read_obj(path: str):

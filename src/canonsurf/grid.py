@@ -9,12 +9,16 @@ layers, composite trapezoid quadrature) gives every residual in the package a
 clean O(h^2) target; FOURTH_ORDER (five-point differences, quadrature of the
 cubic) serves the canonical maps, the affine fit and the reconstruction.
 Every stencil acts along axis 0 of a swapped view, elementwise across the
-others, so one line's derivative is bitwise that line of the whole grid's.
-The factor pair exp(-+P) of path_factors is built here only, and every caller
-names its stencil order. The cubic also integrates each step of the frame march
-(_step_integrals), inverts sampled maps (spline_inverse_at), interpolates
-non-uniform samples (spline_slopes, spline_eval) and, along u and then along
-v, resamples grids and evaluates them for the affine fit (tensor_at).
+others, so one line's derivative is bitwise that line of the whole grid's,
+and forms its interior in place in the array it returns; the running sums
+offset their totals in place too. The factor pair exp(-+P) of path_factors
+is built here only, and every caller names its stencil order; it comes with
+the full-grid rates df / gap its exponents integrate, which the canonical
+Gauss residual reuses rather than forming them again. The cubic also
+integrates each step of the frame march (_step_integrals), inverts sampled
+maps (spline_inverse_at), interpolates non-uniform samples (spline_slopes,
+spline_eval) and, along u and then along v, resamples grids and evaluates
+them for the affine fit (tensor_at).
 
 On every interval the cubic is the Hermite cubic of its end values and end
 slopes (de Boor, A Practical Guide to Splines, 1978). The slopes are local:
@@ -37,7 +41,12 @@ GEOMETRY_RTOL = 1e-12  # same_geometry's tolerance on origins and spacings
 
 
 def _frozen_array(a) -> np.ndarray:
-    arr = np.array(a, dtype=float)
+    # an owned float64 ndarray is kept; a view, another dtype or a list is
+    # copied by np.array, which keeps the source's memory layout
+    if type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata:
+        arr = a
+    else:
+        arr = np.array(a, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -49,6 +58,12 @@ class Grid2:
     values[i, j] (or values[i, j, :]) is the sample at parameter
     (u0 + i*du, v0 + j*dv). Instances are immutable; all operations on them
     are pure functions returning new grids.
+
+    A grid takes ownership of a float64 numpy array that owns its data: it
+    keeps that array and makes it read-only in place, so the caller's array
+    can no longer be written (views taken of it earlier still can, and must
+    not be). Anything else, a view, another dtype or a list, is copied, and
+    the caller's object is left as it was.
     """
 
     u0: float
@@ -131,7 +146,8 @@ def _diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
         raise DimensionError("need at least 3 samples along the differentiated axis")
     f = np.asarray(values, dtype=float).swapaxes(axis, 0)
     out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    inner = np.subtract(f[2:], f[:-2], out=out[1:-1])
+    inner /= 2.0 * h
     out[0] = -1.5 / h * f[0] + 2.0 / h * f[1] + -0.5 / h * f[2]
     out[-1] = 0.5 / h * f[-3] + -2.0 / h * f[-2] + 1.5 / h * f[-1]
     return out.swapaxes(0, axis)
@@ -154,7 +170,10 @@ def _second_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
         raise DimensionError("need at least 4 samples for second derivatives")
     f = np.asarray(values, dtype=float).swapaxes(axis, 0)
     out = np.empty_like(f)
-    out[1:-1] = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / h**2
+    inner = np.multiply(f[1:-1], 2.0, out=out[1:-1])
+    np.subtract(f[:-2], inner, out=inner)
+    inner += f[2:]
+    inner /= h**2
     out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h**2
     out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h**2
     return out.swapaxes(0, axis)
@@ -174,9 +193,11 @@ def d_vv(values: np.ndarray, g: Grid2) -> np.ndarray:
 def _anchored_sum(f: np.ndarray, step_integrals: np.ndarray, i0: int, axis: int) -> np.ndarray:
     # running sum along axis 0 of f's step integrals, exactly 0 at node i0
     # (nodes before it carry the negative of the reversed integral), swapped to axis
-    total = np.zeros_like(f)
+    total = np.empty_like(f)
+    total[0] = 0.0
     np.cumsum(step_integrals, axis=0, out=total[1:])
-    return (total - total[i0]).swapaxes(0, axis)
+    total -= total[i0].copy()
+    return total.swapaxes(0, axis)
 
 
 def _cumtrapz(values: np.ndarray, steps, i0: int, axis: int) -> np.ndarray:
@@ -187,7 +208,9 @@ def _cumtrapz(values: np.ndarray, steps, i0: int, axis: int) -> np.ndarray:
     scipy.integrate.cumulative_trapezoid's, so the results are bitwise equal to it.
     """
     f = np.asarray(values, dtype=float).swapaxes(axis, 0)
-    return _anchored_sum(f, steps * (f[1:] + f[:-1]) / 2.0, i0, axis)
+    sums = f[1:] + f[:-1]
+    sums *= 0.5 * steps  # halving is exact: steps * sums / 2.0, bit for bit
+    return _anchored_sum(f, sums, i0, axis)
 
 
 def _deriv4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -238,32 +261,39 @@ FOURTH_ORDER = (_deriv4, _cumint4)
 
 
 def path_exponent(f: np.ndarray, gap: np.ndarray, g: Grid2, base: BaseIndex, axis: int,
-                  stencils) -> np.ndarray:
-    """Path integral of df / gap from the base node to every node of g.
+                  stencils) -> tuple[np.ndarray, np.ndarray]:
+    """(path integral of df / gap from the base node to every node of g, the
+    rate it integrates over the whole grid).
 
-    The `axis` component of df / gap is integrated over the whole grid, the
-    other component along the base line through the base node only, so the
-    result is exactly 0 at the base node. stencils is SECOND_ORDER or
-    FOURTH_ORDER.
+    The rate is the `axis` component of df / gap, integrated over the whole
+    grid; the other component is integrated along the base line through the
+    base node only, so the integral is exactly 0 at the base node. stencils
+    is SECOND_ORDER or FOURTH_ORDER.
     """
     diff, cumint = stencils
     h = (g.du, g.dv)
     k0 = (base.i0, base.j0)
     other = 1 - axis
-    full = cumint(diff(f, h[axis], axis) / gap, h[axis], k0[axis], axis)
+    rate = diff(f, h[axis], axis)
+    rate /= gap
     line = (diff(np.take(f, [k0[axis]], axis=axis), h[other], other)
             / np.take(gap, [k0[axis]], axis=axis))
-    return full + cumint(line, h[other], k0[other], other)
+    exponent = cumint(rate, h[axis], k0[axis], axis)
+    exponent += cumint(line, h[other], k0[other], other)
+    return exponent, rate
 
 
 def path_factors(f1: np.ndarray, f2: np.ndarray, gap: np.ndarray, g: Grid2, base: BaseIndex,
-                 stencils) -> tuple[np.ndarray, np.ndarray]:
-    """(Psi1, Psi2) = (exp(-P1), exp(P2)), P1 the path exponent of df1 / gap over
-    axis 1 and P2 that of df2 / gap over axis 0: for f1, f2, gap = nu1, nu2,
-    nu1 - nu2 the canonical factors of E = a Psi1^2 and G = b Psi2^2, exactly
-    1 at the base node. stencils is SECOND_ORDER or FOURTH_ORDER."""
-    return (np.exp(-path_exponent(f1, gap, g, base, 1, stencils)),
-            np.exp(path_exponent(f2, gap, g, base, 0, stencils)))
+                 stencils) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(Psi1, Psi2, R1, R2): Psi1 = exp(-P1), P1 the path exponent of df1 / gap
+    over axis 1, and Psi2 = exp(P2), P2 that of df2 / gap over axis 0, with
+    the rates R1 = df1 / gap along axis 1 and R2 = df2 / gap along axis 0 that
+    they integrate over the whole grid. For f1, f2, gap = nu1, nu2, nu1 - nu2
+    the factors are the canonical factors of E = a Psi1^2 and G = b Psi2^2,
+    exactly 1 at the base node. stencils is SECOND_ORDER or FOURTH_ORDER."""
+    p1, r1 = path_exponent(f1, gap, g, base, 1, stencils)
+    p2, r2 = path_exponent(f2, gap, g, base, 0, stencils)
+    return np.exp(np.negative(p1, out=p1), out=p1), np.exp(p2, out=p2), r1, r2
 
 
 def _hermite(y0, y1, m0, m1, t: np.ndarray, order: int) -> np.ndarray:

@@ -79,7 +79,7 @@ def coefficients_from_invariants(inv: InvariantGrid):
     path_factors. Then L = nu1 E, N = nu2 G.
     """
     nu1, nu2 = inv.nu_arrays()
-    psi1, psi2 = path_factors(nu1, nu2, nu1 - nu2, inv.geometry, inv.base, FOURTH_ORDER)
+    psi1, psi2 = path_factors(nu1, nu2, nu1 - nu2, inv.geometry, inv.base, FOURTH_ORDER)[:2]
     a, b = inv.nu_constants()
     E = a * psi1**2
     G = b * psi2**2

@@ -347,6 +347,28 @@ class TestAffineEquivalence:
         cs.check_affine_equivalence(inv_a, inv_b)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("name, ranges, base_b, params", [
+        ("catenoid", ((-1, 1), (0, math.pi)), (10, 20), {}),
+        ("cone", ((0, 2), (0.5, 2.5)), (20, 12), {"alpha": 0.6}),
+    ])
+    def test_factor_jet_evaluated_once_per_point(self, monkeypatch, name, ranges, base_b,
+                                                 params):
+        # the factors and their first derivatives are read at one point q at a
+        # time; the sign choices at the seed and the fit's Jacobians reuse them
+        points = []
+        tensor_at = canonical.tensor_at
+
+        def record(values, su, pos_u, pos_v, order_u, order_v):
+            if pos_u.size == pos_v.size == 1:
+                points.append((pos_u.tobytes(), pos_v.tobytes(), order_u, order_v))
+            return tensor_at(values, su, pos_u, pos_v, order_u, order_v)
+
+        inv_a, inv_b = _canonical_pair(name, *ranges, 33, base_b, "nu", **params)
+        want = cs.check_affine_equivalence(inv_a, inv_b)
+        monkeypatch.setattr(canonical, "tensor_at", record)
+        assert cs.check_affine_equivalence(inv_a, inv_b) == want
+        assert points and len(set(points)) == len(points)
+
     def test_least_squares_fits_a_linear_model_and_reports_the_cap(self, monkeypatch):
         from canonsurf import canonical
         design = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
@@ -492,6 +514,23 @@ def test_to_kh_weights_constants_at_base():
     assert (kh.a, kh.b) == (inv.a * s0, inv.b * s0) == inv.kh_constants()
     assert kh.kh_constants() == (kh.a, kh.b)
     assert kh.to_kh() is kh
+
+
+@pytest.mark.parametrize("build", [torus_invariants, catenoid_invariants, cone_invariants])
+@pytest.mark.parametrize("base", [None, cs.BaseIndex(5, 26)])
+def test_constants_read_the_whole_grid_half_gap_at_the_base(build, base):
+    # the constants evaluate the half-gap at the base node alone, bit for bit
+    # its value on the whole grid
+    inv = build(33, base=base)[0]
+    for grid in (inv, inv.to_kh()):
+        f1, f2 = grid.field1.values, grid.field2.values
+        full = 0.5 * np.abs(f1 - f2) if grid.mode == "nu" else np.sqrt(f2 * f2 - f1)
+        assert np.array_equal(grid.half_gap(...), full)
+        s0 = float(full[grid.base.i0, grid.base.j0])
+        if grid.mode == "nu":
+            assert grid.kh_constants() == (grid.a * s0, grid.b * s0)
+        else:
+            assert grid.nu_constants() == (grid.a / s0, grid.b / s0)
 
 
 @pytest.mark.parametrize("build, sign", [(torus_invariants, 1.0), (cone_invariants, -1.0),

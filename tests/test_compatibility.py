@@ -13,6 +13,7 @@ from helpers import (
     canonical_grid,
     catenoid_invariants,
     cone_invariants,
+    fabricated_invariants,
     observed_orders,
     overflowing_invariants,
     sample_chart,
@@ -286,6 +287,41 @@ class TestGaussCanonical:
         a = cs.gauss_residual_canonical(inv).max_abs
         b = cs.gauss_residual_canonical(flipped).max_abs
         assert abs(a - b) <= 1e-12 * max(1.0, a)
+
+
+def _gauss_residual_through_canonical_factors(inv):
+    # the residual as it was formed before it reused its factors' rates: the
+    # factors through canonical_factors, both rates formed a second time
+    nu1, nu2 = inv.nu_arrays()
+    a, b = inv.nu_constants()
+    gap = nu1 - nu2
+    geo = inv.geometry
+    p1, p2 = cs.canonical_factors(inv)
+    lhs = nu1 * nu2 * p1 * p2
+    rhs = (cs.d_v(cs.d_v(nu1, geo) / gap * p1 / p2, geo) / b
+           - cs.d_u(cs.d_u(nu2, geo) / gap * p2 / p1, geo) / a)
+    return make_report("gauss-canonical", geo.like(lhs - rhs))
+
+
+def _residual_pin_grids():
+    yield "fabricated", fabricated_invariants(33, 5)
+    for build in (torus_invariants, catenoid_invariants, cone_invariants):
+        yield build.__name__, build(33)[0]
+        yield build.__name__ + "-off-centre", build(33, base=cs.BaseIndex(5, 26))[0]
+
+
+@pytest.mark.parametrize("name, inv", list(_residual_pin_grids()))
+@pytest.mark.parametrize("mode", ["nu", "kh"])
+@pytest.mark.parametrize("subsampled", [False, True])
+def test_gauss_residual_canonical_is_bitwise_its_factor_route(name, inv, mode, subsampled):
+    if mode == "kh":
+        inv = inv.to_kh()
+    if subsampled:  # the coarse grid of the floor test
+        inv = compatibility._subsample(inv)
+    got = cs.gauss_residual_canonical(inv)
+    want = _gauss_residual_through_canonical_factors(inv)
+    assert np.array_equal(got.residual.values, want.residual.values)
+    assert (got.max_abs, got.rms) == (want.max_abs, want.rms)
 
 
 class TestGaussCanonicalKH:

@@ -147,6 +147,40 @@ def test_obj_bytes_equal_per_element_reference(tmp_path, with_normals):
     assert path.read_bytes() == _reference_obj(pos, nrm).encode("utf-8")
 
 
+def _row_by_row_obj(pos, nrm):
+    # the writer as it was before its face lines were gathered from the text
+    # of each node: every grid row's v lines and face lines by one %-operation
+    nu, nv = pos.shape[:2]
+    out = [f"# canonsurf surface mesh, grid {nu} x {nv} (u fastest)\n"]
+    for tag, values in (("v", pos), ("vn", nrm)):
+        if values is not None:
+            line = f"{tag} %.17g %.17g %.17g\n" * nu
+            out += [line % tuple(values[:, j].ravel().tolist()) for j in range(nv)]
+    node = np.arange(1, nu + 1)
+    q0, q1, q2, q3 = node[:-1], node[1:], node[1:] + nu, node[:-1] + nu
+    tris = np.column_stack([q0, q1, q2, q0, q2, q3])
+    face = "f %d %d %d\n"
+    if nrm is not None:
+        tris, face = np.repeat(tris, 2, axis=1), "f %d//%d %d//%d %d//%d\n"
+    faces = face * (2 * (nu - 1))
+    out += [faces % tuple((tris + j * nu).ravel().tolist()) for j in range(nv - 1)]
+    return "".join(out)
+
+
+@pytest.mark.parametrize("with_normals", [False, True])
+@pytest.mark.parametrize("shape", [(3, 3), (11, 10), (101, 99), (4, 300)])
+def test_obj_bytes_equal_row_by_row_writer(tmp_path, with_normals, shape):
+    # node counts that cross 100 and 10000, so the node references change
+    # width inside a line and inside a block of face lines
+    pos = _mesh_values(*shape, 3)
+    nrm = _mesh_values(*shape, 4) if with_normals else None
+    mesh = cs.SurfaceMesh(cs.Grid2(0, 0, 1, 1, pos),
+                          cs.Grid2(0, 0, 1, 1, nrm) if with_normals else None)
+    path = tmp_path / "mesh.obj"
+    formats.write_obj(mesh, str(path))
+    assert path.read_bytes() == _row_by_row_obj(pos, nrm).encode("utf-8")
+
+
 def test_json_float_array_bytes_equal_per_element_reference(tmp_path):
     arr = _mesh_values(4, 3, 2).ravel()
     path = tmp_path / "a.json"

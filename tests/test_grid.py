@@ -171,6 +171,33 @@ def test_small_grid_rejected():
         cs.Grid2(0, 0, 1, 1, np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_grid_keeps_an_owned_float64_array_and_freezes_it(order):
+    values = np.random.default_rng(0).normal(size=(4, 5)).copy(order)
+    g = cs.Grid2(0, 0, 1, 1, values)
+    assert g.values is values
+    assert not values.flags.writeable and values.flags[f"{order}_CONTIGUOUS"]
+    with pytest.raises(ValueError):
+        values[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("make", [lambda base: base[1:5], lambda base: base.T[:, :4],
+                                  lambda base: base.astype(np.float32),
+                                  lambda base: base.astype(np.int64), lambda base: base.tolist()])
+def test_grid_copies_views_other_dtypes_and_lists(make):
+    base = np.arange(30.0).reshape(6, 5).copy()
+    given = make(base)
+    g = cs.Grid2(0, 0, 1, 1, given)
+    assert g.values.dtype == np.float64 and not g.values.flags.writeable
+    assert not np.shares_memory(g.values, base)
+    assert base.flags.writeable
+    if isinstance(given, np.ndarray):
+        assert given.flags.writeable
+    kept = g.values.copy()
+    base += 1.0
+    assert np.array_equal(g.values, kept)
+
+
 def _path_exponent_errors(axis, stencils):
     # df / gap with gap = exp(f) is the exact differential of -exp(-f), so the
     # path integral from the base node is exp(-f(base)) - exp(-f) on any path
@@ -181,7 +208,7 @@ def _path_exponent_errors(axis, stencils):
         f = np.sin(u)[:, None] * np.cos(v)[None, :] + 0.5 * u[:, None]
         g = cs.Grid2.from_axes(u, v, f)
         base = cs.BaseIndex((n - 1) // 4, 3 * (n - 1) // 4)
-        got = path_exponent(f, np.exp(f), g, base, axis, stencils)
+        got = path_exponent(f, np.exp(f), g, base, axis, stencils)[0]
         assert got[base.i0, base.j0] == 0.0
         errs.append(np.max(np.abs(got - (np.exp(-f[base.i0, base.j0]) - np.exp(-f)))))
     return errs
@@ -203,9 +230,11 @@ def test_path_exponent_matches_cumulative_integrals():
     gap = 1.0 + 0.1 * g.values
     base = cs.BaseIndex(6, 11)
     line = _cumtrapz(cs.d_v(g.values, g) / gap, g.dv, base.j0, axis=1)
-    want = (_cumtrapz(cs.d_u(g.values, g) / gap, g.du, base.i0, axis=0)
-            + line[base.i0][None, :])
-    assert np.array_equal(path_exponent(g.values, gap, g, base, 0, SECOND_ORDER), want)
+    rate = cs.d_u(g.values, g) / gap
+    want = _cumtrapz(rate, g.du, base.i0, axis=0) + line[base.i0][None, :]
+    got, got_rate = path_exponent(g.values, gap, g, base, 0, SECOND_ORDER)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_rate, rate)
 
 
 @pytest.mark.parametrize("stencils", [SECOND_ORDER, FOURTH_ORDER])
@@ -220,10 +249,12 @@ def test_path_exponent_differentiates_only_the_base_line_across(stencils, axis, 
     gap = 1.0 + rng.uniform(size=shape)
     base = cs.BaseIndex(shape[0] // 3, 2 * shape[1] // 3)
     h, k0, other = (g.du, g.dv), (base.i0, base.j0), 1 - axis
-    full = cumint(diff(g.values, h[axis], axis) / gap, h[axis], k0[axis], axis)
+    rate = diff(g.values, h[axis], axis) / gap
     line = np.take(diff(g.values, h[other], other) / gap, [k0[axis]], axis=axis)
-    want = full + cumint(line, h[other], k0[other], other)
-    assert np.array_equal(path_exponent(g.values, gap, g, base, axis, stencils), want)
+    want = cumint(rate, h[axis], k0[axis], axis) + cumint(line, h[other], k0[other], other)
+    got, got_rate = path_exponent(g.values, gap, g, base, axis, stencils)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_rate, rate)
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (4, 9), (9, 4, 3), (5, 6, 7)])
