@@ -1,5 +1,5 @@
-# Tour of the pointwise machinery: jets, fundamental forms, curvatures,
-# geodesic curvatures of the parameter lines, and umbilic detection.
+# Tour of the invariants on grids: jets, fundamental forms, curvatures and
+# umbilic detection.
 
 import math
 
@@ -7,40 +7,25 @@ import numpy as np
 
 import canonsurf as cs
 
-print("=== catalog surfaces ===")
-torus = cs.make_entry("torus", R=2.0, r=1.0)
-jet = cs.evaluate_jet(torus, 0.0, 0.0)
-print("torus jet at (0,0):  xu =", jet.xu, " xv =", jet.xv)
-
-forms = cs.fundamental_forms(jet)
-print("first form  (E, F, G) =", (forms.E, forms.F, forms.G))
-print("second form (L, M, N) =", (forms.L, forms.M, forms.N))
-
-curv = cs.curvatures(forms, principal_chart=True)
-print("curvatures: K = %.6f  H = %.6f  nu = (%.4f, %.4f)"
-      % (curv.K, curv.H, curv.nu1, curv.nu2))
-
-print()
-print("normal curvature interpolates between the principal values:")
-for direction in [(1, 0), (1, 1), (1, 3), (0, 1)]:
-    k = cs.normal_curvature(forms, direction)
-    print(f"  direction {direction}: {k:+.6f}")
-
-print()
 print("=== grids of invariants ===")
+torus = cs.make_entry("torus", R=2.0, r=1.0)
 n = 65
 jets = cs.sample_surface(torus, 0.0, 2 * math.pi / (n - 1), n,
                          0.0, 2 * math.pi / (n - 1), n)
 form_grid = cs.fundamental_forms_grid(jets)
 curv_grid = cs.curvatures_grid(form_grid, principal_chart=True)
+
+at = (0, 0)
+print(f"torus jet at node {at}, (u, v) = (0, 0):  xu =", jets.xu.values[at],
+      " xv =", jets.xv.values[at])
+print("first form  (E, F, G) =", tuple(float(g.values[at]) for g in
+                                       (form_grid.E, form_grid.F, form_grid.G)))
+print("second form (L, M, N) =", tuple(float(g.values[at]) for g in
+                                       (form_grid.L, form_grid.M, form_grid.N)))
+print("curvatures: K = %.6f  H = %.6f  nu = (%.4f, %.4f)"
+      % tuple(g.values[at] for g in (curv_grid.K, curv_grid.H, curv_grid.nu1, curv_grid.nu2)))
 print("max |K - nu1 nu2| over the grid:",
       np.max(np.abs(curv_grid.K.values - curv_grid.nu1.values * curv_grid.nu2.values)))
-
-g1, g2 = cs.geodesic_curvatures_of_parametric_lines(form_grid)
-print("geodesic curvature of the u-lines is zero on a torus:",
-      np.max(np.abs(g1.values)) < 1e-10)
-print("geodesic curvature of the v-lines ranges over "
-      f"[{g2.values.min():+.4f}, {g2.values.max():+.4f}]")
 
 print()
 print("=== umbilic detection ===")

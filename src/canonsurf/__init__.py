@@ -1,7 +1,7 @@
 """Surface invariants, compatibility residuals, canonical principal parameters,
 and reconstruction of a surface (up to rigid motion) from two invariant fields."""
 
-from .catalog import CatalogEntry, Jet2, JetGrid, evaluate_jet, make_entry, make_revolution_entry, sample_surface
+from .catalog import CatalogEntry, JetGrid, make_entry, make_revolution_entry, sample_surface
 from .canonical import (
     AffineMatch,
     CanonicalMaps,
@@ -31,16 +31,10 @@ from .grid import (
 )
 from .invariants import (
     CurvatureGrid,
-    CurvaturePoint,
-    FormCoefficients,
     FormGrid,
-    curvatures,
     curvatures_grid,
     detect_umbilics,
-    fundamental_forms,
     fundamental_forms_grid,
-    geodesic_curvatures_of_parametric_lines,
-    normal_curvature,
 )
 from .reconstruction import (
     FrameState,

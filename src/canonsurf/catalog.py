@@ -19,21 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .grid import Grid2, spline_eval, spline_slopes
+from .grid import Grid2, same_geometry, spline_eval, spline_slopes
 
 _INF = float("inf")
-
-
-@dataclass(frozen=True)
-class Jet2:
-    """Position and first/second partials of a chart at one parameter point."""
-
-    x: np.ndarray
-    xu: np.ndarray
-    xv: np.ndarray
-    xuu: np.ndarray
-    xuv: np.ndarray
-    xvv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -47,13 +35,12 @@ class JetGrid:
     xuv: Grid2
     xvv: Grid2
 
+    def __post_init__(self):
+        same_geometry(self.x, self.xu, self.xv, self.xuu, self.xuv, self.xvv)
+
     @property
     def geometry(self) -> Grid2:
         return self.x
-
-    def at(self, i: int, j: int) -> Jet2:
-        return Jet2(*(np.array(g.values[i, j]) for g in
-                      (self.x, self.xu, self.xv, self.xuu, self.xuv, self.xvv)))
 
 
 @dataclass(frozen=True)
@@ -211,17 +198,13 @@ def make_revolution_entry(t_samples, rho_samples, z_samples) -> CatalogEntry:
 CATALOG_NAMES = ("plane", "sphere", "cylinder", "cone", "torus", "catenoid")
 
 
-def evaluate_jet(entry: CatalogEntry, u: float, v: float) -> Jet2:
-    """Exact jet of the chart at a single admissible parameter point."""
-    if not entry.domain.contains(u, v):
-        raise DomainError(f"({u}, {v}) outside admissible domain of '{entry.name}'")
-    comps = entry._jet(float(u), float(v))
-    return Jet2(*(np.asarray(c, dtype=float).reshape(3) for c in comps))
-
-
 def sample_surface(entry: CatalogEntry, u0: float, du: float, nu: int,
                    v0: float, dv: float, nv: int) -> JetGrid:
     """Jets at every node of the uniform grid described by origin/spacing/count."""
+    # the end nodes in Python floats, which overflow to inf with no numpy warning
+    ends = (float(u0) + float(du) * (nu - 1), float(v0) + float(dv) * (nv - 1))
+    if not all(map(math.isfinite, ends)):
+        raise DomainError(f"the grid's axes are not finite: u from {u0} by {du}, v from {v0} by {dv}")
     u_axis = u0 + du * np.arange(nu)
     v_axis = v0 + dv * np.arange(nv)
     if not entry.domain.contains(u_axis, v_axis):

@@ -29,10 +29,6 @@ class NotPrincipalError(CanonsurfError):
     """F or M exceeds the principality tolerance."""
 
 
-class DegenerateDirectionError(CanonsurfError):
-    """Zero tangent direction supplied where one is required."""
-
-
 class UmbilicError(CanonsurfError):
     """Principal curvatures coincide somewhere on the grid."""
 

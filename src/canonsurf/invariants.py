@@ -1,4 +1,4 @@
-"""Pointwise surface invariants: fundamental forms, curvatures, umbilic detection.
+"""Surface invariants on grids: fundamental forms, curvatures, umbilic detection.
 
 Conventions. The unit normal is n = (xu x xv)/|xu x xv|. On a principal chart
 (F = M = 0) the principal curvatures are labeled by direction, nu1 = L/E for
@@ -13,39 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDirectionError,
-    DiscriminantError,
-    NotPrincipalError,
-    RegularityError,
-    UmbilicError,
-)
-from .catalog import Jet2, JetGrid
-from .grid import Grid2, d_u, d_v, same_geometry
+from .errors import DiscriminantError, NotPrincipalError, RegularityError, UmbilicError
+from .catalog import JetGrid
+from .grid import Grid2, same_geometry
 
 PRINCIPALITY_RTOL = 1e-10
 UMBILIC_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class FormCoefficients:
-    """First and second fundamental form coefficients at one point."""
-
-    E: float
-    F: float
-    G: float
-    L: float
-    M: float
-    N: float
-    W: float
-
-
-@dataclass(frozen=True)
-class CurvaturePoint:
-    K: float
-    H: float
-    nu1: float
-    nu2: float
 
 
 @dataclass(frozen=True)
@@ -59,6 +32,9 @@ class FormGrid:
     M: Grid2
     N: Grid2
     W: Grid2
+
+    def __post_init__(self):
+        same_geometry(self.E, self.F, self.G, self.L, self.M, self.N, self.W)
 
     @property
     def geometry(self) -> Grid2:
@@ -81,7 +57,6 @@ class UmbilicReport:
     total: int
     worst_index: tuple
     min_separation: float
-    threshold_at_worst: float
 
     @property
     def any(self) -> bool:
@@ -91,7 +66,7 @@ class UmbilicReport:
 def _metric_determinant(E, F, G):
     """EG - F^2; RegularityError unless it and E are positive at every node."""
     W2 = E * G - F * F
-    if np.any(W2 <= 0) or np.any(E <= 0):
+    if not (np.all(W2 > 0) and np.all(E > 0)):
         raise RegularityError("EG - F^2 is not positive")
     return W2
 
@@ -110,12 +85,6 @@ def _forms_arrays(xu, xv, xuu, xuv, xvv):
     M = dot(xuv, n)
     N = dot(xvv, n)
     return E, F, G, L, M, N, np.sqrt(_metric_determinant(E, F, G))
-
-
-def fundamental_forms(jet: Jet2) -> FormCoefficients:
-    """E, F, G, L, M, N and W = sqrt(EG - F^2) from one jet."""
-    vals = _forms_arrays(jet.xu, jet.xv, jet.xuu, jet.xuv, jet.xvv)
-    return FormCoefficients(*(float(q) for q in vals))
 
 
 def fundamental_forms_grid(jets: JetGrid) -> FormGrid:
@@ -153,50 +122,17 @@ def _curvature_arrays(E, F, G, L, M, N, principal_chart: bool):
     return K, H, nu1, nu2
 
 
-def curvatures(forms: FormCoefficients, principal_chart: bool) -> CurvaturePoint:
-    """Gauss, mean and principal curvatures from form coefficients.
+def curvatures_grid(forms: FormGrid, principal_chart: bool) -> CurvatureGrid:
+    """Gauss, mean and principal curvatures at every node of a form grid.
 
     With principal_chart set, nu1 = L/E and nu2 = N/G (direction labeling);
     otherwise nu1,2 = H +- sqrt(H^2 - K), with tiny negative discriminants
     clamped to zero.
     """
-    vals = _curvature_arrays(forms.E, forms.F, forms.G, forms.L, forms.M, forms.N,
-                             principal_chart)
-    return CurvaturePoint(*(float(q) for q in vals))
-
-
-def curvatures_grid(forms: FormGrid, principal_chart: bool) -> CurvatureGrid:
     vals = _curvature_arrays(forms.E.values, forms.F.values, forms.G.values,
                              forms.L.values, forms.M.values, forms.N.values, principal_chart)
     g = forms.geometry
     return CurvatureGrid(*(g.like(q) for q in vals))
-
-
-def normal_curvature(forms: FormCoefficients, direction) -> float:
-    """Normal curvature of the tangent direction (du, dv); scale-invariant."""
-    a, b = (float(q) for q in direction)
-    _metric_determinant(forms.E, forms.F, forms.G)
-    denom = forms.E * a * a + 2.0 * forms.F * a * b + forms.G * b * b
-    if denom <= 0.0:
-        raise DegenerateDirectionError("direction must be a nonzero tangent vector")
-    return (forms.L * a * a + 2.0 * forms.M * a * b + forms.N * b * b) / denom
-
-
-def geodesic_curvatures_of_parametric_lines(forms: FormGrid):
-    """Geodesic curvature grids (gamma1, gamma2) of the u- and v-parameter lines.
-
-    Requires a principal chart; gamma1 = -E_v/(2 E sqrt(G)) and
-    gamma2 = G_u/(2 G sqrt(E)), with the shared second-order stencils.
-    """
-    E, G = forms.E, forms.G
-    _metric_determinant(E.values, forms.F.values, G.values)
-    if not is_principal(E.values, forms.F.values, G.values, forms.M.values):
-        raise NotPrincipalError("geodesic curvatures of parametric lines need F = M = 0")
-    E_v = d_v(E.values, E)
-    G_u = d_u(G.values, G)
-    gamma1 = -E_v / (2.0 * E.values * np.sqrt(G.values))
-    gamma2 = G_u / (2.0 * G.values * np.sqrt(E.values))
-    return E.like(gamma1), E.like(gamma2)
 
 
 def _umbilic_scan(nu1: np.ndarray, nu2: np.ndarray):
@@ -210,7 +146,6 @@ def _umbilic_scan(nu1: np.ndarray, nu2: np.ndarray):
         total=int(mask.size),
         worst_index=(int(worst[0]), int(worst[1])),
         min_separation=float(gap[worst]),
-        threshold_at_worst=float(threshold[worst]),
     )
     return mask, report
 

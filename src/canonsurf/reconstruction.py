@@ -70,6 +70,10 @@ class SurfaceMesh:
     positions: Grid2
     normals: Grid2 | None = None
 
+    def __post_init__(self):
+        if self.normals is not None:
+            same_geometry(self.positions, self.normals)
+
 
 def coefficients_from_invariants(inv: InvariantGrid):
     """(E, G, L, N) grids implied by the invariant fields and constants a, b.

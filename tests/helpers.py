@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -17,6 +18,16 @@ def run_cli(*args):
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-m", "canonsurf", *args],
                           capture_output=True, text=True, env=env)
+
+
+def chart_at(entry, u, v):
+    """Jets of a chart on the 3 x 3 grid of spacing 0.1 whose node (0, 0) is (u, v)."""
+    return cs.sample_surface(entry, u, 0.1, 3, v, 0.1, 3)
+
+
+def at_origin(grids):
+    """The value at node (0, 0) of each grid of a JetGrid, FormGrid or CurvatureGrid."""
+    return SimpleNamespace(**{name: g.values[0, 0] for name, g in vars(grids).items()})
 
 
 def sample_chart(name, u_range, v_range, n, base=None, **params):

@@ -15,8 +15,10 @@ from canonsurf.errors import DiscriminantError, MonotonicityError
 from canonsurf.reports import interior
 
 from helpers import (
+    at_origin,
     best_fit_axis_distances,
     catenoid_invariants,
+    chart_at,
     constant_invariants,
     observed_orders,
     random_frame,
@@ -56,12 +58,13 @@ def test_criterion_01_identity_suite():
 
 def test_criterion_02_closed_form_coefficients():
     def body():
-        f = cs.fundamental_forms(cs.evaluate_jet(cs.make_entry("torus", R=2, r=1), 0.0, 0.0))
+        forms = cs.fundamental_forms_grid(chart_at(cs.make_entry("torus", R=2, r=1), 0.0, 0.0))
+        f = at_origin(forms)
         assert np.allclose([f.E, f.F, f.G, f.L, f.M, f.N], [1, 0, 9, 1, 0, 3], atol=1e-12)
-        c = cs.curvatures(f, principal_chart=True)
+        c = at_origin(cs.curvatures_grid(forms, principal_chart=True))
         assert abs(c.nu1 - 1.0) < 1e-12 and abs(c.nu2 - 1.0 / 3.0) < 1e-12
         for u, v in [(0.0, 0.0), (0.7, 1.3), (-0.4, 2.1)]:
-            g = cs.fundamental_forms(cs.evaluate_jet(cs.make_entry("catenoid"), u, v))
+            g = at_origin(cs.fundamental_forms_grid(chart_at(cs.make_entry("catenoid"), u, v)))
             ch2 = math.cosh(u) ** 2
             assert abs(g.E - ch2) < 1e-12 * ch2 and abs(g.G - ch2) < 1e-12 * ch2
             assert abs(g.L + 1.0) < 1e-12 and abs(g.N - 1.0) < 1e-12

@@ -6,12 +6,12 @@ import pytest
 import canonsurf as cs
 from canonsurf.errors import DomainError
 
-from helpers import sample_chart
+from helpers import at_origin, chart_at, sample_chart
 
 
 def test_cylinder_jet_at_origin():
     e = cs.make_entry("cylinder", r=1.0)
-    j = cs.evaluate_jet(e, 0.0, 0.0)
+    j = at_origin(chart_at(e, 0.0, 0.0))
     assert np.allclose(j.xu, [0, 1, 0])
     assert np.allclose(j.xv, [0, 0, 1])
     assert np.allclose(j.xuu, [-1, 0, 0])
@@ -21,7 +21,7 @@ def test_cylinder_jet_at_origin():
 
 def test_torus_jet_at_origin():
     e = cs.make_entry("torus", R=2.0, r=1.0)
-    j = cs.evaluate_jet(e, 0.0, 0.0)
+    j = at_origin(chart_at(e, 0.0, 0.0))
     assert np.allclose(j.xu, [0, 0, 1])
     assert np.allclose(j.xv, [0, 3, 0])
     assert np.allclose(j.xuu, [-1, 0, 0])
@@ -29,21 +29,22 @@ def test_torus_jet_at_origin():
 
 def test_catenoid_jet_at_origin():
     e = cs.make_entry("catenoid")
-    j = cs.evaluate_jet(e, 0.0, 0.0)
+    j = at_origin(chart_at(e, 0.0, 0.0))
     assert np.allclose(j.xu, [0, 0, 1])
     assert np.allclose(j.xv, [0, 1, 0])
     assert np.allclose(j.xuu, [1, 0, 0])
 
 
 def test_sample_matches_pointwise():
+    # each node's jet depends on that node alone, not on the grid around it
     e = cs.make_entry("torus", R=2.0, r=1.0)
     jets = cs.sample_surface(e, 0.1, 0.2, 3, -0.3, 0.25, 3)
     for i in range(3):
         for j in range(3):
-            pt = cs.evaluate_jet(e, 0.1 + 0.2 * i, -0.3 + 0.25 * j)
-            got = jets.at(i, j)
+            pt = chart_at(e, 0.1 + 0.2 * i, -0.3 + 0.25 * j)
             for name in ("x", "xu", "xv", "xuu", "xuv", "xvv"):
-                assert np.array_equal(getattr(got, name), getattr(pt, name)), name
+                got = getattr(jets, name).values[i, j]
+                assert np.array_equal(got, getattr(pt, name).values[0, 0]), name
 
 
 def test_sphere_regular_off_poles():
@@ -55,15 +56,16 @@ def test_sphere_regular_off_poles():
 
 def test_sphere_pole_outside_domain():
     e = cs.make_entry("sphere", R=1.0)
+    # only node (0, 0) lies on the boundary u = -pi/2; its neighbours are admissible
     with pytest.raises(DomainError):
-        cs.evaluate_jet(e, math.pi / 2, 0.0)
+        chart_at(e, -math.pi / 2, 0.0)
 
 
 def test_cone_apex_outside_domain():
     e = cs.make_entry("cone", alpha=0.5)
     with pytest.raises(DomainError):
-        cs.evaluate_jet(e, 0.0, 0.0)
-    j = cs.evaluate_jet(e, 0.0, 1.0)
+        chart_at(e, 0.0, 0.0)
+    j = at_origin(chart_at(e, 0.0, 1.0))
     assert np.allclose(j.x, [math.sin(0.5), 0.0, math.cos(0.5)])
 
 
@@ -139,8 +141,8 @@ class TestRevolution:
     def test_jets_close_to_catenoid(self):
         # spline profile of the catenoid: jets approximate the analytic ones
         e = self._entry()
-        j = cs.evaluate_jet(e, 0.25, 0.4)
-        ref = cs.evaluate_jet(cs.make_entry("catenoid"), 0.25, 0.4)
+        j = at_origin(chart_at(e, 0.25, 0.4))
+        ref = at_origin(chart_at(cs.make_entry("catenoid"), 0.25, 0.4))
         assert np.max(np.abs(j.x - ref.x)) < 1e-6
         assert np.max(np.abs(j.xu - ref.xu)) < 1e-4
 
@@ -186,3 +188,10 @@ def test_domain_error_on_grid_leaving_domain():
     e = cs.make_entry("cone", alpha=0.5)
     with pytest.raises(DomainError):
         cs.sample_surface(e, 0.0, 0.1, 5, -0.5, 0.25, 5)
+
+
+@pytest.mark.parametrize("du, dv", [(1e308, 0.1), (0.1, math.inf), (0.1, -1e308), (math.nan, 0.1)])
+def test_overflowing_axes_are_refused(du, dv):
+    # the end node overflows to inf, or is NaN; numpy would warn while forming the axis
+    with pytest.raises(DomainError, match="the grid's axes are not finite"):
+        cs.sample_surface(cs.make_entry("torus"), 0.0, du, 5, 0.0, dv, 5)

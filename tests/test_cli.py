@@ -36,6 +36,26 @@ def test_analyze_infinite_radius_exits_3(capsys):
     assert capsys.readouterr().err == "canonsurf: error: 'sphere' needs finite parameters, got {'R': inf}\n"
 
 
+def test_analyze_overflowing_axis_exits_3(capsys):
+    # (1e308 - -1e308) / 4 is an infinite step; its nodes are never formed
+    assert cli.main(["analyze", "--surface", "torus", "--u", "-1e308:1e308:5",
+                     "--v", "0:2:9"]) == 3
+    assert capsys.readouterr().err == ("canonsurf: error: the grid's axes are not finite: "
+                                       "u from -1e+308 by inf, v from 0.0 by 0.25\n")
+
+
+@pytest.mark.parametrize("command", ["canonicalize", "roundtrip"])
+def test_sampling_commands_refuse_overflowing_axes(tmp_path, capsys, command):
+    # the other commands that sample a chart meet the same check; roundtrip's
+    # refinement keeps the infinite step
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--surface", "torus", "--u", "-1e308:1e308:5", "--v", "0:2:9",
+                     "--output", str(out)] + (["--refine", "2"] if command == "roundtrip" else [])) == 3
+    assert capsys.readouterr().err == ("canonsurf: error: the grid's axes are not finite: "
+                                       "u from -1e+308 by inf, v from 0.0 by 0.25\n")
+    assert not out.exists()
+
+
 def test_analyze_sphere_exits_2(tmp_path):
     res = run_cli("analyze", "--surface", "sphere", "--param", "R=1",
                   "--u", "-1:1:33", "--v", "0:2:33",

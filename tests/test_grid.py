@@ -53,6 +53,18 @@ def test_same_geometry_rejects_other_shapes_and_geometry():
             same_geometry(g, cs.Grid2(*other, np.zeros((4, 5))))
 
 
+@pytest.mark.parametrize("odd", ["shape", "origin", "spacing"])
+@pytest.mark.parametrize("container, count", [("JetGrid", 6), ("FormGrid", 7), ("SurfaceMesh", 2)])
+def test_containers_hold_one_geometry(container, count, odd):
+    # the grids of one container are read node for node, so one of another
+    # shape (9 x 8 among 9 x 9), origin or spacing must be refused where it enters
+    grid = lambda u0, du, nv: cs.Grid2(u0, 0.0, du, 0.1, np.ones((9, nv, 3)))
+    last = {"shape": grid(0.0, 0.1, 8), "origin": grid(0.05, 0.1, 9),
+            "spacing": grid(0.0, 0.2, 9)}[odd]
+    with pytest.raises(ShapeMismatchError):
+        getattr(cs, container)(*[grid(0.0, 0.1, 9)] * (count - 1), last)
+
+
 def test_grid_values_immutable():
     g = cs.Grid2(0, 0, 1, 1, np.zeros((3, 3)))
     with pytest.raises(ValueError):
